@@ -12,11 +12,11 @@ any row's throughput regressed by more than ``--threshold`` (default
 Four gated **profiles**, selected with ``--profile``:
 
 * ``sim`` (default): ``BENCH_sim.json`` rows keyed by ``label``
-  (``interp-idle``, ``blocks-memloop``, ...), rates from
+  (``interp-idle``, ``interp-memloop``, ``interp-attest``), rates from
   ``steps_per_sec``, normalized to the ``interp-idle`` row -- so the
-  gate tracks the blocks-engine speedups per workload (idle loop,
-  memory-heavy loop, attestation inner loop) and the interpreter's
-  workload overhead ratios rather than absolute runner speed.
+  gate tracks the interpreter's workload overhead ratios (memory-heavy
+  loop, attestation inner loop vs the idle loop) rather than absolute
+  runner speed.
 * ``fleet``: ``BENCH_fleet.json`` rows keyed by ``label``, rates from
   ``exchanges_per_sec``, normalized to the single-device
   ``loopback-1`` row -- so the gate tracks how fleet/cluster
@@ -37,8 +37,8 @@ Two comparison modes:
 
 * **normalized** (default): each file's rows are divided by that file's
   reference row before comparing, so the check tracks the *relative*
-  speedups (blocks-vs-interp, cluster-vs-single and so on) and is
-  immune to CI runners of different absolute speed.
+  rates (memloop-vs-idle, cluster-vs-single and so on) and is immune
+  to CI runners of different absolute speed.
 * ``--absolute``: raw rates are compared directly.  Only meaningful
   when baseline and current ran on comparable hardware.
 
@@ -56,9 +56,8 @@ from pathlib import Path
 DEFAULT_THRESHOLD = 0.30
 
 #: Default normalization denominator for the bare helpers
-#: (:func:`normalize` / :func:`compare`); the sim profile itself
-#: normalizes to its ``interp-idle`` labeled row.
-REFERENCE_ENGINE = "interp"
+#: (:func:`normalize` / :func:`compare`): the sim profile's reference row.
+REFERENCE_ROW = "interp-idle"
 
 #: Gated benchmark profiles: which artifact, which row field names the
 #: row, which field carries its rate, and which row the others are
@@ -101,7 +100,7 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent / PROFILES["sim"]["baseline"]
 DEFAULT_CURRENT = Path(PROFILES["sim"]["current"])
 
 
-def load_rates(path, key="engine", value="steps_per_sec"):
+def load_rates(path, key="label", value="steps_per_sec"):
     """``{row[key]: row[value]}`` from a ``BENCH_*.json`` file."""
     try:
         payload = json.loads(Path(path).read_text())
@@ -116,7 +115,7 @@ def load_rates(path, key="engine", value="steps_per_sec"):
     return rates
 
 
-def normalize(rates, reference=REFERENCE_ENGINE):
+def normalize(rates, reference=REFERENCE_ROW):
     """Rates relative to the file's own reference row."""
     denominator = rates.get(reference)
     if not denominator:
@@ -127,7 +126,7 @@ def normalize(rates, reference=REFERENCE_ENGINE):
 
 
 def compare(baseline, current, threshold, absolute=False,
-            reference=REFERENCE_ENGINE):
+            reference=REFERENCE_ROW):
     """Regressed rows as ``(name, baseline_value, current_value)``."""
     if not absolute:
         baseline = normalize(baseline, reference)

@@ -62,15 +62,13 @@ def write_bench_json(name, payload):
     perf trajectory is tracked per PR.  Returns the written path.
 
     Every payload (and every entry of its ``rows``, if present) is
-    stamped with the active execution engine, and the payload with the
-    process-wide decode-cache statistics and the full metrics-registry
-    snapshot -- a bench number without the telemetry that produced it
-    is unreproducible.  The engine and decode-cache stamps are *views
-    of that snapshot* (the registry's collectors are the one source of
-    truth; the old hand-stamped dicts are gone): ``decode_cache`` is
-    the snapshot's ``cache.*`` gauges with the prefix stripped.  Rows
-    that already carry an ``engine`` column (for example an
-    engine-comparison sweep) keep their own value.
+    stamped with the step loop's name (``engine``), and the payload
+    with the process-wide decode-cache statistics and the full
+    metrics-registry snapshot -- a bench number without the telemetry
+    that produced it is unreproducible.  The decode-cache stamp is a
+    *view of that snapshot* (the registry's collectors are the one
+    source of truth): ``decode_cache`` is the snapshot's ``cache.*``
+    gauges with the prefix stripped.
     """
     from repro.cpu.engine import engine_name
     from repro.obs.metrics import get_registry
@@ -86,8 +84,7 @@ def write_bench_json(name, payload):
     payload.setdefault("telemetry", snapshot)
     if isinstance(payload.get("rows"), list):
         payload["rows"] = [
-            dict(row, engine=row.get("engine", engine_name()))
-            if isinstance(row, dict) else row
+            dict(row, engine=engine_name()) if isinstance(row, dict) else row
             for row in payload["rows"]
         ]
     directory = Path(os.environ.get("REPRO_BENCH_DIR", "."))

@@ -152,18 +152,12 @@ def test_fleet_exchanges_per_second(benchmark, table_printer, bench_json):
     assert tcp_report.pending_challenges_after == 0
 
     # Sharding never costs verdicts, whatever it does for throughput.
+    # Throughput is not asserted: prover simulation in this client
+    # process bounds the rate, so a 2-shard/1-shard ratio would measure
+    # the load generator, not the shards.
     for shard_count, report in cluster_reports.items():
         assert report.exchanges == CLUSTER_DEVICES * CLUSTER_EXCHANGES_PER_DEVICE
         assert report.all_accepted(), (shard_count, report)
-    if (os.cpu_count() or 1) >= 2:
-        # With real parallelism available, the second shard process must
-        # buy throughput: >= 1.5x the single-shard rate at 32 devices.
-        # On a single-core runner the two shard processes timeshare one
-        # CPU, so the ratio is meaningless and only correctness is held.
-        ratio = (cluster_reports[2].exchanges_per_second
-                 / cluster_reports[1].exchanges_per_second)
-        assert ratio >= 1.5, \
-            "2-shard cluster scaled only %.2fx over 1 shard" % ratio
 
 
 def test_fleet_survives_impaired_links(benchmark, table_printer):

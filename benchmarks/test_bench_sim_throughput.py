@@ -37,17 +37,6 @@ MEASURE_STEPS = 30000
 REPEATS = 4
 #: Required speedup of the decode cache (trace off, like for like).
 REQUIRED_SPEEDUP = 3.0
-#: Required speedup of the trace-compiled block engine over the
-#: interpreter (batched loop, trace off, like for like).
-REQUIRED_ENGINE_SPEEDUP = 2.0
-#: Required blocks-over-interp speedup on the memory-touching workloads.
-#: The v1 compiler (register-only Format I specialization, no
-#: superblocks/chaining) measured ~2.8x on the memory loop and ~2.5x on
-#: the attestation inner loop; v2 measures ~5x on both, so this floor
-#: both documents the v2 win (>= 1.5x over v1's ratio would be ~4.2x,
-#: gated precisely by compare_bench against the committed baseline) and
-#: keeps headroom against CI runner noise.
-REQUIRED_MEMORY_ENGINE_SPEEDUP = 3.0
 
 
 def _fresh_device(firmware, decode_cache, trace):
@@ -184,21 +173,10 @@ def test_run_batch_beats_per_step_loop(benchmark, table_printer):
     assert batched >= 1.2 * per_step
 
 
-def _engine_device(firmware, engine):
-    """A monitor-less, trace-less device running under *engine*."""
-    bench = PoxTestbench(firmware, TestbenchConfig(
-        trace_enabled=False, exec_engine=engine,
-    ))
-    device = bench.device
-    device.detach_monitor(bench.monitor)
-    return device
-
-
 _STOP_WATCHDOG = "MOV #0x5A80, &0x%04X\n" % PeripheralRegisters.WDTCTL
 
 #: Memory-heavy copy/accumulate loop: autoincrement + indexed operands
-#: and memory-destination writeback on every iteration -- the shape the
-#: v1 block compiler punted to generic closures.
+#: and memory-destination writeback on every iteration.
 MEMLOOP_SOURCE = _STOP_WATCHDOG + """
 outer:
     MOV #0x0200, R5
@@ -238,9 +216,9 @@ chunk:
 """
 
 
-def _asm_device(source, engine):
+def _asm_device(source):
     """A trace-less raw device running bare assembly from 0xE000."""
-    device = Device(DeviceConfig(trace_enabled=False, exec_engine=engine))
+    device = Device(DeviceConfig(trace_enabled=False))
     image = Assembler().assemble(".section .text\n" + source,
                                  section_addresses={".text": 0xE000})
     image.write_to(device.memory)
@@ -251,109 +229,69 @@ def _asm_device(source, engine):
 
 def _rate_of(make_device):
     """Best steps/sec over ``REPEATS`` batched runs, plus the last
-    device's engine/decode-cache statistics."""
+    device's decode-cache statistics."""
     best = 0.0
     device = None
     for _ in range(REPEATS):
         device = make_device()
-        device.run_batch(1000)  # settle: boot code, block compilation
+        device.run_batch(1000)  # settle: boot code, cold decode cache
         started = time.perf_counter()
         device.run_batch(MEASURE_STEPS)
         elapsed = time.perf_counter() - started
         best = max(best, MEASURE_STEPS / elapsed)
     assert not device.crashed, device.crash_reason
-    return best, device.engine.stats(), device.decode_cache.stats()
-
-
-def _specialization_coverage(engine_stats):
-    """Fraction of compiled ops that got a specialized closure."""
-    specialized = engine_stats.get("specialized_ops", 0)
-    generic = engine_stats.get("generic_ops", 0)
-    total = specialized + generic
-    return specialized / total if total else None
+    return best, device.decode_cache.stats()
 
 
 #: The labeled workload matrix behind the ``BENCH_sim.json`` rows that
 #: ``compare_bench.py --profile sim`` gates (normalized to
-#: ``interp-idle``, so the gate tracks the engine speedups and the
-#: memory-workload overhead ratios, not absolute runner speed).
+#: ``interp-idle``, so the gate tracks the memory-workload overhead
+#: ratios, not absolute runner speed).
 _WORKLOADS = (
-    ("idle", lambda engine: _engine_device(
-        blinker_firmware(authorized=True), engine)),
-    ("memloop", lambda engine: _asm_device(MEMLOOP_SOURCE, engine)),
-    ("attest", lambda engine: _asm_device(ATTEST_SOURCE, engine)),
+    ("idle", lambda: _fresh_device(blinker_firmware(authorized=True),
+                                   decode_cache=True, trace=False)),
+    ("memloop", lambda: _asm_device(MEMLOOP_SOURCE)),
+    ("attest", lambda: _asm_device(ATTEST_SOURCE)),
 )
 
 
-def test_block_engine_speedup(benchmark, table_printer, bench_json):
-    """The ``blocks`` engine beats ``interp`` on every workload row.
+def test_interpreter_workload_rows(benchmark, table_printer, bench_json):
+    """Record the interpreter's labeled ``BENCH_sim.json`` rows.
 
-    Same code image, same batched loop, trace off, no monitors -- the
-    only variable is the execution engine.  The differential suites
-    (``tests/integration/test_engine_differential.py``,
-    ``tests/property/test_property_engines.py``) prove the two are
-    byte-identical; this test only measures speed and records the
-    labeled ``BENCH_sim.json`` rows (idle loop, memory-heavy loop,
-    attestation inner loop) that ``benchmarks/compare_bench.py``
-    guards in CI, along with the v2 compiler's specialization-coverage
-    ratio so coverage regressions show up in the artifacts.
+    Batched loop, trace off, no monitors: the idle loop, a memory-heavy
+    loop and an attestation inner loop (``interp-idle``,
+    ``interp-memloop``, ``interp-attest``) that
+    ``benchmarks/compare_bench.py`` guards against the committed
+    baseline.  This test only measures; the differential suites
+    (``tests/unit/test_run_batch.py``,
+    ``tests/property/test_property_run_batch.py``) pin the behaviour.
     """
-    rates = {}
     json_rows = []
-    coverage = {}
     table_rows = []
     for workload, make in _WORKLOADS:
-        for engine in ("interp", "blocks"):
-            label = "%s-%s" % (engine, workload)
-            rate, engine_stats, cache_stats = _rate_of(
-                lambda make=make, engine=engine: make(engine))
-            rates[label] = rate
-            row = {
-                "label": label,
-                "engine": engine,
-                "workload": workload,
-                "steps_per_sec": rate,
-                "engine_stats": engine_stats,
-                "decode_cache": cache_stats,
-            }
-            if engine == "blocks":
-                row["specialization_coverage"] = \
-                    _specialization_coverage(engine_stats)
-                coverage[workload] = row["specialization_coverage"]
-            json_rows.append(row)
-            table_rows.append({"row": label, "steps/sec": "%.0f" % rate})
-
-    speedups = {
-        workload: rates["blocks-%s" % workload] / rates["interp-%s" % workload]
-        for workload, _ in _WORKLOADS
-    }
-    for workload, _ in _WORKLOADS:
-        table_rows.append({"row": "speedup-%s" % workload,
-                           "steps/sec": "%.2fx" % speedups[workload]})
-    table_printer("Execution engines (batched, trace off)", table_rows)
-    for workload, ratio in sorted(coverage.items()):
-        print("specialization coverage (%s): %s" % (
-            workload, "%.1f%%" % (100.0 * ratio) if ratio is not None
-            else "n/a"))
+        label = "interp-%s" % workload
+        rate, cache_stats = _rate_of(make)
+        json_rows.append({
+            "label": label,
+            "workload": workload,
+            "steps_per_sec": rate,
+            "decode_cache": cache_stats,
+        })
+        table_rows.append({"row": label, "steps/sec": "%.0f" % rate})
+    table_printer("Interpreter workloads (batched, trace off)", table_rows)
 
     bench_json("BENCH_sim.json", {
         "benchmark": "execution_engine_throughput",
         "unit": "steps/sec",
         "measure_steps": MEASURE_STEPS,
         "rows": json_rows,
-        "speedup": speedups["idle"],
-        "speedups": speedups,
-        "specialization_coverage": coverage,
     })
 
     benchmark.pedantic(
-        lambda: _engine_device(blinker_firmware(authorized=True),
-                               "blocks").run_batch(2000),
+        lambda: _fresh_device(blinker_firmware(authorized=True),
+                              True, False).run_batch(2000),
         rounds=1,
     )
-    assert speedups["idle"] >= REQUIRED_ENGINE_SPEEDUP
-    assert speedups["memloop"] >= REQUIRED_MEMORY_ENGINE_SPEEDUP
-    assert speedups["attest"] >= REQUIRED_MEMORY_ENGINE_SPEEDUP
 
 
 def test_throughput_trajectory(benchmark):

@@ -59,19 +59,18 @@ def store_demo():
     """Incremental campaigns: a content-addressed result store.
 
     Every spec has a stable content address (``spec.fingerprint()``,
-    SHA-256 over the canonical spec encoding + the execution engine +
-    the code epoch).  Give the runner a store directory and unchanged
-    scenarios are served from disk instead of executing -- the second
-    sweep below runs **zero** scenarios and produces identical rows.
+    SHA-256 over the canonical spec encoding + the code epoch).  Give
+    the runner a store directory and unchanged scenarios are served
+    from disk instead of executing -- the second sweep below runs
+    **zero** scenarios and produces identical rows.
 
     Cached entries are invalidated automatically when anything that
     could change the outcome changes:
 
     * *the spec* -- any field perturbation (schedule, config override,
       expectation, firmware reference) changes the fingerprint;
-    * *the execution engine* -- an ``exec_engine`` override pins a pox
-      spec, otherwise the ambient selection (``REPRO_EXEC_BACKEND``)
-      is folded in;
+    * *the crypto backend* -- for opaque ``job`` specs only, the ambient
+      selection (``REPRO_CRYPTO_BACKEND``) is folded in;
     * *the code epoch* -- bump ``repro.sim.CODE_EPOCH`` (or set
       ``REPRO_CODE_EPOCH``) when a code change alters what scenarios
       compute, invalidating every stored result at once.
@@ -104,39 +103,6 @@ def store_demo():
         assert all(result.cached for result in warm)
         print("rows identical; fingerprint example: %s..."
               % specs[0].fingerprint()[:16])
-
-
-def engine_demo():
-    """Execution engines: the reference interpreter vs compiled blocks.
-
-    The step loop sits behind a registry (``repro.cpu.engine``):
-    ``interp`` is the in-tree reference, ``blocks`` trace-compiles hot
-    straight-line code into Python closures (differentially pinned
-    byte-identical).  Select with ``REPRO_EXEC_BACKEND=blocks``,
-    ``DeviceConfig(exec_engine=...)``, ``TestbenchConfig(exec_engine=...)``,
-    ``CampaignRunner(engine=...)`` or ``python -m repro.experiments
-    --engine blocks``; process-wide/scoped via ``repro.set_exec_engine``
-    / ``repro.use_exec_engine``.
-    """
-    import time
-
-    from repro.cpu import engine_name
-
-    print("\n--- execution engines (repro.cpu.engine) ---")
-    print("default engine:", engine_name())
-    firmware = blinker_firmware(authorized=True)
-    measure_steps = 50000
-    for engine in ("interp", "blocks"):
-        bench = PoxTestbench(firmware, TestbenchConfig(
-            trace_enabled=False, exec_engine=engine))
-        device = bench.device
-        device.detach_monitor(bench.monitor)  # measure the raw step loop
-        device.run_batch(2000)                # settle: boot, compilation
-        started = time.perf_counter()
-        device.run_batch(measure_steps)
-        elapsed = time.perf_counter() - started
-        print("%-7s %12.0f steps/sec   stats: %s"
-              % (engine, measure_steps / elapsed, device.engine.stats()))
 
 
 def cluster_demo():
@@ -284,7 +250,6 @@ def main():
 
     campaign_demo()
     store_demo()
-    engine_demo()
     cluster_demo()
     telemetry_demo()
 

@@ -42,7 +42,6 @@ class ClusterFleet:
                  heartbeat_timeout: Optional[float] = None,
                  max_inflight: Optional[int] = None,
                  backpressure: str = "delay",
-                 exec_engine: Optional[str] = None,
                  cluster: Optional[ShardedVerifierCluster] = None):
         if size < 1:
             raise ValueError("fleet size must be >= 1, got %r" % (size,))
@@ -60,7 +59,6 @@ class ClusterFleet:
         self.conditions = conditions
         self.deadline = deadline
         self.retry = retry
-        self.exec_engine = exec_engine
         self.cluster = cluster or ShardedVerifierCluster(
             shards=shards, placement=placement,
             heartbeat=heartbeat, heartbeat_timeout=heartbeat_timeout,
@@ -88,8 +86,7 @@ class ClusterFleet:
             # No shared verifier: the bench provisions a throwaway
             # local one, and provision_enrollment() lifts the
             # verifier-side state out for whichever shard owns it.
-            bench = build_prover_bench(firmware, self.architecture, device_id,
-                                       exec_engine=self.exec_engine)
+            bench = build_prover_bench(firmware, self.architecture, device_id)
             self._device_index[device_id] = index
             self.benches.append(bench)
 

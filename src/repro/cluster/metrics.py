@@ -91,8 +91,9 @@ class ClusterReport:
 
     @property
     def exchanges_per_second(self) -> float:
+        """Completed exchanges per wall second (0.0 when nothing was timed)."""
         if self.elapsed_seconds <= 0:
-            return float("inf")
+            return 0.0
         return self.exchanges / self.elapsed_seconds
 
     def all_accepted(self) -> bool:

@@ -11,18 +11,7 @@ step, and every monitor consumes the same bundles.
 from repro.cpu.signals import SignalBundle, MemoryWrite, MemoryRead
 from repro.cpu.core import CPU, CPUError, StepResult
 from repro.cpu.decode_cache import DecodeCache
-from repro.cpu.engine import (
-    ENGINES,
-    BlockEngine,
-    ExecutionEngine,
-    InterpreterEngine,
-    create_engine,
-    engine_class,
-    engine_name,
-    register_engine,
-    set_engine,
-    use_engine,
-)
+from repro.cpu.engine import InterpreterEngine, engine_name
 
 __all__ = [
     "SignalBundle",
@@ -32,14 +21,6 @@ __all__ = [
     "CPUError",
     "StepResult",
     "DecodeCache",
-    "ENGINES",
-    "BlockEngine",
-    "ExecutionEngine",
     "InterpreterEngine",
-    "create_engine",
-    "engine_class",
     "engine_name",
-    "register_engine",
-    "set_engine",
-    "use_engine",
 ]

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cpu.core import CPU, CPUError
 from repro.cpu.decode_cache import DecodeCache
-from repro.cpu.engine import create_engine
+from repro.cpu.engine import InterpreterEngine
 from repro.cpu.signals import MemoryWrite, SignalBundle
 from repro.device.trace import TraceRecorder
 from repro.memory.ivt import InterruptVectorTable
@@ -46,13 +46,6 @@ class DeviceConfig:
     fresh bytes.  ``trace_limit`` bounds the trace recorder to the last
     *N* entries (ring-buffer style) so crashed or soak runs cannot grow
     memory without limit; ``None`` keeps the full trace.
-
-    ``exec_engine`` names the execution engine driving the step loop
-    (see :mod:`repro.cpu.engine`); ``None`` defers to
-    ``set_engine``/``REPRO_EXEC_BACKEND``/the ``"interp"`` default.
-    ``blocks_superblocks`` controls the ``blocks`` engine's superblock
-    compilation + block chaining (``None`` defers to the
-    ``REPRO_BLOCKS_SUPERBLOCKS`` environment knob, default on).
     """
 
     layout: MemoryLayout = field(default_factory=MemoryLayout.default)
@@ -60,8 +53,6 @@ class DeviceConfig:
     trace_enabled: bool = True
     decode_cache_enabled: bool = True
     trace_limit: Optional[int] = None
-    exec_engine: Optional[str] = None
-    blocks_superblocks: Optional[bool] = None
 
     def resolved_stack_top(self):
         """Return the effective initial stack pointer."""
@@ -168,43 +159,15 @@ class Device:
         #: and stops making progress instead of raising out of the run loop.
         self.crashed = False
         self.crash_reason = ""
-        #: Name of the execution engine that latched the crash ("" while
-        #: the device is healthy).  Diagnostic only: the crash reason and
-        #: bundles stay engine-independent.
-        self.crash_engine = ""
-        #: The pluggable step-loop implementation (see
-        #: :mod:`repro.cpu.engine`).  Attached last so its listeners see
-        #: the same wiring the decode cache and wake hooks do.
-        self.engine = create_engine(self, self.config.exec_engine)
-        self.engine.attach()
+        #: The chunk loops of :meth:`run_batch` (see :mod:`repro.cpu.engine`).
+        self.engine = InterpreterEngine(self)
 
     # ------------------------------------------------------------ setup
 
-    @property
-    def exec_engine_name(self):
-        """The name of the active execution engine."""
-        return self.engine.name
-
-    def set_exec_engine(self, name):
-        """Swap the execution engine mid-session.
-
-        The outgoing engine is detached (its listeners removed) and
-        reset, dropping any compiled state it holds; the incoming
-        engine starts from a blank slate.  Returns the new engine.
-        """
-        outgoing = self.engine
-        outgoing.detach()
-        outgoing.reset()
-        self.engine = create_engine(self, name)
-        self.engine.attach()
-        return self.engine
-
     def _latch_crash(self, error):
-        """Latch a :class:`CPUError` (annotated with the active engine)."""
+        """Latch a :class:`CPUError`: the device stops making progress."""
         self.crashed = True
         self.crash_reason = str(error)
-        self.crash_engine = self.engine.name
-        error.engine = self.engine.name
 
     def attach_monitor(self, monitor):
         """Attach a hardware monitor (an object with ``observe(bundle)``)."""
@@ -242,9 +205,7 @@ class Device:
         self.watchdog_resets = 0
         self.crashed = False
         self.crash_reason = ""
-        self.crash_engine = ""
         self._periph_dirty = True
-        self.engine.reset()
 
     def schedule(self, step, action, label=""):
         """Schedule *action(device)* to run just before step number *step*.
@@ -305,7 +266,7 @@ class Device:
         else:
             pending = None
         try:
-            result = self.engine.step(pending)
+            result = self.cpu.step(pending)
         except CPUError as error:
             self._latch_crash(error)
             return self._crash_bundle()
@@ -429,11 +390,11 @@ class Device:
         crash flag, the event schedule and the peripheral-tick decision
         are checked once per quiescent stretch instead of once per step:
         while no event is due, the peripherals are provably idle and the
-        device has not crashed, the chunk is handed to the execution
-        engine (:mod:`repro.cpu.engine`), which goes straight from fetch
-        to trace -- or, on the ``blocks`` engine's observer-free path,
-        straight through compiled basic blocks.  This is the ROADMAP's
-        "batching the step loop" lever;
+        device has not crashed, the chunk is handed to the interpreter's
+        chunk loops (:mod:`repro.cpu.engine`), which go straight from
+        fetch to trace -- or, with no observer at all, skip the signal
+        bundle entirely.  This is the ROADMAP's "batching the step loop"
+        lever;
         ``benchmarks/test_bench_sim_throughput.py`` records the speedup
         over the per-step :meth:`run` loop.
         """

@@ -28,10 +28,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
-from repro.cpu.engine import ENGINES, ENV_VAR as ENGINE_ENV_VAR
 from repro.experiments import runners
 from repro.sim import BACKENDS, CampaignRunner
 
@@ -69,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm-pool", action="store_true", dest="warm_pool",
         help="keep process-pool workers alive across campaigns so they "
              "reuse cached firmware images (process backend only)",
-    )
-    parser.add_argument(
-        "--engine", choices=sorted(ENGINES), default=None,
-        help="execution engine for every simulated device (default: the "
-             "%s environment variable, then 'interp'); campaign specs "
-             "carry the selection to process-pool and remote workers"
-             % ENGINE_ENV_VAR,
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -219,7 +210,7 @@ def main(argv=None):
     # every other backend the flag still reaches the FLEET cluster row.
     campaign_heartbeat = args.heartbeat if args.backend == "remote" else None
     campaign = CampaignRunner(backend=args.backend, jobs=args.jobs,
-                              warm=args.warm_pool, engine=args.engine,
+                              warm=args.warm_pool,
                               heartbeat=campaign_heartbeat,
                               store=store, reuse=not args.no_reuse,
                               # `store is not None`, not truthiness: an
@@ -234,22 +225,8 @@ def main(argv=None):
             shards=args.shards if args.shards is not None else 2,
             heartbeat=args.heartbeat,
         )}
-    # The campaign override only reaches pox-kind specs; exporting the
-    # selection process-wide covers attack/ltl/job bodies (and is
-    # inherited by pool workers).  Restored afterwards so main() stays
-    # usable as a plain function from tests.
-    previous_engine = os.environ.get(ENGINE_ENV_VAR)
-    if args.engine is not None:
-        os.environ[ENGINE_ENV_VAR] = args.engine
-    try:
-        results = runners.run_all_experiments(skip=skip, campaign=campaign,
-                                              overrides=overrides)
-    finally:
-        if args.engine is not None:
-            if previous_engine is None:
-                os.environ.pop(ENGINE_ENV_VAR, None)
-            else:
-                os.environ[ENGINE_ENV_VAR] = previous_engine
+    results = runners.run_all_experiments(skip=skip, campaign=campaign,
+                                          overrides=overrides)
     for result in results:
         print(result.render())
         print()

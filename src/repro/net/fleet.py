@@ -42,7 +42,7 @@ DEFAULT_MIX = ("ra", "pox")
 
 
 def build_prover_bench(firmware, architecture, device_id,
-                       exec_engine=None, pox_verifier=None) -> PoxTestbench:
+                       pox_verifier=None) -> PoxTestbench:
     """One fleet device: a full testbench provisioned for *architecture*.
 
     With ``pox_verifier`` the deployment registers into that shared
@@ -51,8 +51,7 @@ def build_prover_bench(firmware, architecture, device_id,
     then mines for a shippable
     :class:`~repro.net.service.DeviceEnrollment`.
     """
-    config = TestbenchConfig(architecture=architecture, device_id=device_id,
-                             exec_engine=exec_engine)
+    config = TestbenchConfig(architecture=architecture, device_id=device_id)
     return PoxTestbench(firmware, config, pox_verifier=pox_verifier)
 
 
@@ -78,8 +77,9 @@ class FleetReport:
 
     @property
     def exchanges_per_second(self) -> float:
+        """Completed exchanges per wall second (0.0 when nothing was timed)."""
         if self.elapsed_seconds <= 0:
-            return float("inf")
+            return 0.0
         return self.exchanges / self.elapsed_seconds
 
     def all_accepted(self) -> bool:
@@ -110,8 +110,7 @@ class Fleet:
                  conditions: Optional[LinkConditions] = None,
                  deadline: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None,
-                 service: Optional[VerifierService] = None,
-                 exec_engine: Optional[str] = None):
+                 service: Optional[VerifierService] = None):
         if size < 1:
             raise ValueError("fleet size must be >= 1, got %r" % size)
         if transport not in TRANSPORTS:
@@ -138,9 +137,6 @@ class Fleet:
         self.deadline = deadline
         self.retry = retry
         self.service = service or VerifierService()
-        #: Execution engine for every prover device (``None`` defers to
-        #: the process-wide selection; see :mod:`repro.cpu.engine`).
-        self.exec_engine = exec_engine
         self.benches: List[PoxTestbench] = []
 
     # ------------------------------------------------------------ setup
@@ -158,7 +154,7 @@ class Fleet:
         for index in range(self.size):
             bench = build_prover_bench(
                 firmware, self.architecture, "prover-%04d" % index,
-                exec_engine=self.exec_engine, pox_verifier=shared)
+                pox_verifier=shared)
             config = bench.config
             device = bench.device
             # Plain RA attests program memory; the verifier learned the

@@ -53,7 +53,6 @@ Two orthogonal levers make campaigns *incremental*:
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import multiprocessing
 import os
 import threading
@@ -418,15 +417,6 @@ class CampaignRunner:
     persistent, module-wide pool instead of forking a fresh one per
     campaign; see :func:`shutdown_warm_pools`.
 
-    ``engine`` pins the execution engine (:mod:`repro.cpu.engine`) for
-    every ``kind="pox"`` spec of the campaign by injecting an
-    ``exec_engine`` config override -- the override is part of the spec,
-    so it travels to process-pool and remote workers.  Specs that
-    already carry their own ``exec_engine`` override keep it; non-pox
-    kinds (attack/ltl/job bodies) build their devices outside the spec's
-    config and follow the process-wide selection
-    (``set_engine``/``REPRO_EXEC_BACKEND``) instead.
-
     ``store`` (a :class:`~repro.sim.store.ResultStore` or a directory
     path) makes the campaign incremental: with ``reuse=True`` (the
     default) specs whose fingerprint is already stored are served from
@@ -447,7 +437,7 @@ class CampaignRunner:
     """
 
     def __init__(self, backend: str = "serial", jobs: Optional[int] = None,
-                 warm: bool = False, engine: Optional[str] = None,
+                 warm: bool = False,
                  heartbeat: Optional[float] = None,
                  store=None, reuse: bool = True,
                  on_result: Optional[Callable[[ScenarioResult], None]] = None,
@@ -463,12 +453,6 @@ class CampaignRunner:
         if heartbeat is not None and backend != "remote":
             raise ValueError("heartbeats apply to the remote backend only, "
                              "not %r" % backend)
-        if engine is not None:
-            # Imported lazily to keep the campaign engine importable
-            # without the simulator stack at the top of the module.
-            from repro.cpu.engine import engine_class
-
-            engine_class(engine)  # validate eagerly, fail loudly
         if store is not None and not hasattr(store, "get"):
             # A path-like: build the store in place (mkdir included).
             from repro.sim.store import ResultStore
@@ -477,7 +461,6 @@ class CampaignRunner:
         self.backend = backend
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.warm = warm
-        self.engine = engine
         #: Remote backend only: worker heartbeat interval in seconds;
         #: the dispatcher registry then evicts (and requeues for) any
         #: worker silent for three heartbeats.
@@ -486,14 +469,6 @@ class CampaignRunner:
         self.reuse = reuse
         self.on_result = on_result
         self.fail_fast = fail_fast
-
-    def _spec_with_engine(self, spec: ScenarioSpec) -> ScenarioSpec:
-        if spec.kind != "pox":
-            return spec
-        if any(key == "exec_engine" for key, _value in spec.config_overrides):
-            return spec
-        overrides = spec.config_overrides + (("exec_engine", self.engine),)
-        return dataclasses.replace(spec, config_overrides=overrides)
 
     def run(self, specs: Sequence[ScenarioSpec]) -> CampaignResult:
         """Execute every spec; return a :class:`CampaignResult`.
@@ -530,8 +505,6 @@ class CampaignRunner:
         cached.
         """
         specs = list(specs)
-        if self.engine is not None:
-            specs = [self._spec_with_engine(spec) for spec in specs]
         started = time.perf_counter()
         tracer = get_tracer()
         # The campaign span is explicit begin/finish, not a context

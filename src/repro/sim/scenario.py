@@ -433,30 +433,6 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------ identity
 
-    def effective_engine(self) -> Optional[str]:
-        """The execution engine this spec's devices would run on.
-
-        ``kind="pox"`` specs honour an ``exec_engine`` config override;
-        otherwise device-building kinds (``pox``/``attack``) follow the
-        process-wide selection (``REPRO_EXEC_BACKEND`` / the registry
-        default).  ``job`` bodies are arbitrary registered callables
-        that may build devices themselves, so they follow the
-        process-wide selection too.  ``ltl`` specs never build a
-        device, so the engine cannot influence them and ``None`` is
-        returned.
-        """
-        if self.kind == "pox":
-            for key, value in self.config_overrides:
-                if key == "exec_engine" and value is not None:
-                    return value
-        if self.kind in ("pox", "attack", "job"):
-            # Lazy import, mirroring the runner: the campaign layer must
-            # stay importable without the simulator stack.
-            from repro.cpu.engine import engine_name
-
-            return engine_name()
-        return None
-
     def _ambient_state(self):
         """Process-wide selections that can steer this spec's outcome.
 
@@ -480,11 +456,9 @@ class ScenarioSpec:
         Two specs share a fingerprint exactly when they would compute
         the same result: the hash covers every spec field (firmware /
         event / observer registry references, schedules, configuration
-        including overrides, run mode, expectations, metadata), the
-        execution engine the scenario would run on
-        (:meth:`effective_engine`), ambient process state opaque job
-        bodies depend on (:meth:`_ambient_state`) and the
-        :data:`code_epoch`.  Any perturbation of any of those changes
+        including overrides, run mode, expectations, metadata), ambient
+        process state opaque job bodies depend on (:meth:`_ambient_state`)
+        and the :data:`code_epoch`.  Any perturbation of any of those changes
         the fingerprint; for declarative kinds the crypto backend is
         deliberately excluded because the backends are differentially
         pinned byte-identical.
@@ -495,6 +469,5 @@ class ScenarioSpec:
         executing anything.
         """
         payload = canonical_bytes(
-            (code_epoch(), self.effective_engine(),
-             self._ambient_state(), self))
+            (code_epoch(), self._ambient_state(), self))
         return hashlib.sha256(_FINGERPRINT_SCHEME + payload).hexdigest()

@@ -91,52 +91,22 @@ class TestWarmRerun:
         assert outcome.store_misses == len(outcome)
 
     def test_job_spec_fingerprint_folds_ambient_backends(self, monkeypatch):
-        # Job bodies are opaque callables: the process-wide engine and
-        # crypto selections can steer what they compute, so both must
-        # perturb a job spec's identity (declarative ltl specs stay
-        # pinned to neither).
-        from repro.cpu.engine import ENV_VAR as ENGINE_ENV_VAR
+        # Job bodies are opaque callables: the process-wide crypto
+        # selection can steer what they compute, so it must perturb a
+        # job spec's identity (declarative ltl specs stay pinned).
         from repro.crypto.backend import ENV_VAR as CRYPTO_ENV_VAR
 
         job = ScenarioSpec(name="fig6", kind="job", job="figure6")
         ltl = ScenarioSpec(name="prop", kind="ltl",
                            ltl_property="vrased-key-no-dma")
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         monkeypatch.delenv(CRYPTO_ENV_VAR, raising=False)
         job_base, ltl_base = job.fingerprint(), ltl.fingerprint()
-
-        monkeypatch.setenv(ENGINE_ENV_VAR, "blocks")
-        assert job.fingerprint() != job_base
-        assert ltl.fingerprint() == ltl_base
-        monkeypatch.delenv(ENGINE_ENV_VAR)
 
         monkeypatch.setenv(CRYPTO_ENV_VAR, "pure")
         assert job.fingerprint() != job_base
         assert ltl.fingerprint() == ltl_base
         monkeypatch.delenv(CRYPTO_ENV_VAR)
         assert job.fingerprint() == job_base
-
-    def test_warm_job_run_recomputes_across_engine_flip(self, tmp_path,
-                                                        monkeypatch):
-        # The regression: a store warmed under one engine must not serve
-        # job results to a campaign running under another -- the flipped
-        # selection reaches the job body, so the cached outcome may be
-        # stale for it.
-        from repro.cpu.engine import ENV_VAR as ENGINE_ENV_VAR
-
-        specs = [ScenarioSpec(name="fig6-overhead", kind="job",
-                              job="figure6")]
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        cold = CampaignRunner(store=tmp_path).run(specs)
-        assert cold.store_misses == 1
-        warm = CampaignRunner(store=tmp_path).run(specs)
-        assert warm.store_hits == 1
-
-        monkeypatch.setenv(ENGINE_ENV_VAR, "blocks")
-        flipped = CampaignRunner(store=tmp_path).run(specs)
-        assert flipped.store_hits == 0
-        assert flipped.store_misses == 1
-        assert not flipped[0].cached
 
     def test_no_reuse_recomputes_but_refreshes_the_store(self, tmp_path):
         CampaignRunner(store=tmp_path).run(gallery())

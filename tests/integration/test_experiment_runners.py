@@ -76,6 +76,7 @@ class TestCommandLine:
 
     def test_unknown_flag_with_valid_id_still_rejected(self, capsys):
         assert main(["E7", "--bogus-flag"]) == 2
+        assert main(["E7", "--engine", "blocks"]) == 2
 
     def test_bad_jobs_value_rejected(self, capsys):
         assert main(["E7", "--jobs", "0"]) == 2

@@ -110,7 +110,10 @@ class TestRetryPolicySchedule:
 
     @settings(max_examples=30)
     @given(base=st.floats(min_value=1e-4, max_value=1.0),
-           multiplier=st.floats(min_value=1.0, max_value=4.0))
+           # A multiplier a few ulps above 1.0 needs ~1e16 attempts to
+           # climb 8x; the lower bound keeps the climb a few hundred.
+           multiplier=st.one_of(st.just(1.0),
+                                st.floats(min_value=1.01, max_value=4.0)))
     def test_unlimited_schedule_reaches_its_cap(self, base, multiplier):
         policy = RetryPolicy(max_attempts=None, base_timeout=base,
                              multiplier=multiplier, max_timeout=base * 8)

@@ -1,13 +1,16 @@
-"""Property-based engine differential: random programs, identical state.
+"""Property-based step-loop differential: random programs, identical state.
 
 Random ISA programs (reusing the encoding-space strategies from
-``test_property_isa``) run to completion under both registered
-execution engines; afterwards the devices must agree on every register,
-every counter, the crash latch and all 64 KiB of memory.  A second
-property fuzzes self-modifying code: a hot loop rewrites its own body
--- a word inside a block the ``blocks`` engine has already compiled --
-with an arbitrary 16-bit value, and both engines must still agree on
-whatever happens next (including crashing identically).
+``test_property_isa``) run twice from the same reset state: once
+through ``Device.run_batch``, whose quiescent stretches go through the
+interpreter's observer-free silent chunk, and once through the same
+number of ``Device.step`` calls.  Afterwards the two devices must agree
+on every register, every counter, the crash latch and all 64 KiB of
+memory.  A second generator biases toward memory-destination and
+Format II operands; a third property fuzzes self-modifying code: a hot
+loop rewrites its own body with an arbitrary 16-bit value, and both
+loops must still agree on whatever happens next (including crashing
+identically).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,20 +27,18 @@ from repro.isa.instructions import Instruction, Opcode, Operand
 from repro.peripherals.registers import PeripheralRegisters
 
 
-ENGINES_UNDER_TEST = ("interp", "blocks")
-
 BASE = 0xE000
 
 #: ``MOV #0x5A80, &WDTCTL`` -- stop the watchdog.  Without it the
 #: watchdog peripheral keeps every chunk non-quiescent and the silent
-#: fast path (where compiled blocks actually execute) never engages.
+#: chunk never engages.
 _STOP_WATCHDOG = Instruction(
     Opcode.MOV, src=Operand.imm(0x5A80),
     dst=Operand.absolute(PeripheralRegisters.WDTCTL),
 )
 
 #: ``JMP $`` -- park the program in a tight self-loop when it falls
-#: through its random body (the blocks engine's hottest shape).
+#: through its random body.
 _SELF_LOOP = Instruction(Opcode.JMP, jump_offset=-2)
 
 
@@ -58,8 +59,8 @@ def _program_bytes(instruction_list):
     return bytes(data)
 
 
-def _fresh_device(engine, program, register_values):
-    device = Device(DeviceConfig(trace_enabled=False, exec_engine=engine))
+def _fresh_device(program, register_values):
+    device = Device(DeviceConfig(trace_enabled=False))
     device.memory.load_bytes(BASE, program)
     device.ivt.set_reset_vector(BASE)
     device.reset()
@@ -73,6 +74,7 @@ def _final_state(device):
         "registers": list(device.cpu.registers),
         "step_count": device.cpu.step_count,
         "cycle_count": device.cpu.cycle_count,
+        "trace_cycles": device.trace.total_cycles,
         "step_number": device.step_number,
         "crashed": device.crashed,
         "crash_reason": device.crash_reason,
@@ -82,13 +84,14 @@ def _final_state(device):
 
 
 def _run_both(program, register_values, chunks=(137, 163)):
-    states = {}
-    for engine in ENGINES_UNDER_TEST:
-        device = _fresh_device(engine, program, register_values)
-        for chunk in chunks:
-            device.run_batch(chunk)
-        states[engine] = _final_state(device)
-    return states
+    """``(batched, stepped)`` final states for the same program."""
+    batched = _fresh_device(program, register_values)
+    for chunk in chunks:
+        batched.run_batch(chunk)
+    stepped = _fresh_device(program, register_values)
+    for _ in range(sum(chunks)):
+        stepped.step()
+    return _final_state(batched), _final_state(stepped)
 
 
 register_files = st.lists(
@@ -97,12 +100,12 @@ register_files = st.lists(
 
 @st.composite
 def memory_heavy_instructions(draw):
-    """Instruction strategy biased toward the v2 compiler's new
-    closures: memory-destination Format I (absolute/indexed writeback,
-    DADD included) and Format II (RRC/RRA/SWPB/SXT/PUSH over register,
+    """Instruction strategy biased toward memory traffic:
+    memory-destination Format I (absolute/indexed writeback, DADD
+    included) and Format II (RRC/RRA/SWPB/SXT/PUSH over register,
     absolute, indexed, indirect and autoincrement operands).  A slice
     of the unbiased strategy keeps jumps and register shapes in the
-    mix so blocks still form and terminate."""
+    mix."""
     registers = st.integers(min_value=4, max_value=15)
     addresses = st.integers(min_value=0x0200, max_value=0x03FE)
     offsets = st.integers(min_value=0, max_value=0x00FE)
@@ -142,9 +145,9 @@ class TestRandomProgramsIdentical:
         register_values=register_files,
     )
     @settings(max_examples=60, deadline=None)
-    def test_both_engines_reach_identical_state(self, body, register_values):
-        states = _run_both(_program_bytes(body), register_values)
-        assert states["blocks"] == states["interp"]
+    def test_run_batch_matches_stepping(self, body, register_values):
+        batched, stepped = _run_both(_program_bytes(body), register_values)
+        assert batched == stepped
 
 
 class TestMemoryHeavyProgramsIdentical:
@@ -153,18 +156,18 @@ class TestMemoryHeavyProgramsIdentical:
         register_values=register_files,
     )
     @settings(max_examples=60, deadline=None)
-    def test_memory_heavy_programs_reach_identical_state(
+    def test_memory_heavy_programs_match_stepping(
             self, body, register_values):
-        states = _run_both(_program_bytes(body), register_values)
-        assert states["blocks"] == states["interp"]
+        batched, stepped = _run_both(_program_bytes(body), register_values)
+        assert batched == stepped
 
 
 class TestFoundCounterexamples:
     def test_fault_inside_compiled_mutating_block(self):
-        """Hypothesis-found: ``RRC #0`` faults at execution time (no
-        writeback address) from *inside* a compiled mutating block, and
-        the engine must still account the ops that completed before the
-        fault -- step_count/cycle_count once drifted here."""
+        """``RRC #0`` faults at execution time (no writeback address)
+        after three completed steps of a silent chunk: the chunk must
+        account the completed steps and the crashing one exactly as
+        the per-step loop does."""
         body = [
             Instruction(Opcode.MOV, src=Operand.reg(4),
                         dst=Operand.reg(4)),
@@ -174,9 +177,9 @@ class TestFoundCounterexamples:
                         dst=Operand.reg(4)),
             Instruction(Opcode.RRC, src=Operand.imm(0)),
         ]
-        states = _run_both(_program_bytes(body), [0] * 12)
-        assert states["blocks"] == states["interp"]
-        assert states["interp"]["crashed"]
+        batched, stepped = _run_both(_program_bytes(body), [0] * 12)
+        assert batched == stepped
+        assert batched["crashed"]
 
 
 class TestSelfModifyingProgramsIdentical:
@@ -185,8 +188,8 @@ class TestSelfModifyingProgramsIdentical:
         register_values=register_files,
     )
     @settings(max_examples=40, deadline=None)
-    def test_rewritten_hot_loop_stays_identical(self, rewrite_word,
-                                                register_values):
+    def test_rewritten_hot_loop_matches_stepping(self, rewrite_word,
+                                                 register_values):
         # loop: INC R6 / CMP #24, R6 / JL loop -- then smash the INC at
         # `loop` with an arbitrary word and fall into the loop again.
         prologue_len = len(_assemble_words([_STOP_WATCHDOG])) * 2
@@ -213,6 +216,6 @@ class TestSelfModifyingProgramsIdentical:
         body[4] = Instruction(Opcode.JMP,
                               jump_offset=loop_address - (jmp_pc + 2))
 
-        states = _run_both(_program_bytes(body), register_values,
-                           chunks=(151, 249))
-        assert states["blocks"] == states["interp"]
+        batched, stepped = _run_both(_program_bytes(body), register_values,
+                                     chunks=(151, 249))
+        assert batched == stepped

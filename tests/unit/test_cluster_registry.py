@@ -2,8 +2,8 @@
 
 The registry (membership + liveness with an injected clock), the
 consistent-hash ring (deterministic placement, ~1/N movement on
-membership change), the latency histogram / report containers and the
-backpressure gate -- everything here is plain bookkeeping, exercised
+membership change), the latency histogram / report containers (the
+single-service ``FleetReport`` included) and the backpressure gate -- everything here is plain bookkeeping, exercised
 without sockets or event loops (except the gate, which is an asyncio
 semaphore by construction).
 """
@@ -18,6 +18,7 @@ from repro.cluster.metrics import (
     ClusterReport,
     ShardStats,
 )
+from repro.net.fleet import FleetReport
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 
@@ -256,6 +257,9 @@ class TestClusterReport:
         report = ClusterReport(fleet_size=1, shard_count=1,
                                exchanges=10, elapsed_seconds=2.0)
         assert report.exchanges_per_second == 5.0
+        # Zero elapsed time is no rate at all, never float("inf").
+        report.elapsed_seconds = 0.0
+        assert report.exchanges_per_second == 0.0
 
     def test_publish_projects_report_into_registry(self):
         report = ClusterReport(
@@ -275,3 +279,11 @@ class TestClusterReport:
         assert gauges["cluster.shard-0.shed"] == 3
         assert gauges["cluster.shard-0.p50_seconds"] == 0.5
         assert gauges["cluster.shard-1.alive"] == 0
+
+
+class TestFleetReport:
+    def test_exchange_rate(self):
+        report = FleetReport(fleet_size=1, exchanges=10, elapsed_seconds=2.0)
+        assert report.exchanges_per_second == 5.0
+        report.elapsed_seconds = 0.0
+        assert report.exchanges_per_second == 0.0

@@ -12,15 +12,13 @@ compare_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_bench)
 
 
-def _payload(interp, blocks):
-    """A minimal labeled sim-profile artifact (idle-workload rows)."""
+def _payload(idle, memloop):
+    """A minimal labeled sim-profile artifact (two workload rows)."""
     return {
         "benchmark": "execution_engine_throughput",
         "rows": [
-            {"label": "interp-idle", "engine": "interp",
-             "steps_per_sec": interp},
-            {"label": "blocks-idle", "engine": "blocks",
-             "steps_per_sec": blocks},
+            {"label": "interp-idle", "steps_per_sec": idle},
+            {"label": "interp-memloop", "steps_per_sec": memloop},
         ],
     }
 
@@ -32,71 +30,72 @@ def _write(path, payload):
 
 class TestCompare:
     def test_no_regression_when_identical(self):
-        rates = {"interp": 100.0, "blocks": 1000.0}
+        rates = {"interp-idle": 100.0, "interp-memloop": 60.0}
         assert compare_bench.compare(rates, dict(rates), 0.30) == []
 
     def test_normalized_mode_ignores_machine_speed(self):
-        # Half-speed machine, same relative speedup: not a regression.
-        baseline = {"interp": 100.0, "blocks": 1000.0}
-        current = {"interp": 50.0, "blocks": 500.0}
+        # Half-speed machine, same relative rate: not a regression.
+        baseline = {"interp-idle": 100.0, "interp-memloop": 60.0}
+        current = {"interp-idle": 50.0, "interp-memloop": 30.0}
         assert compare_bench.compare(baseline, current, 0.30) == []
 
-    def test_normalized_mode_catches_speedup_collapse(self):
-        # Same absolute interp rate but the blocks speedup fell 10x.
-        baseline = {"interp": 100.0, "blocks": 1000.0}
-        current = {"interp": 100.0, "blocks": 100.0}
+    def test_normalized_mode_catches_relative_collapse(self):
+        # Same absolute idle rate but the memloop row fell 10x.
+        baseline = {"interp-idle": 100.0, "interp-memloop": 60.0}
+        current = {"interp-idle": 100.0, "interp-memloop": 6.0}
         regressions = compare_bench.compare(baseline, current, 0.30)
-        assert [engine for engine, _, _ in regressions] == ["blocks"]
+        assert [row for row, _, _ in regressions] == ["interp-memloop"]
 
     def test_absolute_mode_catches_uniform_slowdown(self):
-        baseline = {"interp": 100.0, "blocks": 1000.0}
-        current = {"interp": 50.0, "blocks": 500.0}
+        baseline = {"interp-idle": 100.0, "interp-memloop": 60.0}
+        current = {"interp-idle": 50.0, "interp-memloop": 30.0}
         regressions = compare_bench.compare(baseline, current, 0.30,
                                             absolute=True)
-        assert [engine for engine, _, _ in regressions] \
-            == ["blocks", "interp"]
+        assert [row for row, _, _ in regressions] \
+            == ["interp-idle", "interp-memloop"]
 
     def test_drop_within_threshold_passes(self):
-        baseline = {"interp": 100.0, "blocks": 1000.0}
-        current = {"interp": 100.0, "blocks": 750.0}  # -25% < 30%
+        baseline = {"interp-idle": 100.0, "interp-memloop": 60.0}
+        current = {"interp-idle": 100.0, "interp-memloop": 45.0}  # -25%
         assert compare_bench.compare(baseline, current, 0.30) == []
 
     def test_dropped_row_is_a_regression(self):
-        baseline = {"interp": 100.0, "blocks": 1000.0}
-        regressions = compare_bench.compare(baseline, {"interp": 100.0}, 0.30)
-        assert regressions == [("blocks", 10.0, None)]
+        baseline = {"interp-idle": 100.0, "interp-memloop": 60.0}
+        regressions = compare_bench.compare(
+            baseline, {"interp-idle": 100.0}, 0.30)
+        assert regressions == [("interp-memloop", 0.6, None)]
 
     def test_normalize_requires_reference_row(self):
         with pytest.raises(SystemExit):
-            compare_bench.normalize({"blocks": 1000.0})
+            compare_bench.normalize({"interp-memloop": 60.0})
 
 
 class TestMain:
     def test_exit_zero_when_clean(self, tmp_path, capsys):
-        baseline = _write(tmp_path / "base.json", _payload(100.0, 1000.0))
-        current = _write(tmp_path / "cur.json", _payload(90.0, 950.0))
+        baseline = _write(tmp_path / "base.json", _payload(100.0, 60.0))
+        current = _write(tmp_path / "cur.json", _payload(90.0, 57.0))
         code = compare_bench.main([
             "--baseline", str(baseline), "--current", str(current)])
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
     def test_exit_one_on_regression(self, tmp_path, capsys):
-        baseline = _write(tmp_path / "base.json", _payload(100.0, 1000.0))
-        current = _write(tmp_path / "cur.json", _payload(100.0, 100.0))
+        baseline = _write(tmp_path / "base.json", _payload(100.0, 60.0))
+        current = _write(tmp_path / "cur.json", _payload(100.0, 6.0))
         code = compare_bench.main([
             "--baseline", str(baseline), "--current", str(current)])
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_missing_current_file_exits_nonzero(self, tmp_path):
-        baseline = _write(tmp_path / "base.json", _payload(100.0, 1000.0))
+        baseline = _write(tmp_path / "base.json", _payload(100.0, 60.0))
         with pytest.raises(SystemExit):
             compare_bench.main([
                 "--baseline", str(baseline),
                 "--current", str(tmp_path / "missing.json")])
 
     def test_bad_threshold_rejected(self, tmp_path):
-        baseline = _write(tmp_path / "base.json", _payload(100.0, 1000.0))
+        baseline = _write(tmp_path / "base.json", _payload(100.0, 60.0))
         with pytest.raises(SystemExit):
             compare_bench.main([
                 "--baseline", str(baseline), "--current", str(baseline),
@@ -104,7 +103,7 @@ class TestMain:
 
     def test_committed_baseline_is_loadable(self):
         rates = compare_bench.load_rates(compare_bench.DEFAULT_BASELINE)
-        assert "interp" in rates and "blocks" in rates
+        assert compare_bench.REFERENCE_ROW in rates
 
     def test_committed_baseline_has_labeled_workload_rows(self):
         profile = compare_bench.PROFILES["sim"]
@@ -112,10 +111,8 @@ class TestMain:
         rates = compare_bench.load_rates(
             compare_bench.DEFAULT_BASELINE,
             key=profile["key"], value=profile["value"])
-        for label in ("interp-idle", "blocks-idle",
-                      "interp-memloop", "blocks-memloop",
-                      "interp-attest", "blocks-attest"):
-            assert label in rates, label
+        assert sorted(rates) == ["interp-attest", "interp-idle",
+                                 "interp-memloop"]
 
 
 def _fleet_payload(loopback1, cluster2):

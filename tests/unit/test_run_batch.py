@@ -9,11 +9,17 @@ that skips signal-bundle construction entirely).
 
 import pytest
 
+from repro.cpu.decode_cache import DecodeCache
+from repro.cpu.engine import engine_name
 from repro.device.mcu import Device, DeviceConfig
 from repro.firmware.blinker import blinker_firmware
 from repro.firmware.syringe_pump import PumpParameters, syringe_pump_firmware
 from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.isa.assembler import Assembler
+from repro.peripherals.registers import PeripheralRegisters
+
+
+STOP_WATCHDOG = "MOV #0x5A80, &0x%04X\n" % PeripheralRegisters.WDTCTL
 
 
 def load_program(device, source, base=0xE000):
@@ -125,6 +131,23 @@ class TestRunBatchDifferential:
             12, lambda d: fired.append(d.step_number), label="nested"))
         device.run_batch(30)
         assert fired == [12]
+
+
+class TestInterpreterEngine:
+    def test_every_device_runs_the_interpreter(self):
+        device = Device(DeviceConfig(trace_enabled=False))
+        assert engine_name() == "interp"
+        assert device.engine.name == "interp"
+        assert device.engine.stats() == {"engine": "interp"}
+
+    def test_hot_loop_hits_the_decode_cache(self):
+        device = Device(DeviceConfig(trace_enabled=False))
+        load_program(device, STOP_WATCHDOG + "loop:\nNOP\nJMP loop\n")
+        device.run_batch(200)
+        totals = DecodeCache.aggregate_stats()
+        assert totals["caches"] >= 1
+        assert totals["hits"] >= device.decode_cache.hits >= 1
+        assert 0.0 <= totals["hit_rate"] <= 1.0
 
 
 class TestEventPruning:

@@ -3,7 +3,7 @@
 The incremental-campaign contract has two halves: a
 :meth:`~repro.sim.scenario.ScenarioSpec.fingerprint` that changes
 whenever anything that could change the outcome changes (spec fields,
-the execution engine, the code epoch), and a
+the code epoch), and a
 :class:`~repro.sim.store.ResultStore` whose cache hits are exactly the
 results that were written -- never torn, never mutated, never a stale
 error.  Property-based coverage of the fingerprint lives in
@@ -16,7 +16,6 @@ import json
 
 import pytest
 
-from repro.cpu.engine import use_engine
 from repro.sim import ResultStore, ScenarioSpec, canonical_bytes, code_epoch
 from repro.sim.runner import ScenarioResult
 from repro.sim.scenario import EPOCH_ENV_VAR, EventSpec, FirmwareRef
@@ -87,29 +86,6 @@ class TestFingerprint:
         before = pox_spec().fingerprint()
         monkeypatch.setenv(EPOCH_ENV_VAR, code_epoch() + "-bumped")
         assert pox_spec().fingerprint() != before
-
-    def test_ambient_engine_invalidates_device_specs(self):
-        with use_engine("interp"):
-            interp = pox_spec().fingerprint()
-        with use_engine("blocks"):
-            blocks = pox_spec().fingerprint()
-        assert interp != blocks
-
-    def test_exec_engine_override_pins_the_fingerprint(self):
-        spec = pox_spec(config_overrides={"exec_engine": "interp"})
-        with use_engine("interp"):
-            pinned_interp = spec.fingerprint()
-        with use_engine("blocks"):
-            pinned_blocks = spec.fingerprint()
-        assert pinned_interp == pinned_blocks
-
-    def test_engine_cannot_influence_ltl_specs(self):
-        spec = ScenarioSpec("prop", kind="ltl", ltl_property="some-prop")
-        with use_engine("interp"):
-            interp = spec.fingerprint()
-        with use_engine("blocks"):
-            blocks = spec.fingerprint()
-        assert interp == blocks
 
 
 def result(**overrides):
