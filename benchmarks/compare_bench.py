@@ -12,10 +12,11 @@ any row's throughput regressed by more than ``--threshold`` (default
 Four gated **profiles**, selected with ``--profile``:
 
 * ``sim`` (default): ``BENCH_sim.json`` rows keyed by ``label``
-  (``interp-idle``, ``interp-memloop``, ``interp-attest``), rates from
-  ``steps_per_sec``, normalized to the ``interp-idle`` row -- so the
-  gate tracks the interpreter's workload overhead ratios (memory-heavy
-  loop, attestation inner loop vs the idle loop) rather than absolute
+  (``interp-idle``, ``interp-monitored``, ``interp-memloop``,
+  ``interp-attest``), rates from ``steps_per_sec``, normalized to the
+  ``interp-idle`` row -- so the gate tracks the interpreter's workload
+  overhead ratios (ASAP-monitored idle loop, memory-heavy loop,
+  attestation inner loop vs the bare idle loop) rather than absolute
   runner speed.
 * ``fleet``: ``BENCH_fleet.json`` rows keyed by ``label``, rates from
   ``exchanges_per_sec``, normalized to the single-device

@@ -47,10 +47,10 @@ class AsapMonitor(PoxMonitorBase):
 
     def _check_extra_rules(self, bundle: SignalBundle):
         # [AP1] -- LTL 4: any CPU or DMA write to the IVT clears EXEC.
-        # The guard FSM is stepped first so its state matches Fig. 3; the
-        # violation record is what actually clears the monitor's EXEC bit.
-        write_event = self.ivt_guard.ivt_write_in(bundle)
-        self.ivt_guard.observe(bundle)
+        # Stepping the guard FSM (Fig. 3) scans the writes once and hands
+        # back the tripping write; the violation record is what actually
+        # clears the monitor's EXEC bit.
+        write_event = self.ivt_guard.observe(bundle)
         if write_event is not None:
             self._record(
                 "ap1-ivt-modified", bundle,

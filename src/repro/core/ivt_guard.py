@@ -14,10 +14,10 @@ Transitions (exactly the edges of Fig. 3):
   the same cycle;
 * otherwise each state loops to itself.
 
-The same transition structure is exported as a Kripke-style description
-so the LTL model checker (:mod:`repro.ltl`) can verify LTL 4 against it,
-and as an RTL description so the hardware-cost model can count its
-LUTs/registers for the Fig. 6 comparison.
+The LTL model checker verifies LTL 4 against the Kripke model
+``build_ivt_guard_model`` (:mod:`repro.ltl.properties`), and the
+hardware-cost model counts the FSM's LUTs/registers for the Fig. 6
+comparison (:mod:`repro.hwcost.monitors`).
 """
 
 from __future__ import annotations
@@ -88,37 +88,17 @@ class IvtGuard:
                 return IvtWriteEvent(bundle.cycle, "dma", address)
         return None
 
-    def observe(self, bundle: SignalBundle):
-        """Advance the FSM by one cycle; return the new state."""
+    def observe(self, bundle: SignalBundle) -> Optional[IvtWriteEvent]:
+        """Advance the FSM by one cycle.
+
+        Returns the IVT write that tripped the guard this cycle, or
+        ``None``: the caller acts on the same single scan of the
+        bundle's write lists that drove the transition.
+        """
         write_event = self.ivt_write_in(bundle)
         if write_event is not None:
             self.events.append(write_event)
             self.state = IvtGuardState.NOT_EXEC
         elif self.state is IvtGuardState.NOT_EXEC and bundle.pc == self.er_min:
             self.state = IvtGuardState.RUN
-        return self.state
-
-    # ------------------------------------------------------------ model exports
-
-    @staticmethod
-    def transition_relation():
-        """Abstract next-state relation for model checking.
-
-        States are the two :class:`IvtGuardState` values; inputs are the
-        booleans ``ivt_write`` (the Fig. 3 trigger condition) and
-        ``pc_at_ermin``.  Returns a function ``next_state(state, inputs)``.
-        """
-
-        def next_state(state, inputs):
-            if inputs.get("ivt_write", False):
-                return IvtGuardState.NOT_EXEC
-            if state is IvtGuardState.NOT_EXEC and inputs.get("pc_at_ermin", False):
-                return IvtGuardState.RUN
-            return state
-
-        return next_state
-
-    @staticmethod
-    def output_exec(state):
-        """The FSM's EXEC output as a function of its state."""
-        return state is IvtGuardState.RUN
+        return write_event

@@ -9,7 +9,7 @@ step, and every monitor consumes the same bundles.
 """
 
 from repro.cpu.signals import SignalBundle, MemoryWrite, MemoryRead
-from repro.cpu.core import CPU, CPUError, StepResult
+from repro.cpu.core import CPU, CPUError
 from repro.cpu.decode_cache import DecodeCache
 from repro.cpu.engine import InterpreterEngine, engine_name
 
@@ -19,7 +19,6 @@ __all__ = [
     "MemoryRead",
     "CPU",
     "CPUError",
-    "StepResult",
     "DecodeCache",
     "InterpreterEngine",
     "engine_name",

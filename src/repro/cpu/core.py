@@ -25,12 +25,8 @@ Fidelity notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from repro._compat import DATACLASS_SLOTS
 from repro.isa.encoding import DecodeError, decode_instruction
-from repro.isa.instructions import AddressingMode, Instruction, InstructionFormat, Opcode
+from repro.isa.instructions import AddressingMode, InstructionFormat, Opcode
 from repro.isa.registers import PC, SP, SR, CG, REGISTER_COUNT, StatusFlag
 from repro.memory.ivt import InterruptVectorTable
 from repro.cpu.signals import MemoryRead, MemoryWrite, SignalBundle
@@ -38,15 +34,6 @@ from repro.cpu.signals import MemoryRead, MemoryWrite, SignalBundle
 
 class CPUError(Exception):
     """Raised on unrecoverable execution errors (bad opcodes, bad state)."""
-
-
-@dataclass(**DATACLASS_SLOTS)
-class StepResult:
-    """Outcome of one :meth:`CPU.step` call."""
-
-    bundle: SignalBundle
-    idle: bool = False
-    serviced_interrupt: Optional[int] = None
 
 
 #: Cycles consumed by an interrupt entry (accept + stack pushes + vector fetch).
@@ -172,33 +159,34 @@ class CPU:
     # ------------------------------------------------------------ stepping
 
     def step(self, pending_interrupt=None):
-        """Execute one step and return a :class:`StepResult`.
+        """Execute one step and return its :class:`SignalBundle`.
 
         *pending_interrupt* is the IVT index of the highest-priority
         pending, enabled interrupt (or ``None``).  The CPU accepts it
-        when ``GIE`` is set; a sleeping CPU with ``GIE`` clear stays
-        asleep (as on the real device, where such a configuration would
-        hang -- firmware is expected to sleep with interrupts enabled).
+        when ``GIE`` is set -- the bundle then has ``irq`` asserted and
+        ``irq_source`` naming the serviced index; a sleeping CPU with
+        ``GIE`` clear stays asleep (as on the real device, where such a
+        configuration would hang -- firmware is expected to sleep with
+        interrupts enabled).
         """
         if self._writes:
             self._writes = []
         if self._reads:
             self._reads = []
-        start_pc = self.registers[PC]
-        sr = self.registers[SR]
+        registers = self.registers
+        start_pc = registers[PC]
+        sr = registers[SR]
         gie_before = bool(sr & _GIE)
-        cpu_off_before = bool(sr & _CPUOFF)
 
         if pending_interrupt is not None and gie_before:
-            bundle = self._enter_interrupt(pending_interrupt, start_pc, gie_before, cpu_off_before)
-            return StepResult(bundle=bundle, serviced_interrupt=pending_interrupt)
+            return self._enter_interrupt(
+                pending_interrupt, start_pc, gie_before, bool(sr & _CPUOFF))
 
-        if cpu_off_before:
-            bundle = self._make_bundle(
-                start_pc, start_pc, gie_before, cpu_off_before,
+        if sr & _CPUOFF:
+            return self._make_bundle(
+                start_pc, start_pc, gie_before, True,
                 instruction="(sleep)", cycles=IDLE_CYCLES,
             )
-            return StepResult(bundle=bundle, idle=True)
 
         # Inlined decode-cache hit path (the hottest branch in the whole
         # simulator); _fetch handles the miss and cache-less cases.
@@ -212,90 +200,12 @@ class CPU:
                 instruction, size, text, cycles = self._fetch(start_pc)
         else:
             instruction, size, text, cycles = self._fetch(start_pc)
-        self.registers[PC] = (start_pc + size) & 0xFFFF
-        self._handlers[instruction.opcode](instruction)
-        bundle = self._make_bundle(
-            start_pc, self.registers[PC], gie_before, cpu_off_before,
-            instruction=text, cycles=cycles,
-        )
-        return StepResult(bundle=bundle)
-
-    def step_quiet(self):
-        """One step with no pending interrupt: the batched-loop fast path.
-
-        Semantically identical to ``step(None)`` but returns the
-        :class:`~repro.cpu.signals.SignalBundle` directly instead of
-        wrapping it in a :class:`StepResult` -- the caller
-        (:meth:`repro.device.mcu.Device.run_batch`'s inner loop) already
-        knows no interrupt can be serviced while the interrupt
-        controller is quiescent, so the per-step wrapper allocation and
-        the interrupt-entry branch are pure overhead there.
-        """
-        if self._writes:
-            self._writes = []
-        if self._reads:
-            self._reads = []
-        registers = self.registers
-        start_pc = registers[PC]
-        sr = registers[SR]
-        if sr & _CPUOFF:
-            return self._make_bundle(
-                start_pc, start_pc, bool(sr & _GIE), True,
-                instruction="(sleep)", cycles=IDLE_CYCLES,
-            )
-        cache = self.decode_cache
-        if cache is not None:
-            entry = cache._entries.get(start_pc)
-            if entry is not None:
-                cache.hits += 1
-                instruction, size, text, cycles = entry
-            else:
-                instruction, size, text, cycles = self._fetch(start_pc)
-        else:
-            instruction, size, text, cycles = self._fetch(start_pc)
         registers[PC] = (start_pc + size) & 0xFFFF
         self._handlers[instruction.opcode](instruction)
         return self._make_bundle(
-            start_pc, registers[PC], bool(sr & _GIE), False,
+            start_pc, registers[PC], gie_before, False,
             instruction=text, cycles=cycles,
         )
-
-    def step_silent(self):
-        """One observer-free step: no signal bundle is materialised.
-
-        Only valid when nothing can observe the step -- no monitor
-        attached, trace recording disabled, no pending interrupt.
-        Register, memory and cycle/step accounting effects are identical
-        to ``step(None)``; the per-step :class:`SignalBundle` (whose
-        only consumers are monitors and the trace) is skipped entirely.
-        Returns the cycles consumed.
-        """
-        if self._writes:
-            self._writes = []
-        if self._reads:
-            self._reads = []
-        registers = self.registers
-        sr = registers[SR]
-        if sr & _CPUOFF:
-            self.cycle_count += IDLE_CYCLES
-            self.step_count += 1
-            return IDLE_CYCLES
-        start_pc = registers[PC]
-        cache = self.decode_cache
-        if cache is not None:
-            entry = cache._entries.get(start_pc)
-            if entry is not None:
-                cache.hits += 1
-                instruction, size, _text, cycles = entry
-            else:
-                instruction, size, _text, cycles = self._fetch(start_pc)
-        else:
-            instruction, size, _text, cycles = self._fetch(start_pc)
-        registers[PC] = (start_pc + size) & 0xFFFF
-        self._handlers[instruction.opcode](instruction)
-        self.cycle_count += cycles
-        self.step_count += 1
-        return cycles
 
     def _enter_interrupt(self, source, start_pc, gie_before, cpu_off_before):
         """Perform interrupt entry for IVT index *source*."""
@@ -460,15 +370,6 @@ class CPU:
         self._write_mem(address, value, byte_mode)
 
     # ------------------------------------------------------------ execution
-
-    def _execute(self, instruction):
-        fmt = instruction.format
-        if fmt is InstructionFormat.JUMP:
-            self._execute_jump(instruction)
-        elif fmt is InstructionFormat.SINGLE_OPERAND:
-            self._execute_single(instruction)
-        else:
-            self._execute_double(instruction)
 
     # .......................................................... jumps
 

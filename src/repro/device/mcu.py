@@ -6,12 +6,17 @@ last 32 bytes, GPIO/timer/UART/DMA/watchdog peripherals, an interrupt
 controller, and a set of attached *hardware monitors* (the VRASED, APEX
 and ASAP modules) that observe every step's signal bundle exactly the
 way the Verilog modules observe the MCU buses.
+
+:meth:`Device.step` is the simulator's one step loop: CPU step, then
+every monitor observes the bundle, then the trace records it.
+:meth:`Device.run`, :meth:`Device.run_until_pc` and
+:meth:`Device.run_steps` are all built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.cpu.core import CPU, CPUError
 from repro.cpu.decode_cache import DecodeCache
@@ -141,8 +146,8 @@ class Device:
 
         self.monitors: List[object] = []
         #: Monitors exporting ``signal_values()``; maintained by
-        #: attach/detach so the step loop can skip the per-step signal
-        #: dict entirely when nothing would populate it.
+        #: attach/detach so :meth:`_publish` never probes a monitor and
+        #: skips the per-step signal dict when nothing would populate it.
         self._signal_exporters: List[object] = []
         self.trace = TraceRecorder(
             enabled=self.config.trace_enabled,
@@ -159,8 +164,8 @@ class Device:
         #: and stops making progress instead of raising out of the run loop.
         self.crashed = False
         self.crash_reason = ""
-        #: The chunk loops of :meth:`run_batch` (see :mod:`repro.cpu.engine`).
-        self.engine = InterpreterEngine(self)
+        #: Names the step loop for benches (see :mod:`repro.cpu.engine`).
+        self.engine = InterpreterEngine()
 
     # ------------------------------------------------------------ setup
 
@@ -266,11 +271,10 @@ class Device:
         else:
             pending = None
         try:
-            result = self.cpu.step(pending)
+            bundle = self.cpu.step(pending)
         except CPUError as error:
             self._latch_crash(error)
             return self._crash_bundle()
-        bundle = result.bundle
         self._last_step_cycles = bundle.cycles_consumed
 
         dma = self.dma
@@ -279,23 +283,31 @@ class Device:
             bundle.dma_reads = dma._step_reads
             bundle.dma_writes = dma._step_writes
 
-        if result.serviced_interrupt is not None:
-            self.interrupt_controller.acknowledge(result.serviced_interrupt)
+        if bundle.irq:
+            self.interrupt_controller.acknowledge(bundle.irq_source)
             self._periph_dirty = True
 
+        return self._publish(bundle)
+
+    def _publish(self, bundle, observe=True):
+        """Show *bundle* to every monitor, then record it in the trace.
+
+        The trace entry carries the signals the exporting monitors report
+        after observing; with tracing off nothing would keep them, so
+        they are not collected.  ``observe=False`` records without
+        stepping the monitors, so the entry holds their current signals.
+        """
+        if observe:
+            for monitor in self.monitors:
+                monitor.observe(bundle)
         trace = self.trace
-        if self._signal_exporters:
-            monitor_signals: Dict[str, int] = {}
-            for monitor in self.monitors:
-                monitor.observe(bundle)
-                if hasattr(monitor, "signal_values"):
-                    monitor_signals.update(monitor.signal_values())
-            trace.record(bundle, monitor_signals)
+        exporters = self._signal_exporters
+        if exporters and trace.enabled:
+            signals = {}
+            for monitor in exporters:
+                signals.update(monitor.signal_values())
+            trace.record(bundle, signals)
         else:
-            # Fast path: no monitor exports signals, so skip the
-            # per-step dict churn (and the hasattr probes) entirely.
-            for monitor in self.monitors:
-                monitor.observe(bundle)
             trace.record(bundle)
         return bundle
 
@@ -327,16 +339,19 @@ class Device:
             self._periph_dirty = True
 
     def _crash_bundle(self):
-        """Synthetic bundle emitted once the device has crashed."""
-        bundle = SignalBundle(
+        """Synthetic bundle emitted once the device has crashed.
+
+        It is recorded with the monitors' current signals, so waveforms
+        stay complete across a crash, but the monitors do not observe
+        it: a crashed core drives no bus activity for a rule to judge.
+        """
+        return self._publish(SignalBundle(
             cycle=self.cpu.step_count,
             pc=self.cpu.pc,
             next_pc=self.cpu.pc,
             instruction="(crashed: %s)" % self.crash_reason,
             cycles_consumed=1,
-        )
-        self.trace.record(bundle, {})
-        return bundle
+        ), observe=False)
 
     # ------------------------------------------------------------ running
 
@@ -379,45 +394,10 @@ class Device:
         return found
 
     def run_steps(self, count):
-        """Run exactly *count* steps (through the batched inner loop)."""
-        self.run_batch(count)
-
-    def run_batch(self, count):
-        """Run exactly *count* steps with the per-step checks hoisted.
-
-        Behaviourally identical to calling :meth:`step` *count* times --
-        the differential tests pin byte-identical traces -- but the
-        crash flag, the event schedule and the peripheral-tick decision
-        are checked once per quiescent stretch instead of once per step:
-        while no event is due, the peripherals are provably idle and the
-        device has not crashed, the chunk is handed to the interpreter's
-        chunk loops (:mod:`repro.cpu.engine`), which go straight from
-        fetch to trace -- or, with no observer at all, skip the signal
-        bundle entirely.  This is the ROADMAP's "batching the step loop"
-        lever;
-        ``benchmarks/test_bench_sim_throughput.py`` records the speedup
-        over the per-step :meth:`run` loop.
-        """
-        remaining = count
-        while remaining > 0:
-            if self.crashed or self._periph_dirty:
-                self.step()
-                remaining -= 1
-                continue
-            chunk = remaining
-            events = self._events
-            if events:
-                # The next event fires during the step that takes
-                # step_number to >= its step; stay strictly before it.
-                margin = events[0].step - self.step_number - 1
-                if margin <= 0:
-                    self.step()
-                    remaining -= 1
-                    continue
-                if margin < chunk:
-                    chunk = margin
-            remaining -= self.engine.quiescent_chunk(chunk)
-        return count
+        """Run exactly *count* steps, crashed or not."""
+        step = self.step
+        for _ in range(count):
+            step()
 
     # ------------------------------------------------------------ helpers
 
@@ -441,18 +421,11 @@ class Device:
         without assembling a payload.
         """
         self.memory.write_word(address, value)
-        bundle = SignalBundle(
+        return self._publish(SignalBundle(
             cycle=self.cpu.step_count,
             pc=self.cpu.pc,
             next_pc=self.cpu.pc,
             instruction="(software write to 0x%04X)" % (address & 0xFFFF),
             writes=[MemoryWrite(address & 0xFFFE, value & 0xFFFF, 2)],
             cycles_consumed=1,
-        )
-        monitor_signals = {}
-        for monitor in self.monitors:
-            monitor.observe(bundle)
-            if hasattr(monitor, "signal_values"):
-                monitor_signals.update(monitor.signal_values())
-        self.trace.record(bundle, monitor_signals)
-        return bundle
+        ))

@@ -6,6 +6,11 @@ scenarios.  :class:`TraceRecorder` captures the equivalent per-step
 samples from the simulator (CPU signals plus whatever signals the
 attached monitors export), and :class:`Waveform` turns them into
 series and an ASCII rendering that the benches print.
+
+Every entry -- executed steps, software writes and a crashed device's
+synthetic steps alike -- is recorded by the device's one
+observe-and-record routine (``Device._publish``), so each carries every
+exported signal and a waveform never misses a sample.
 """
 
 from __future__ import annotations
@@ -71,18 +76,13 @@ class TraceRecorder:
             return []
         return deque(maxlen=self.max_entries)
 
-    def count_cycles(self, cycles):
-        """Account simulated cycles without recording an entry.
-
-        Used by the batched observer-free step loop
-        (:meth:`repro.device.mcu.Device.run_batch`), which skips bundle
-        construction entirely when the recorder is disabled but must
-        keep :attr:`total_cycles` identical to the per-step path.
-        """
-        self._total_cycles += cycles
-
     def record(self, bundle: SignalBundle, monitor_signals=None):
-        """Record one step from *bundle* plus monitor-exported signals."""
+        """Record one step from *bundle* plus monitor-exported signals.
+
+        A disabled recorder keeps no entry but still counts the step's
+        cycles, so :attr:`total_cycles` is the same with tracing on or
+        off.
+        """
         self._total_cycles += bundle.cycles_consumed
         if not self.enabled:
             return

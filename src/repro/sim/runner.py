@@ -198,7 +198,7 @@ def _run_pox_spec(spec: ScenarioSpec) -> Dict[str, object]:
         bench.run_execution_only(setup=spec.apply_events,
                                  max_steps=spec.max_steps)
         if spec.post_steps:
-            bench.device.run_batch(spec.post_steps)
+            bench.device.run_steps(spec.post_steps)
         context.pox_result = bench.attest_and_verify()
     elif spec.mode == "run":
         spec.apply_events(bench.device)
@@ -206,7 +206,7 @@ def _run_pox_spec(spec: ScenarioSpec) -> Dict[str, object]:
             bench.device.run_until_pc(spec.stop.value, max_steps=spec.max_steps)
         else:
             count = spec.stop.value if spec.stop is not None else spec.max_steps
-            bench.device.run_batch(count)
+            bench.device.run_steps(count)
     else:  # pragma: no cover - rejected by ScenarioSpec.__post_init__
         raise ValueError("unknown mode %r" % spec.mode)
 

@@ -161,9 +161,9 @@ register_event_kind("dma_trigger", _apply_dma_trigger)
 class StopSpec:
     """Declarative stop condition for ``mode="run"`` scenarios.
 
-    ``kind="steps"`` runs exactly ``value`` steps (through the batched
-    :meth:`~repro.device.mcu.Device.run_batch` loop); ``kind="pc"``
-    runs until the program counter reaches ``value``.
+    ``kind="steps"`` runs exactly ``value`` steps
+    (:meth:`~repro.device.mcu.Device.run_steps`); ``kind="pc"`` runs
+    until the program counter reaches ``value``.
     """
 
     kind: str = "steps"

@@ -1,16 +1,18 @@
-"""Property-based step-loop differential: random programs, identical state.
+"""Property-based decode-cache differential: random programs, identical state.
 
 Random ISA programs (reusing the encoding-space strategies from
-``test_property_isa``) run twice from the same reset state: once
-through ``Device.run_batch``, whose quiescent stretches go through the
-interpreter's observer-free silent chunk, and once through the same
-number of ``Device.step`` calls.  Afterwards the two devices must agree
-on every register, every counter, the crash latch and all 64 KiB of
-memory.  A second generator biases toward memory-destination and
-Format II operands; a third property fuzzes self-modifying code: a hot
-loop rewrites its own body with an arbitrary 16-bit value, and both
-loops must still agree on whatever happens next (including crashing
-identically).
+``test_property_isa``) run twice from the same reset state through the
+one step loop (``Device.run_steps``): once with the decode cache on and
+once with it off (``DeviceConfig.decode_cache_enabled``).  Afterwards
+the two devices must agree on every register, every counter, the crash
+latch, all 64 KiB of memory and every trace entry -- a cache hit must be
+indistinguishable from a cold decode.  A second generator biases toward
+memory-destination and Format II operands, whose writes can land on the
+program itself; a third property fuzzes self-modifying code: a hot loop
+rewrites its own body with an arbitrary 16-bit value, and both runs
+must still agree on whatever happens next (including crashing
+identically).  ``tests/integration/test_decode_cache_differential.py``
+checks the same invariant on the paper's firmware images.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -29,9 +31,9 @@ from repro.peripherals.registers import PeripheralRegisters
 
 BASE = 0xE000
 
-#: ``MOV #0x5A80, &WDTCTL`` -- stop the watchdog.  Without it the
-#: watchdog peripheral keeps every chunk non-quiescent and the silent
-#: chunk never engages.
+#: ``MOV #0x5A80, &WDTCTL`` -- stop the watchdog, so the run goes
+#: quiescent (no per-step peripheral ticks) as every long firmware loop
+#: does.
 _STOP_WATCHDOG = Instruction(
     Opcode.MOV, src=Operand.imm(0x5A80),
     dst=Operand.absolute(PeripheralRegisters.WDTCTL),
@@ -59,8 +61,8 @@ def _program_bytes(instruction_list):
     return bytes(data)
 
 
-def _fresh_device(program, register_values):
-    device = Device(DeviceConfig(trace_enabled=False))
+def _fresh_device(program, register_values, decode_cache):
+    device = Device(DeviceConfig(decode_cache_enabled=decode_cache))
     device.memory.load_bytes(BASE, program)
     device.ivt.set_reset_vector(BASE)
     device.reset()
@@ -80,18 +82,18 @@ def _final_state(device):
         "crash_reason": device.crash_reason,
         "watchdog_resets": device.watchdog_resets,
         "memory": device.memory.dump(0, 0x10000),
+        "trace": list(device.trace),
     }
 
 
-def _run_both(program, register_values, chunks=(137, 163)):
-    """``(batched, stepped)`` final states for the same program."""
-    batched = _fresh_device(program, register_values)
-    for chunk in chunks:
-        batched.run_batch(chunk)
-    stepped = _fresh_device(program, register_values)
-    for _ in range(sum(chunks)):
-        stepped.step()
-    return _final_state(batched), _final_state(stepped)
+def _run_both(program, register_values, steps=300):
+    """``(cached, uncached)`` final states for the same program."""
+    states = []
+    for decode_cache in (True, False):
+        device = _fresh_device(program, register_values, decode_cache)
+        device.run_steps(steps)
+        states.append(_final_state(device))
+    return tuple(states)
 
 
 register_files = st.lists(
@@ -145,9 +147,9 @@ class TestRandomProgramsIdentical:
         register_values=register_files,
     )
     @settings(max_examples=60, deadline=None)
-    def test_run_batch_matches_stepping(self, body, register_values):
-        batched, stepped = _run_both(_program_bytes(body), register_values)
-        assert batched == stepped
+    def test_cached_matches_uncached(self, body, register_values):
+        cached, uncached = _run_both(_program_bytes(body), register_values)
+        assert cached == uncached
 
 
 class TestMemoryHeavyProgramsIdentical:
@@ -156,18 +158,17 @@ class TestMemoryHeavyProgramsIdentical:
         register_values=register_files,
     )
     @settings(max_examples=60, deadline=None)
-    def test_memory_heavy_programs_match_stepping(
+    def test_memory_heavy_programs_cached_match_uncached(
             self, body, register_values):
-        batched, stepped = _run_both(_program_bytes(body), register_values)
-        assert batched == stepped
+        cached, uncached = _run_both(_program_bytes(body), register_values)
+        assert cached == uncached
 
 
 class TestFoundCounterexamples:
-    def test_fault_inside_compiled_mutating_block(self):
+    def test_fault_after_completed_steps(self):
         """``RRC #0`` faults at execution time (no writeback address)
-        after three completed steps of a silent chunk: the chunk must
-        account the completed steps and the crashing one exactly as
-        the per-step loop does."""
+        after three completed steps: both runs must account the
+        completed steps and the crashing one identically."""
         body = [
             Instruction(Opcode.MOV, src=Operand.reg(4),
                         dst=Operand.reg(4)),
@@ -177,9 +178,9 @@ class TestFoundCounterexamples:
                         dst=Operand.reg(4)),
             Instruction(Opcode.RRC, src=Operand.imm(0)),
         ]
-        batched, stepped = _run_both(_program_bytes(body), [0] * 12)
-        assert batched == stepped
-        assert batched["crashed"]
+        cached, uncached = _run_both(_program_bytes(body), [0] * 12)
+        assert cached == uncached
+        assert cached["crashed"]
 
 
 class TestSelfModifyingProgramsIdentical:
@@ -188,8 +189,8 @@ class TestSelfModifyingProgramsIdentical:
         register_values=register_files,
     )
     @settings(max_examples=40, deadline=None)
-    def test_rewritten_hot_loop_matches_stepping(self, rewrite_word,
-                                                 register_values):
+    def test_rewritten_hot_loop_cached_matches_uncached(self, rewrite_word,
+                                                        register_values):
         # loop: INC R6 / CMP #24, R6 / JL loop -- then smash the INC at
         # `loop` with an arbitrary word and fall into the loop again.
         prologue_len = len(_assemble_words([_STOP_WATCHDOG])) * 2
@@ -216,6 +217,6 @@ class TestSelfModifyingProgramsIdentical:
         body[4] = Instruction(Opcode.JMP,
                               jump_offset=loop_address - (jmp_pc + 2))
 
-        batched, stepped = _run_both(_program_bytes(body), register_values,
-                                     chunks=(151, 249))
-        assert batched == stepped
+        cached, uncached = _run_both(_program_bytes(body), register_values,
+                                     steps=400)
+        assert cached == uncached

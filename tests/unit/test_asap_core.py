@@ -78,18 +78,13 @@ class TestIvtGuard:
         assert guard.state is IvtGuardState.RUN
         assert not guard.tripped
 
-    def test_transition_relation_matches_fig3(self):
-        next_state = IvtGuard.transition_relation()
-        run, not_exec = IvtGuardState.RUN, IvtGuardState.NOT_EXEC
-        assert next_state(run, {"ivt_write": True}) is not_exec
-        assert next_state(run, {"ivt_write": False}) is run
-        assert next_state(not_exec, {"ivt_write": False, "pc_at_ermin": True}) is run
-        assert next_state(not_exec, {"ivt_write": False, "pc_at_ermin": False}) is not_exec
-        assert next_state(not_exec, {"ivt_write": True, "pc_at_ermin": True}) is not_exec
-
-    def test_output_function(self):
-        assert IvtGuard.output_exec(IvtGuardState.RUN)
-        assert not IvtGuard.output_exec(IvtGuardState.NOT_EXEC)
+    def test_observe_returns_the_tripping_write(self, guard):
+        assert guard.observe(bundle(0xC000, writes=[0x0600])) is None
+        event = guard.observe(bundle(0xC000, dma_writes=[IVT_BASE + 6]))
+        assert (event.initiator, event.address) == ("dma", IVT_BASE + 6)
+        assert guard.events == [event]
+        assert guard.observe(bundle(ER_MIN)) is None
+        assert guard.exec_allowed
 
 
 class TestAsapMonitor:
@@ -125,6 +120,14 @@ class TestAsapMonitor:
         asap_monitor.observe(bundle(ER_MIN))
         asap_monitor.observe(bundle(0xC000, dma_writes=[IVT_BASE]))
         assert asap_monitor.violations_for("ap1-ivt-modified")
+
+    def test_ap1_records_one_violation_per_tripping_step(self, asap_monitor):
+        asap_monitor.observe(bundle(ER_MIN))
+        asap_monitor.observe(bundle(ER_MIN + 4, writes=[IVT_BASE + 4],
+                                    dma_writes=[IVT_BASE]))
+        (violation,) = asap_monitor.violations_for("ap1-ivt-modified")
+        assert violation.detail == "CPU write to IVT address 0x%04X" % (IVT_BASE + 4)
+        assert asap_monitor.ivt_guard.events[0].initiator == "cpu"
 
     def test_guard_signal_exported(self, asap_monitor):
         values = asap_monitor.signal_values()

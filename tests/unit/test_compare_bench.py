@@ -112,7 +112,7 @@ class TestMain:
             compare_bench.DEFAULT_BASELINE,
             key=profile["key"], value=profile["value"])
         assert sorted(rates) == ["interp-attest", "interp-idle",
-                                 "interp-memloop"]
+                                 "interp-memloop", "interp-monitored"]
 
 
 def _fleet_payload(loopback1, cluster2):

@@ -25,10 +25,7 @@ def make_cpu(source, base=0xE000, stack_top=0x1200):
 
 
 def run_steps(cpu, count):
-    bundles = []
-    for _ in range(count):
-        bundles.append(cpu.step().bundle)
-    return bundles
+    return [cpu.step() for _ in range(count)]
 
 
 class TestArithmetic:
@@ -161,13 +158,14 @@ class TestMemoryOperands:
 
     def test_write_signals_reported(self):
         cpu, _ = make_cpu("MOV #0xAA, &0x0310\n")
-        bundle = cpu.step().bundle
+        bundle = cpu.step()
+        assert isinstance(bundle, SignalBundle)
         assert bundle.wen
         assert 0x0310 in bundle.write_addresses
 
     def test_read_signals_reported(self):
         cpu, _ = make_cpu("MOV &0x0310, R5\n")
-        bundle = cpu.step().bundle
+        bundle = cpu.step()
         assert 0x0310 in bundle.read_addresses
 
 
@@ -235,8 +233,10 @@ class TestStatusRegisterAndSleep:
         cpu, _ = make_cpu("BIS #0x10, SR\nMOV #1, R6\n")
         cpu.step()
         assert cpu.sleeping
-        result = cpu.step()
-        assert result.idle
+        bundle = cpu.step()
+        assert bundle.cpu_off and not bundle.irq
+        assert bundle.instruction == "(sleep)"
+        assert bundle.next_pc == bundle.pc
         assert cpu.registers[6] == 0  # the MOV did not execute
 
     def test_illegal_instruction_raises(self):
@@ -268,11 +268,10 @@ class TestInterruptHandling:
     def test_interrupt_entry_and_return(self):
         cpu, memory, isr_address = self.build()
         run_steps(cpu, 3)
-        result = cpu.step(pending_interrupt=2)
-        bundle = result.bundle
+        bundle = cpu.step(pending_interrupt=2)
         assert bundle.irq
         assert bundle.irq_source == 2
-        assert result.serviced_interrupt == 2
+        assert bundle.next_pc == isr_address
         assert cpu.pc == isr_address
         assert not cpu.interrupts_enabled  # GIE cleared on entry
         run_steps(cpu, 2)  # INC R10 ; RETI
@@ -293,9 +292,9 @@ class TestInterruptHandling:
     def test_interrupt_ignored_when_gie_clear(self):
         cpu, _, _ = self.build()
         # Do not execute EINT yet: GIE is clear at reset.
-        result = cpu.step(pending_interrupt=2)
-        assert not result.bundle.irq
-        assert result.serviced_interrupt is None
+        bundle = cpu.step(pending_interrupt=2)
+        assert not bundle.irq
+        assert bundle.irq_source is None
 
     def test_interrupt_wakes_sleeping_cpu(self):
         source = (

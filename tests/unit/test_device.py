@@ -3,6 +3,8 @@
 from repro.device.mcu import Device, DeviceConfig
 from repro.device.trace import TraceRecorder, Waveform
 from repro.cpu.signals import SignalBundle
+from repro.firmware.blinker import blinker_firmware
+from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.isa.assembler import Assembler
 from repro.peripherals.registers import InterruptVectors, PeripheralRegisters
 
@@ -118,6 +120,41 @@ class TestDeviceBasics:
         device.write_word_as_cpu(0x0600, 0x1234)
         assert 0x0600 in recorder.writes
         assert device.memory.peek_word(0x0600) == 0x1234
+
+
+class TestCrashedRuns:
+    def test_crashed_run_keeps_monitor_signals_in_the_waveform(self):
+        # A crash used to be recorded with no monitor signals, so any
+        # waveform over a monitor signal raised KeyError('EXEC').
+        bench = PoxTestbench(blinker_firmware(authorized=True), TestbenchConfig())
+        bench.device.cpu.pc = 0x5000  # unprogrammed memory: illegal instruction
+        bench.device.run_steps(5)
+        assert bench.device.crashed and bench.device.step_number == 5
+        waveform = bench.waveform(("EXEC", "IVT_GUARD_OK", "irq", "PC"))
+        assert waveform.length == 5
+        assert waveform.series("EXEC") == [0] * 5
+        assert waveform.series("IVT_GUARD_OK") == [1] * 5
+        assert waveform.series("PC") == [0x5000] * 5
+
+    def test_crash_entries_carry_current_signals_without_observing(self, device):
+        load_program(device, "NOP\nMOV &0xFFE4, PC\n")  # vector 2 is 0x0000
+
+        class Exporter:
+            def __init__(self):
+                self.observed = 0
+
+            def observe(self, bundle):
+                self.observed += 1
+
+            def signal_values(self):
+                return {"OBSERVED": self.observed}
+
+        exporter = device.attach_monitor(Exporter())
+        device.run_steps(6)
+        assert device.crashed
+        # NOP and MOV were observed; the four crash steps were not.
+        assert exporter.observed == 2
+        assert device.trace.series("OBSERVED") == [1, 2, 2, 2, 2, 2]
 
 
 class TestDeviceInterruptsEndToEnd:

@@ -121,8 +121,9 @@ class TestTraceChecker:
 
     def test_until(self):
         assert check_trace(parse_ltl("a U b"), self.TRACE)
-        assert not check_trace(parse_ltl("b U a"), self.TRACE) or True  # b false, a true at 0
-        assert evaluate_at(parse_ltl("b U a"), self.TRACE, 0)
+        assert check_trace(parse_ltl("b U a"), self.TRACE)  # a already holds at 0
+        # From position 2, b stops holding (at 3) before a ever holds.
+        assert not evaluate_at(parse_ltl("b U a"), self.TRACE, 2)
 
     def test_find_violation_for_globally(self):
         assert find_violation(parse_ltl("G a"), self.TRACE) == 2

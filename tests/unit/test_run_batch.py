@@ -1,20 +1,12 @@
-"""Differential tests for the batched step loop and event pruning.
+"""Tests for ``Device.run_steps``, the step loop's name and event pruning.
 
-``Device.run_batch`` must be indistinguishable from calling
-``Device.step`` in a loop -- byte-identical traces, identical CPU and
-cycle state -- while hoisting the per-step crash/event/tick checks out
-of quiescent stretches (including the observer-free ultra-fast path
-that skips signal-bundle construction entirely).
+``Device.run_steps(n)`` is *n* ``Device.step`` calls: it must run
+exactly that many steps and fire every scheduled event on time.
 """
-
-import pytest
 
 from repro.cpu.decode_cache import DecodeCache
 from repro.cpu.engine import engine_name
 from repro.device.mcu import Device, DeviceConfig
-from repro.firmware.blinker import blinker_firmware
-from repro.firmware.syringe_pump import PumpParameters, syringe_pump_firmware
-from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.isa.assembler import Assembler
 from repro.peripherals.registers import PeripheralRegisters
 
@@ -32,104 +24,26 @@ def load_program(device, source, base=0xE000):
     return image
 
 
-def stepped(bench_builder, steps):
-    """Run *steps* through the per-step loop; return the bench."""
-    bench = bench_builder()
-    for _ in range(steps):
-        bench.device.step()
-    return bench
-
-
-def batched(bench_builder, steps):
-    """Run *steps* through run_batch; return the bench."""
-    bench = bench_builder()
-    bench.device.run_batch(steps)
-    return bench
-
-
-def assert_same_outcome(reference, candidate):
-    assert candidate.device.step_number == reference.device.step_number
-    assert candidate.device.total_cycles == reference.device.total_cycles
-    assert candidate.device.cpu.registers == reference.device.cpu.registers
-    assert candidate.device.crashed == reference.device.crashed
-    assert candidate.device.trace.total_cycles == reference.device.trace.total_cycles
-    assert candidate.trace_entries() == reference.trace_entries()
-
-
-class TestRunBatchDifferential:
-    def test_traces_identical_with_monitor_and_events(self):
-        def build():
-            bench = PoxTestbench(blinker_firmware(authorized=True),
-                                 TestbenchConfig())
-            bench.device.schedule_button_press(6)
-            bench.device.schedule_button_press(120)
-            return bench
-
-        assert_same_outcome(stepped(build, 400), batched(build, 400))
-
-    def test_traces_identical_on_interrupt_driven_pump(self):
-        def build():
-            bench = PoxTestbench(
-                syringe_pump_firmware(PumpParameters(dosage_cycles=60)),
-                TestbenchConfig())
-            bench.protocol.deliver_challenge()
-            return bench
-
-        assert_same_outcome(stepped(build, 600), batched(build, 600))
-
-    def test_traces_identical_through_crash(self):
-        def build():
-            bench = PoxTestbench(blinker_firmware(authorized=True),
-                                 TestbenchConfig())
-            # Jump into unprogrammed memory: an illegal instruction
-            # crashes the device, which then keeps emitting crash
-            # bundles -- the batched loop must record the same tail.
-            bench.device.cpu.pc = 0x5000
-            return bench
-
-        reference, candidate = stepped(build, 40), batched(build, 40)
-        assert reference.device.crashed
-        assert_same_outcome(reference, candidate)
-
-    def test_observer_free_state_identical(self):
-        def build():
-            bench = PoxTestbench(blinker_firmware(authorized=True),
-                                 TestbenchConfig(trace_enabled=False))
-            bench.device.detach_monitor(bench.monitor)
-            return bench
-
-        reference, candidate = stepped(build, 3000), batched(build, 3000)
-        assert_same_outcome(reference, candidate)
-        assert candidate.trace_entries() == []
-
-    def test_observer_free_crash_state_identical(self):
-        def build():
-            bench = PoxTestbench(blinker_firmware(authorized=True),
-                                 TestbenchConfig(trace_enabled=False))
-            bench.device.detach_monitor(bench.monitor)
-            bench.device.cpu.pc = 0x5000
-            return bench
-
-        reference, candidate = stepped(build, 25), batched(build, 25)
-        assert reference.device.crashed and candidate.device.crashed
-        assert_same_outcome(reference, candidate)
-
-    def test_run_steps_goes_through_the_batched_loop(self, device):
+class TestRunSteps:
+    def test_run_steps_runs_exactly_count_steps(self, device):
         load_program(device, "loop:\nNOP\nJMP loop\n")
         device.run_steps(10)
         assert device.step_number == 10
+        assert device.cpu.step_count == 10
+        assert len(device.trace) == 10
 
-    def test_run_batch_zero_steps(self, device):
+    def test_run_steps_zero_steps(self, device):
         load_program(device, "NOP\nNOP\n")
-        assert device.run_batch(0) == 0
+        device.run_steps(0)
         assert device.step_number == 0
+        assert len(device.trace) == 0
 
-    def test_event_scheduled_mid_run_fires_in_batch(self, device):
+    def test_event_scheduled_mid_run_fires(self, device):
         load_program(device, "loop:\nNOP\nJMP loop\n")
         fired = []
         device.schedule(5, lambda dev: dev.schedule(
             12, lambda d: fired.append(d.step_number), label="nested"))
-        device.run_batch(30)
+        device.run_steps(30)
         assert fired == [12]
 
 
@@ -143,7 +57,7 @@ class TestInterpreterEngine:
     def test_hot_loop_hits_the_decode_cache(self):
         device = Device(DeviceConfig(trace_enabled=False))
         load_program(device, STOP_WATCHDOG + "loop:\nNOP\nJMP loop\n")
-        device.run_batch(200)
+        device.run_steps(200)
         totals = DecodeCache.aggregate_stats()
         assert totals["caches"] >= 1
         assert totals["hits"] >= device.decode_cache.hits >= 1
