@@ -31,7 +31,7 @@ from repro.ltl.ast import (
 )
 from repro.ltl.parser import parse_ltl, LtlParseError
 from repro.ltl.trace_checker import check_trace, find_violation, evaluate_at
-from repro.ltl.kripke import KripkeStructure, KripkeState
+from repro.ltl.kripke import KripkeStructure
 from repro.ltl.model_checker import ModelChecker, CheckResult
 from repro.ltl.properties import (
     apex_property_suite,
@@ -61,7 +61,6 @@ __all__ = [
     "find_violation",
     "evaluate_at",
     "KripkeStructure",
-    "KripkeState",
     "ModelChecker",
     "CheckResult",
     "apex_property_suite",

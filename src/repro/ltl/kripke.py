@@ -1,133 +1,122 @@
 """Kripke structures: the state-transition models fed to the model checker.
 
 A :class:`KripkeStructure` is a finite set of states, each labelled with
-the set of atomic propositions that hold in it, plus a total transition
+the set of atomic propositions that hold in it, plus a transition
 relation and a set of initial states.  The monitor models in
 :mod:`repro.ltl.properties` are built by exhaustively composing the
 monitor FSM logic with a nondeterministic environment (every combination
 of the input atoms), which is exactly what an RTL model checker such as
 NuSMV does symbolically.
+
+States are plain ints over the structure's ``atoms`` tuple: bit *i* is
+set iff ``atoms[i]`` holds, so a state with ``atoms == ("p", "q")`` and
+value ``0b10`` is ``{p: false, q: true}``.  :meth:`KripkeStructure.build`
+explores breadth-first from the initial states, so every stored state is
+reachable, states are kept in discovery order, and each state records
+the BFS parent it was first reached from: following parents back gives a
+shortest path from an initial state.  :meth:`KripkeStructure.as_dict`
+renders a state for people and for the trace checker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
-
-
-@dataclass(frozen=True)
-class KripkeState:
-    """One state: an immutable assignment of atoms to booleans."""
-
-    assignment: FrozenSet[Tuple[str, bool]]
-
-    @staticmethod
-    def from_dict(values: Mapping[str, bool]) -> "KripkeState":
-        """Build a state from an atom dictionary."""
-        return KripkeState(frozenset((name, bool(value)) for name, value in values.items()))
-
-    def as_dict(self) -> Dict[str, bool]:
-        """Return the assignment as a plain dictionary."""
-        return dict(self.assignment)
-
-    def value(self, atom: str) -> bool:
-        """Return the value of *atom* (missing atoms are false)."""
-        return dict(self.assignment).get(atom, False)
-
-    def __str__(self):
-        true_atoms = sorted(name for name, value in self.assignment if value)
-        return "{%s}" % ", ".join(true_atoms)
+from typing import Callable, Dict, FrozenSet, Iterable, KeysView, List, Optional, Sequence, Tuple
 
 
 class KripkeStructure:
-    """A finite transition system with labelled states."""
+    """A finite transition system over int-coded states."""
 
-    def __init__(self):
-        self._states: Set[KripkeState] = set()
-        self._initial: Set[KripkeState] = set()
-        self._successors: Dict[KripkeState, Set[KripkeState]] = {}
-
-    # ------------------------------------------------------------ construction
-
-    def add_state(self, state: KripkeState, initial=False):
-        """Add a state (idempotent); optionally mark it initial."""
-        self._states.add(state)
-        self._successors.setdefault(state, set())
-        if initial:
-            self._initial.add(state)
-        return state
-
-    def add_transition(self, source: KripkeState, target: KripkeState):
-        """Add a transition; both states are added if missing."""
-        self.add_state(source)
-        self.add_state(target)
-        self._successors[source].add(target)
+    def __init__(self, atoms: Sequence[str], initial: Iterable[int],
+                 successors: Dict[int, Tuple[int, ...]], parents: Dict[int, Optional[int]]):
+        self.atoms: Tuple[str, ...] = tuple(atoms)
+        self._initial: FrozenSet[int] = frozenset(initial)
+        self._successors = successors
+        self._parents = parents
 
     @classmethod
-    def build(cls, initial_states: Iterable[Mapping[str, bool]],
-              successor_function: Callable[[Mapping[str, bool]], Iterable[Mapping[str, bool]]],
+    def build(cls, atoms: Sequence[str], initial: Iterable[int],
+              successors: Callable[[int], Iterable[int]],
               max_states=100000) -> "KripkeStructure":
-        """Explore a model from *initial_states* using *successor_function*.
+        """Explore a model breadth-first from the *initial* states.
 
-        The successor function maps a state dictionary to an iterable of
-        successor state dictionaries; exploration is a breadth-first
-        closure bounded by *max_states*.
+        *successors* maps a state to an iterable of successor states
+        (duplicates collapse).  Every discovered state must set only bits
+        of *atoms*.
+
+        :raises ValueError: for a state with bits outside *atoms*.
+        :raises RuntimeError: when more than *max_states* states are
+            discovered.
         """
-        structure = cls()
-        frontier: List[KripkeState] = []
-        for values in initial_states:
-            state = KripkeState.from_dict(values)
-            structure.add_state(state, initial=True)
-            frontier.append(state)
-        visited = set(frontier)
-        while frontier:
-            if len(structure._states) > max_states:
+        atoms = tuple(atoms)
+        outside = ~((1 << len(atoms)) - 1)
+        parents: Dict[int, Optional[int]] = {}
+        order: List[int] = []
+
+        def discover(state, parent):
+            if state & outside:
+                raise ValueError("state %#x sets bits outside the %d atoms %s"
+                                 % (state, len(atoms), atoms))
+            if len(parents) >= max_states:
                 raise RuntimeError("state-space exploration exceeded %d states" % max_states)
-            state = frontier.pop()
-            for successor_values in successor_function(state.as_dict()):
-                successor = KripkeState.from_dict(successor_values)
-                structure.add_transition(state, successor)
-                if successor not in visited:
-                    visited.add(successor)
-                    frontier.append(successor)
-        return structure
+            parents[state] = parent
+            order.append(state)
+
+        for state in initial:
+            if state not in parents:
+                discover(state, None)
+        initial_states = list(order)
+        edges: Dict[int, Tuple[int, ...]] = {}
+        # ``order`` grows while it is walked: a FIFO queue.
+        for state in order:
+            targets = edges[state] = tuple(dict.fromkeys(successors(state)))
+            for target in targets:
+                if target not in parents:
+                    discover(target, state)
+        return cls(atoms, initial_states, edges, parents)
 
     # ------------------------------------------------------------ queries
 
     @property
-    def states(self) -> Set[KripkeState]:
-        """All states."""
-        return set(self._states)
+    def states(self) -> KeysView[int]:
+        """All states, in BFS discovery order."""
+        return self._successors.keys()
 
     @property
-    def initial_states(self) -> Set[KripkeState]:
+    def initial_states(self) -> FrozenSet[int]:
         """The initial states."""
-        return set(self._initial)
+        return self._initial
 
-    def successors(self, state: KripkeState) -> Set[KripkeState]:
-        """The successor set of *state*."""
-        return set(self._successors.get(state, set()))
+    def successors(self, state: int) -> Tuple[int, ...]:
+        """The successors of *state*."""
+        return self._successors[state]
+
+    def path_to(self, state: int) -> List[int]:
+        """A shortest path from an initial state to *state*."""
+        path = [state]
+        parent = self._parents[state]
+        while parent is not None:
+            path.append(parent)
+            parent = self._parents[parent]
+        path.reverse()
+        return path
+
+    def as_dict(self, state: int) -> Dict[str, bool]:
+        """Render *state* as an ``{atom: bool}`` dictionary."""
+        return {atom: bool(state >> index & 1) for index, atom in enumerate(self.atoms)}
 
     def state_count(self):
         """Number of states."""
-        return len(self._states)
+        return len(self._successors)
 
     def transition_count(self):
         """Number of transitions."""
         return sum(len(targets) for targets in self._successors.values())
 
-    def reachable_states(self) -> Set[KripkeState]:
-        """States reachable from the initial set."""
-        frontier = list(self._initial)
-        reachable = set(frontier)
-        while frontier:
-            state = frontier.pop()
-            for successor in self._successors.get(state, ()):  # pragma: no branch
-                if successor not in reachable:
-                    reachable.add(successor)
-                    frontier.append(successor)
-        return reachable
+    def reachable_states(self) -> KeysView[int]:
+        """States reachable from the initial set: all of them, since
+        :meth:`build` only stores what it reaches."""
+        return self._successors.keys()
 
     def is_total(self):
         """``True`` if every reachable state has at least one successor."""
-        return all(self._successors.get(state) for state in self.reachable_states())
+        return all(self._successors.values())

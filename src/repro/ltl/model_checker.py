@@ -7,18 +7,30 @@ class, model checking reduces to examining every reachable transition of
 the Kripke structure: the property holds iff ``psi`` evaluates to true
 over every reachable pair ``(state, successor)``.
 
-:class:`ModelChecker` implements exactly that (plus plain invariants),
-reports counterexample paths when a property fails, and records simple
-statistics (states, transitions, wall-clock time) that the
-verification-cost bench aggregates into the reproduction's analogue of
-the paper's "21 properties, ~150 s" result.
+:class:`ModelChecker` implements exactly that (plus plain invariants).
+Each check compiles ``psi`` once, before it visits any state, into one
+function ``step(s, t)`` over int-coded states (see
+:mod:`repro.ltl.kripke`): a generated lambda whose source holds only
+integer masks (``s & 4``), ``s``/``t``, ``not``/``and``/``or``,
+``True``/``False`` and ``t is None``.  Atom names never enter it; an atom
+the model lacks gets mask 0 and reads false.  A formula outside the
+fragment raises :class:`UnsupportedFormulaError` at compile time.
+
+Every reachable transition is then evaluated, states in BFS order.  A
+state without successors (a deadlock) is checked once with ``t = None``,
+where ``X phi`` holds: the weak next of :mod:`repro.ltl.trace_checker`.
+A failing check reports a counterexample path: the shortest path from an
+initial state to the violating state, plus the violating successor.
+Each check records simple statistics (states, transitions, wall-clock
+time) that the verification-cost bench aggregates into the
+reproduction's analogue of the paper's "21 properties, ~150 s" result.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.ltl.ast import (
     And,
@@ -32,7 +44,7 @@ from repro.ltl.ast import (
     Or,
     TrueFormula,
 )
-from repro.ltl.kripke import KripkeState, KripkeStructure
+from repro.ltl.kripke import KripkeStructure
 
 
 class UnsupportedFormulaError(Exception):
@@ -54,38 +66,45 @@ class CheckResult:
         return self.holds
 
 
-def _evaluate_step(formula: Formula, current: KripkeState,
-                   successor: Optional[KripkeState]) -> bool:
-    """Evaluate a propositional-plus-one-X formula over a transition."""
+def step_source(formula: Formula, masks: Mapping[str, int], var="s") -> str:
+    """Python source for a propositional-plus-one-X *formula* over the
+    int states ``s`` (current) and ``t`` (successor, ``None`` at a
+    deadlock).  *var* is the state atoms read: ``s``, or ``t`` under
+    ``X``.  An atom missing from *masks* gets mask 0: it reads false.
+
+    :raises UnsupportedFormulaError: outside the fragment.
+    """
     if isinstance(formula, TrueFormula):
-        return True
+        return "True"
     if isinstance(formula, FalseFormula):
-        return False
+        return "False"
     if isinstance(formula, Atom):
-        return current.value(formula.name)
+        return "(%s & %d)" % (var, masks.get(formula.name, 0))
     if isinstance(formula, Not):
-        return not _evaluate_step(formula.operand, current, successor)
+        return "(not %s)" % step_source(formula.operand, masks, var)
     if isinstance(formula, And):
-        return _evaluate_step(formula.left, current, successor) and _evaluate_step(
-            formula.right, current, successor
-        )
+        return "(%s and %s)" % (step_source(formula.left, masks, var),
+                                step_source(formula.right, masks, var))
     if isinstance(formula, Or):
-        return _evaluate_step(formula.left, current, successor) or _evaluate_step(
-            formula.right, current, successor
-        )
+        return "(%s or %s)" % (step_source(formula.left, masks, var),
+                               step_source(formula.right, masks, var))
     if isinstance(formula, Implies):
-        return (not _evaluate_step(formula.left, current, successor)) or _evaluate_step(
-            formula.right, current, successor
-        )
+        return "(not %s or %s)" % (step_source(formula.left, masks, var),
+                                   step_source(formula.right, masks, var))
     if isinstance(formula, Next):
-        if successor is None:
-            return True
-        if not formula.operand.is_propositional():
-            raise UnsupportedFormulaError("nested temporal operators under X")
-        return _evaluate_step(formula.operand, successor, None)
+        if var != "s":
+            raise UnsupportedFormulaError("X nesting deeper than 1 is not supported")
+        return "(t is None or %s)" % step_source(formula.operand, masks, "t")
     raise UnsupportedFormulaError(
         "formula %s is outside the supported safety fragment" % formula
     )
+
+
+def compile_step(formula: Formula, atoms: Sequence[str]) -> Callable[[int, Optional[int]], object]:
+    """Compile *formula* into ``step(s, t)``, truthy iff it holds over the
+    transition ``s -> t`` of a structure over *atoms*."""
+    masks = {atom: 1 << index for index, atom in enumerate(atoms)}
+    return eval("lambda s, t: " + step_source(formula, masks), {"__builtins__": {}})
 
 
 class ModelChecker:
@@ -93,12 +112,6 @@ class ModelChecker:
 
     def __init__(self, model: KripkeStructure):
         self.model = model
-        self._reachable = None
-
-    def _reachable_states(self):
-        if self._reachable is None:
-            self._reachable = self.model.reachable_states()
-        return self._reachable
 
     def check(self, formula: Formula, name="") -> CheckResult:
         """Model-check one property.
@@ -116,22 +129,21 @@ class ModelChecker:
             raise UnsupportedFormulaError(
                 "only G-shaped safety properties are supported, got %s" % formula
             )
-        if body.next_depth() > 1:
-            raise UnsupportedFormulaError("X nesting deeper than 1 is not supported")
+        step = compile_step(body, self.model.atoms)
 
-        reachable = self._reachable_states()
+        reachable = self.model.reachable_states()
         transitions_checked = 0
         for state in reachable:
             successors = self.model.successors(state)
-            if not successors:
-                if not _evaluate_step(body, state, None):
-                    return self._failure(name, state, None, started,
-                                         len(reachable), transitions_checked)
+            if not successors and not step(state, None):
+                return self._failure(name, state, None, started,
+                                     len(reachable), transitions_checked)
             for successor in successors:
-                transitions_checked += 1
-                if not _evaluate_step(body, state, successor):
+                if not step(state, successor):
+                    transitions_checked += successors.index(successor) + 1
                     return self._failure(name, state, successor, started,
                                          len(reachable), transitions_checked)
+            transitions_checked += len(successors)
         return CheckResult(
             holds=True,
             property_name=name,
@@ -152,14 +164,14 @@ class ModelChecker:
         return results
 
     def _failure(self, name, state, successor, started, states, transitions):
-        counterexample = [state.as_dict()]
+        path = self.model.path_to(state)
         if successor is not None:
-            counterexample.append(successor.as_dict())
+            path.append(successor)
         return CheckResult(
             holds=False,
             property_name=name,
             states_explored=states,
             transitions_checked=transitions,
             elapsed_seconds=time.perf_counter() - started,
-            counterexample=counterexample,
+            counterexample=[self.model.as_dict(entry) for entry in path],
         )

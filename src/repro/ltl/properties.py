@@ -7,7 +7,9 @@ verification workload:
 
 * abstract Kripke models of the monitor logic composed with a
   nondeterministic environment (every combination of the monitor-visible
-  input signals), built with the same update rules as the hardware FSMs;
+  input signals), built with the same update rules as the hardware FSMs
+  over int-coded states: each builder names its ``atoms`` and sets bit
+  *i* of a state for ``atoms[i]``;
 * property suites -- :func:`vrased_property_suite` (10 properties),
   :func:`apex_property_suite` (VRASED + 9 APEX properties including
   LTL 1-3) and :func:`asap_property_suite` (21 properties: the VRASED
@@ -24,9 +26,8 @@ for the memory-protection rules, and ``pc_in_swatt`` / ``key_access`` /
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, List
 
 from repro.ltl.ast import Formula
 from repro.ltl.kripke import KripkeStructure
@@ -53,118 +54,85 @@ class PropertySpec:
 # Abstract environment enumeration helpers
 # --------------------------------------------------------------------------
 
-def _boolean_combinations(names: Iterable[str]):
-    """Yield every assignment of the given atom names."""
-    names = list(names)
-    for values in itertools.product((False, True), repeat=len(names)):
-        yield dict(zip(names, values))
+def _masks(atoms):
+    """One bit mask per atom: bit *i* of a state is ``atoms[i]``."""
+    return [1 << index for index in range(len(atoms))]
 
 
-def _pc_classes():
-    """The four mutually exclusive program-counter classes.
-
-    ``outside`` (not in ER), ``ermin`` (first ER instruction), ``ermid``
-    (inside ER, neither boundary), ``ermax`` (last ER instruction).
-    """
-    return (
-        {"pc_in_er": False, "pc_at_ermin": False, "pc_at_ermax": False},
-        {"pc_in_er": True, "pc_at_ermin": True, "pc_at_ermax": False},
-        {"pc_in_er": True, "pc_at_ermin": False, "pc_at_ermax": False},
-        {"pc_in_er": True, "pc_at_ermin": False, "pc_at_ermax": True},
-    )
+def _combinations(masks):
+    """Every assignment of the atoms with the given *masks*, as int
+    states (the first atom varies slowest)."""
+    states = [0]
+    for mask in masks:
+        states = [state | value for state in states for value in (0, mask)]
+    return states
 
 
 # --------------------------------------------------------------------------
 # Model: ER control flow (LTL 1-3)
 # --------------------------------------------------------------------------
 
-def _er_flow_inputs():
-    for pc_class in _pc_classes():
-        for irq in (False, True):
-            values = dict(pc_class)
-            values["irq"] = irq
-            yield values
-
-
 def build_er_flow_model(enforce_ltl3: bool) -> KripkeStructure:
     """The EXEC flag driven by the control-flow rules (LTL 1, 2 and
     optionally the APEX-only LTL 3)."""
-
-    def initial_states():
-        for inputs in _er_flow_inputs():
-            state = dict(inputs)
-            state["exec"] = False
-            yield state
+    atoms = ("pc_in_er", "pc_at_ermin", "pc_at_ermax", "irq", "exec")
+    in_er, at_ermin, at_ermax, irq, exec_ = _masks(atoms)
+    # The four mutually exclusive program-counter classes: outside ER,
+    # at ER_min, inside ER (neither boundary), at ER_max.
+    pc_classes = (0, in_er | at_ermin, in_er, in_er | at_ermax)
+    environment = [pc | irq_value for pc in pc_classes for irq_value in (0, irq)]
 
     def successors(state):
-        for inputs in _er_flow_inputs():
+        for inputs in environment:
             violation = False
-            if state["pc_in_er"] and not inputs["pc_in_er"] and not state["pc_at_ermax"]:
+            if state & in_er and not inputs & in_er and not state & at_ermax:
                 violation = True  # LTL 1: illegal exit
-            if not state["pc_in_er"] and inputs["pc_in_er"] and not inputs["pc_at_ermin"]:
+            if not state & in_er and inputs & in_er and not inputs & at_ermin:
                 violation = True  # LTL 2: illegal entry
-            if enforce_ltl3 and state["pc_in_er"] and state["irq"]:
+            if enforce_ltl3 and state & in_er and state & irq:
                 violation = True  # LTL 3: interrupt during ER (APEX only)
             if violation:
-                exec_next = False
-            elif inputs["pc_at_ermin"]:
-                exec_next = True
+                exec_next = 0
+            elif inputs & at_ermin:
+                exec_next = exec_
             else:
-                exec_next = state["exec"]
-            successor = dict(inputs)
-            successor["exec"] = exec_next
-            yield successor
+                exec_next = state & exec_
+            yield inputs | exec_next
 
-    return KripkeStructure.build(initial_states(), successors)
+    # Initial states: every input combination with EXEC low.
+    return KripkeStructure.build(atoms, environment, successors)
 
 
 # --------------------------------------------------------------------------
 # Model: memory protection (ER/OR/metadata/DMA rules)
 # --------------------------------------------------------------------------
 
-_MEMORY_INPUT_ATOMS = ("write_er", "write_or_unauth", "write_meta", "dma_during_er")
-
-
-def _memory_inputs():
-    for pc_class in ({"pc_at_ermin": False}, {"pc_at_ermin": True}):
-        for writes in _boolean_combinations(_MEMORY_INPUT_ATOMS):
-            values = dict(pc_class)
-            values.update(writes)
-            yield values
-
-
 def build_memory_protection_model() -> KripkeStructure:
     """The EXEC flag driven by the memory-protection rules (shared by
     APEX and ASAP)."""
-
-    def initial_states():
-        for inputs in _memory_inputs():
-            state = dict(inputs)
-            state["exec"] = False
-            yield state
+    atoms = ("pc_at_ermin", "write_er", "write_or_unauth", "write_meta",
+             "dma_during_er", "exec")
+    at_ermin, write_er, write_or, write_meta, dma_during_er, exec_ = _masks(atoms)
+    violations = write_er | write_or | write_meta | dma_during_er
+    environment = _combinations((at_ermin, write_er, write_or, write_meta, dma_during_er))
 
     def successors(state):
-        for inputs in _memory_inputs():
-            violation = any(state[name] for name in _MEMORY_INPUT_ATOMS)
-            if violation:
-                exec_next = False
-            elif inputs["pc_at_ermin"]:
-                exec_next = True
+        for inputs in environment:
+            if state & violations:
+                exec_next = 0
+            elif inputs & at_ermin:
+                exec_next = exec_
             else:
-                exec_next = state["exec"]
-            successor = dict(inputs)
-            successor["exec"] = exec_next
-            yield successor
+                exec_next = state & exec_
+            yield inputs | exec_next
 
-    return KripkeStructure.build(initial_states(), successors)
+    # Initial states: every input combination with EXEC low.
+    return KripkeStructure.build(atoms, environment, successors)
 
 
 # --------------------------------------------------------------------------
 # Model: the ASAP IVT guard (Fig. 3 / LTL 4)
 # --------------------------------------------------------------------------
-
-_IVT_INPUT_ATOMS = ("Wen_ivt", "DMA_ivt", "pc_at_ermin")
-
 
 def build_ivt_guard_model() -> KripkeStructure:
     """The Fig. 3 FSM composed with a nondeterministic environment.
@@ -172,57 +140,34 @@ def build_ivt_guard_model() -> KripkeStructure:
     ``guard_run`` is the FSM state (Run vs NotExec); ``exec`` is the
     EXEC output constrained by the guard (EXEC can only be 1 in Run).
     """
-
-    def initial_states():
-        for inputs in _boolean_combinations(_IVT_INPUT_ATOMS):
-            state = dict(inputs)
-            state["guard_run"] = True
-            state["exec"] = False
-            yield state
+    atoms = ("Wen_ivt", "DMA_ivt", "pc_at_ermin", "guard_run", "exec")
+    wen_ivt, dma_ivt, at_ermin, guard_run, exec_ = _masks(atoms)
+    environment = _combinations((wen_ivt, dma_ivt, at_ermin))
 
     def successors(state):
-        for inputs in _boolean_combinations(_IVT_INPUT_ATOMS):
-            ivt_write = state["Wen_ivt"] or state["DMA_ivt"]
+        ivt_write = state & (wen_ivt | dma_ivt)
+        if ivt_write:
+            run = 0
+        elif not state & guard_run and state & at_ermin:
+            run = guard_run
+        else:
+            run = state & guard_run
+        for inputs in environment:
             if ivt_write:
-                guard_run = False
-            elif not state["guard_run"] and state["pc_at_ermin"]:
-                guard_run = True
+                exec_next = 0
+            elif inputs & at_ermin and run:
+                exec_next = exec_
             else:
-                guard_run = state["guard_run"]
-            if ivt_write:
-                exec_next = False
-            elif inputs["pc_at_ermin"] and guard_run:
-                exec_next = True
-            else:
-                exec_next = state["exec"] and guard_run
-            successor = dict(inputs)
-            successor["guard_run"] = guard_run
-            successor["exec"] = exec_next
-            yield successor
+                exec_next = exec_ if state & exec_ and run else 0
+            yield inputs | run | exec_next
 
-    return KripkeStructure.build(initial_states(), successors)
+    return KripkeStructure.build(
+        atoms, [inputs | guard_run for inputs in environment], successors)
 
 
 # --------------------------------------------------------------------------
 # Model: VRASED access control and SW-Att atomicity
 # --------------------------------------------------------------------------
-
-_VRASED_INPUT_ATOMS = (
-    "pc_in_swatt", "pc_at_swatt_entry", "pc_at_swatt_exit",
-    "key_access", "dma_key", "key_write", "swatt_write", "irq", "dma_active",
-)
-
-
-def _vrased_inputs():
-    for values in _boolean_combinations(_VRASED_INPUT_ATOMS):
-        # Keep the PC classification consistent: boundary flags imply
-        # being inside SW-Att.
-        if (values["pc_at_swatt_entry"] or values["pc_at_swatt_exit"]) and not values["pc_in_swatt"]:
-            continue
-        if values["pc_at_swatt_entry"] and values["pc_at_swatt_exit"]:
-            continue
-        yield values
-
 
 def build_vrased_model() -> KripkeStructure:
     """The VRASED monitor's reset/violation logic.
@@ -232,32 +177,39 @@ def build_vrased_model() -> KripkeStructure:
     brings the machine back to an initial state, which is sound for the
     safety properties checked here.
     """
-
-    def initial_states():
-        for inputs in _vrased_inputs():
-            state = dict(inputs)
-            state["reset"] = False
-            yield state
+    atoms = ("pc_in_swatt", "pc_at_swatt_entry", "pc_at_swatt_exit", "key_access",
+             "dma_key", "key_write", "swatt_write", "irq", "dma_active", "reset")
+    masks = _masks(atoms)
+    (in_swatt, at_entry, at_exit, key_access, dma_key, key_write,
+     swatt_write, irq, dma_active, reset) = masks
+    # Keep the PC classification consistent: boundary flags imply being
+    # inside SW-Att, and the entry is not the exit.
+    boundary = at_entry | at_exit
+    environment = [
+        inputs for inputs in _combinations(masks[:-1])
+        if (inputs & in_swatt or not inputs & boundary)
+        and inputs & boundary != boundary
+    ]
 
     def successors(state):
-        for inputs in _vrased_inputs():
-            violation = False
-            if state["key_access"] and not state["pc_in_swatt"]:
-                violation = True
-            if state["dma_key"] or state["key_write"] or state["swatt_write"]:
-                violation = True
-            if state["pc_in_swatt"] and (state["irq"] or state["dma_active"]):
-                violation = True
-            if state["pc_in_swatt"] and not inputs["pc_in_swatt"] and not state["pc_at_swatt_exit"]:
-                violation = True
-            if not state["pc_in_swatt"] and inputs["pc_in_swatt"] and not inputs["pc_at_swatt_entry"]:
-                violation = True
-            reset_next = state["reset"] or violation
-            successor = dict(inputs)
-            successor["reset"] = reset_next
-            yield successor
+        inside = state & in_swatt
+        violation = False
+        if state & key_access and not inside:
+            violation = True
+        if state & (dma_key | key_write | swatt_write):
+            violation = True
+        if inside and state & (irq | dma_active):
+            violation = True
+        for inputs in environment:
+            step_violation = violation
+            if inside and not inputs & in_swatt and not state & at_exit:
+                step_violation = True
+            if not inside and inputs & in_swatt and not inputs & at_entry:
+                step_violation = True
+            reset_next = reset if state & reset or step_violation else 0
+            yield inputs | reset_next
 
-    return KripkeStructure.build(initial_states(), successors)
+    return KripkeStructure.build(atoms, environment, successors)
 
 
 #: Registry of model builders, keyed by the names used in PropertySpec.

@@ -1,6 +1,7 @@
 """Integration tests for the programmatic experiment runners."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,14 @@ from repro.experiments import (
     run_fig5_waveforms,
     run_fig6_overhead,
     run_runtime_overhead,
+    run_verification_cost,
     write_json,
 )
 from repro.experiments import runners
 from repro.experiments.__main__ import ALL_IDS, main
+
+#: The rows a full reproduction must export, pinned per experiment.
+PAPER_ROWS = Path(__file__).resolve().parents[2] / "perfbench" / "paper_rows.json"
 
 
 class TestIndividualRunners:
@@ -40,6 +45,17 @@ class TestIndividualRunners:
         result = run_busywait_ablation(dosage_cycles=150, abort_step=20)
         assert result.succeeded
         assert len(result.rows) == 2
+
+    def test_verification_cost_rows_match_the_pinned_rows(self):
+        pinned = json.loads(PAPER_ROWS.read_text(encoding="utf-8"))["E6"]
+        result = run_verification_cost()
+        assert result.succeeded
+        assert result.rows == pinned
+        states = {row["property"]: row["states"] for row in result.rows}
+        assert {states[name] for name in states if name.startswith("vrased-")} == {512}
+        assert states["pox-ltl1-exit-only-at-ermax"] == 16
+        assert states["pox-er-immutable"] == 64
+        assert states["asap-ltl4-ivt-immutability"] == 24
 
     def test_render_produces_table_text(self):
         result = run_fig6_overhead()

@@ -1,8 +1,24 @@
-"""Property-based tests for memory, assembler sizing and LTL semantics."""
+"""Property-based tests for memory, assembler sizing and LTL semantics,
+and the model checker against the trace checker."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ltl.ast import Atom, Globally, Implies, Next, Not
+from repro.ltl.ast import (
+    And,
+    Atom,
+    FalseFormula,
+    Finally,
+    Globally,
+    Implies,
+    Next,
+    Not,
+    Or,
+    TrueFormula,
+    Until,
+)
+from repro.ltl.kripke import KripkeStructure
+from repro.ltl.model_checker import ModelChecker, UnsupportedFormulaError
 from repro.ltl.parser import parse_ltl
 from repro.ltl.trace_checker import check_trace, evaluate_at, find_violation
 from repro.memory.layout import MemoryRegion
@@ -110,3 +126,87 @@ class TestLtlSemanticsProperties:
         assert parse_ltl(str(formula)) == formula
         # Semantics preserved through the round trip as well.
         assert check_trace(parse_ltl(str(formula)), trace) == check_trace(formula, trace)
+
+
+#: Atom names of the random structures; formulas may also name an atom
+#: no structure has, which must read false.
+MODEL_ATOMS = ("p", "q", "r", "s")
+
+
+@st.composite
+def kripke_structures(draw):
+    """A random structure over at most four atoms: every state gets up to
+    four successors, none at all making it a deadlock state."""
+    atoms = MODEL_ATOMS[:draw(st.integers(min_value=1, max_value=4))]
+    states = st.integers(min_value=0, max_value=(1 << len(atoms)) - 1)
+    table = draw(st.lists(st.lists(states, max_size=4),
+                          min_size=1 << len(atoms), max_size=1 << len(atoms)))
+    initial = draw(st.lists(states, min_size=1, max_size=3))
+    return KripkeStructure.build(atoms, initial, table.__getitem__)
+
+
+def _connectives(children):
+    return st.one_of(
+        children.map(Not),
+        st.tuples(children, children).map(lambda pair: And(*pair)),
+        st.tuples(children, children).map(lambda pair: Or(*pair)),
+        st.tuples(children, children).map(lambda pair: Implies(*pair)),
+    )
+
+
+propositional = st.recursive(
+    st.sampled_from([Atom(name) for name in MODEL_ATOMS + ("missing",)]
+                    + [TrueFormula(), FalseFormula()]),
+    _connectives, max_leaves=6)
+
+#: Bodies of ``G`` in the checker's fragment: propositional plus one X.
+step_bodies = st.recursive(
+    st.one_of(propositional, propositional.map(Next)), _connectives, max_leaves=4)
+
+#: Operators outside the fragment.
+unsupported = st.sampled_from([
+    Next(Next(Atom("p"))),
+    Finally(Atom("p")),
+    Until(Atom("p"), Atom("q")),
+    Next(Globally(Atom("p"))),
+])
+
+
+def _trace_checker_verdict(model, body):
+    """``G body`` over every reachable transition, by the trace checker;
+    a deadlock state is a one-state trace (weak next)."""
+    for state in model.reachable_states():
+        successors = model.successors(state)
+        if not successors and not evaluate_at(body, [model.as_dict(state)], 0):
+            return False
+        for successor in successors:
+            if not evaluate_at(body, [model.as_dict(state), model.as_dict(successor)], 0):
+                return False
+    return True
+
+
+class TestModelCheckerMatchesTraceChecker:
+    @given(kripke_structures(), step_bodies)
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_agree(self, model, body):
+        result = ModelChecker(model).check(Globally(body))
+        assert result.holds == _trace_checker_verdict(model, body)
+        assert result.states_explored == model.state_count()
+        if result.holds:
+            assert result.transitions_checked == model.transition_count()
+            return
+        path = [sum(1 << index for index, atom in enumerate(model.atoms) if values[atom])
+                for values in result.counterexample]
+        assert path[0] in model.initial_states
+        for source, target in zip(path, path[1:]):
+            assert target in model.successors(source)
+        last = result.counterexample[-1]
+        assert (not evaluate_at(body, result.counterexample[-2:], 0)
+                or not model.successors(path[-1]) and not evaluate_at(body, [last], 0))
+
+    @given(kripke_structures(), step_bodies, unsupported, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_unsupported_operators_rejected(self, model, body, bad, bad_first):
+        formula = Or(bad, body) if bad_first else And(body, bad)
+        with pytest.raises(UnsupportedFormulaError):
+            ModelChecker(model).check(Globally(formula))

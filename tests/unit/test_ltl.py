@@ -1,6 +1,8 @@
 """Unit tests for the LTL toolkit: AST, parser, trace checker, Kripke
 structures and the safety model checker."""
 
+import re
+
 import pytest
 
 from repro.ltl.ast import (
@@ -15,8 +17,14 @@ from repro.ltl.ast import (
     TrueFormula,
     Until,
 )
-from repro.ltl.kripke import KripkeState, KripkeStructure
-from repro.ltl.model_checker import CheckResult, ModelChecker, UnsupportedFormulaError
+from repro.ltl.kripke import KripkeStructure
+from repro.ltl.model_checker import (
+    CheckResult,
+    ModelChecker,
+    UnsupportedFormulaError,
+    compile_step,
+    step_source,
+)
 from repro.ltl.parser import LtlParseError, parse_ltl
 from repro.ltl.trace_checker import check_trace, evaluate_at, find_violation
 
@@ -141,28 +149,22 @@ class TestTraceChecker:
 
 
 class TestKripkeStructure:
+    ATOMS = ("bit0", "bit1", "zero")
+
     def build_counter(self, limit=3):
         """A counter modulo *limit* with a 'zero' atom."""
 
         def successors(state):
-            value = sum(1 for name in state if name.startswith("bit") and state[name])
-            next_value = (value + 1) % limit
-            yield {
-                "bit0": bool(next_value & 1),
-                "bit1": bool(next_value & 2),
-                "zero": next_value == 0,
-            }
+            next_value = ((state & 0b11) + 1) % limit
+            yield next_value | (0b100 if next_value == 0 else 0)
 
-        return KripkeStructure.build(
-            [{"bit0": False, "bit1": False, "zero": True}], successors
-        )
+        return KripkeStructure.build(self.ATOMS, [0b100], successors)
 
     def test_state_identity(self):
-        a = KripkeState.from_dict({"x": True, "y": False})
-        b = KripkeState.from_dict({"y": False, "x": True})
-        assert a == b
-        assert a.value("x") and not a.value("y")
-        assert not a.value("missing")
+        # A state is an int: bit i is atoms[i].
+        model = self.build_counter()
+        assert model.as_dict(0b101) == {"bit0": True, "bit1": False, "zero": True}
+        assert set(model.states) == {0b100, 0b001, 0b010}
 
     def test_build_explores_reachable_states(self):
         model = self.build_counter()
@@ -179,23 +181,44 @@ class TestKripkeStructure:
         model = self.build_counter()
         initial = next(iter(model.initial_states))
         successors = model.successors(initial)
-        assert len(successors) == 1
+        assert successors == (0b001,)
+
+    def test_states_are_discovered_breadth_first(self):
+        def successors(state):
+            return {0: (1, 2), 1: (3,), 2: (3, 0), 3: ()}[state]
+
+        model = KripkeStructure.build(("a", "b"), [0], successors)
+        assert list(model.states) == [0, 1, 2, 3]
+        assert model.path_to(3) == [0, 1, 3]
+        assert model.path_to(0) == [0]
+        assert not model.is_total()
+
+    def test_duplicate_successors_collapse(self):
+        model = KripkeStructure.build(("a",), [0, 0], lambda state: (1, 1, 0))
+        assert model.initial_states == {0}
+        assert model.successors(0) == (1, 0)
+        assert model.transition_count() == 4
 
     def test_exploration_bound(self):
-        def successors(state):
-            yield {"n%d" % (len(state) + 1): True, **state}
-
+        atoms = tuple("n%d" % index for index in range(16))
         with pytest.raises(RuntimeError):
-            KripkeStructure.build([{"n0": True}], successors, max_states=10)
+            KripkeStructure.build(atoms, [0], lambda state: (state + 1,), max_states=10)
+        # The bound counts discovered states: exactly max_states is fine.
+        model = KripkeStructure.build(atoms, [0], lambda state: ((state + 1) % 10,),
+                                      max_states=10)
+        assert model.state_count() == 10
+
+    def test_states_outside_the_atoms_rejected(self):
+        with pytest.raises(ValueError):
+            KripkeStructure.build(("a", "b"), [0], lambda state: (0b100,))
+        with pytest.raises(ValueError):
+            KripkeStructure.build(("a",), [-1], lambda state: ())
 
 
 class TestModelChecker:
     def simple_model(self):
-        """Two states: p-state -> q-state -> q-state ..."""
-        def successors(state):
-            yield {"p": False, "q": True}
-
-        return KripkeStructure.build([{"p": True, "q": False}], successors)
+        """Two states over (p, q): p-state -> q-state -> q-state ..."""
+        return KripkeStructure.build(("p", "q"), [0b01], lambda state: (0b10,))
 
     def test_invariant_holds(self):
         checker = ModelChecker(self.simple_model())
@@ -208,7 +231,13 @@ class TestModelChecker:
         checker = ModelChecker(self.simple_model())
         result = checker.check(parse_ltl("G p"))
         assert not result.holds
-        assert result.counterexample
+        # The path from the initial state to the violating state, then
+        # the violating successor.
+        assert result.counterexample == [
+            {"p": True, "q": False},
+            {"p": False, "q": True},
+            {"p": False, "q": True},
+        ]
 
     def test_next_state_property(self):
         checker = ModelChecker(self.simple_model())
@@ -227,6 +256,46 @@ class TestModelChecker:
             checker.check(parse_ltl("G (p -> X X q)"))
         with pytest.raises(UnsupportedFormulaError):
             checker.check(parse_ltl("G (F p)"))
+        with pytest.raises(UnsupportedFormulaError):
+            checker.check(parse_ltl("G X (G p)"))
+
+    def test_unsupported_formulas_rejected_before_any_state(self):
+        # The offending operand sits behind a short-circuit that no state
+        # ever evaluates; the formula is still rejected.
+        checker = ModelChecker(self.simple_model())
+        with pytest.raises(UnsupportedFormulaError):
+            checker.check(parse_ltl("G (false -> F p)"))
+        with pytest.raises(UnsupportedFormulaError):
+            checker.check(parse_ltl("G (true | (p U q))"))
+
+    def test_weak_next_at_deadlock_states(self):
+        model = KripkeStructure.build(("p",), [0], lambda state: ())
+        checker = ModelChecker(model)
+        assert checker.check(parse_ltl("G X p")).holds
+        assert checker.check(parse_ltl("G X false")).holds
+        result = checker.check(parse_ltl("G !X p"))
+        assert not result.holds
+        assert result.transitions_checked == 0
+        assert result.counterexample == [{"p": False}]
+
+    def test_unknown_atoms_read_false(self):
+        checker = ModelChecker(self.simple_model())
+        assert checker.check(parse_ltl("G !missing")).holds
+        assert checker.check(parse_ltl("G (p -> !X missing)")).holds
+        assert not checker.check(parse_ltl("G missing")).holds
+
+    def test_compiled_source_holds_only_masks(self):
+        formula = parse_ltl("pc_in_er & !X pc_in_er -> pc_at_ermax | !X exec | missing | true")
+        source = step_source(formula, {"pc_in_er": 1, "pc_at_ermax": 4, "exec": 16})
+        words = set(re.findall(r"[A-Za-z_]\w*", source))
+        assert words <= {"s", "t", "not", "and", "or", "is", "None", "True", "False"}
+        assert "(s & 0)" in source  # the unknown atom
+        step = compile_step(parse_ltl("pc_in_er & !X pc_in_er -> pc_at_ermax | X exec"),
+                            ("pc_in_er", "pc_at_ermin", "pc_at_ermax", "exec"))
+        assert not step(0b0001, 0b0000)  # illegal exit from ER
+        assert step(0b0101, 0b0000)  # exit from ER_max
+        assert step(0b0001, 0b1000)  # EXEC stays up
+        assert step(0b0001, None)  # weak next at a deadlock
 
     def test_check_suite(self):
         checker = ModelChecker(self.simple_model())
