@@ -18,6 +18,16 @@ protection conditions of Section 2.3:
 
 :class:`PoxMonitorBase` carries everything shared with ASAP;
 :class:`ApexMonitor` adds the LTL 3 interrupt rule.
+
+The hardware checks every rule each cycle at no cost; here the monitor
+observes every simulated step, so it decides the common step cheaply.
+It reads the ER bounds and entry/exit points from the frozen
+:class:`~repro.apex.regions.PoxConfig` once, as plain ints, and tests
+the PC and next PC against them once per step.  The four memory rules
+(``er-modified``, ``or-modified``, ``or-dma``, ``metadata-modified``)
+only run on a step that carries a CPU or DMA write, since no other step
+can break them; they compare each write's byte span with the region
+bounds (:meth:`~repro.cpu.signals.SignalBundle.writes_into`).
 """
 
 from __future__ import annotations
@@ -46,11 +56,15 @@ class PoxMonitorBase:
 
     def __init__(self, config: PoxConfig):
         self.config = config
+        executable = config.executable
+        self._er_start = executable.region.start
+        self._er_end = executable.region.end
+        self._er_min = executable.er_min
+        self._er_max = executable.er_max
         self.exec_flag = False
         self.violations: List[ExecViolation] = []
         self.execution_started = False
         self.execution_completed = False
-        self._step = 0
         self._last_pc_in_er = False
 
     # ------------------------------------------------------------ lifecycle
@@ -61,7 +75,6 @@ class PoxMonitorBase:
         self.violations = []
         self.execution_started = False
         self.execution_completed = False
-        self._step = 0
         self._last_pc_in_er = False
 
     def signal_values(self):
@@ -75,72 +88,81 @@ class PoxMonitorBase:
 
     def observe(self, bundle: SignalBundle):
         """Process one signal bundle: apply every rule, then update EXEC."""
-        self._step = bundle.cycle
-        violations_before = len(self.violations)
-        self._check_common_rules(bundle)
-        self._check_extra_rules(bundle)
-        violated_now = len(self.violations) > violations_before
+        pc = bundle.pc
+        er_start = self._er_start
+        er_end = self._er_end
+        # Masked as MemoryRegion.contains masks an address.
+        pc_in_er = er_start <= (pc & 0xFFFF) <= er_end
+        next_in_er = er_start <= (bundle.next_pc & 0xFFFF) <= er_end
+        violations = self.violations
+        violations_before = len(violations)
 
-        if violated_now:
+        if pc_in_er != next_in_er:
+            if pc_in_er:
+                if pc != self._er_max:
+                    self._record(
+                        "ltl1-exit", bundle,
+                        "ER left from 0x%04X (legal exit is 0x%04X)"
+                        % (pc, self._er_max),
+                    )
+            elif bundle.next_pc != self._er_min:
+                self._record(
+                    "ltl2-entry", bundle,
+                    "ER entered at 0x%04X (legal entry is 0x%04X)"
+                    % (bundle.next_pc, self._er_min),
+                )
+        if bundle.writes or bundle.dma_writes:
+            self._check_memory_rules(bundle, pc_in_er)
+        if pc_in_er and bundle.dma_en:
+            self._record("dma-during-er", bundle, "DMA active during ER execution")
+        self._check_extra_rules(bundle, pc_in_er)
+
+        if len(violations) > violations_before:
             self.exec_flag = False
-        elif bundle.pc == self.config.executable.er_min:
+        elif pc == self._er_min:
             # Execution (re)starts at the legal entry point.
             self.exec_flag = True
             self.execution_started = True
             self.execution_completed = False
 
         if (
-            self.execution_started
+            pc == self._er_max
+            and not next_in_er
+            and self.execution_started
             and not self.execution_completed
-            and bundle.pc == self.config.executable.er_max
-            and not self.config.executable.contains(bundle.next_pc)
         ):
             self.execution_completed = True
 
-        self._last_pc_in_er = self.config.executable.contains(bundle.pc)
+        self._last_pc_in_er = pc_in_er
 
     # ------------------------------------------------------------ rules
 
-    def _check_common_rules(self, bundle: SignalBundle):
-        executable = self.config.executable
-        output = self.config.output
-        metadata = self.config.metadata
+    def _check_memory_rules(self, bundle: SignalBundle, pc_in_er):
+        """The rules only a CPU or DMA write can break."""
+        config = self.config
+        executable = config.executable.region
+        output = config.output.region
+        metadata = config.metadata.region
 
-        pc_in_er = executable.contains(bundle.pc)
-        next_in_er = executable.contains(bundle.next_pc)
-
-        if pc_in_er and not next_in_er and bundle.pc != executable.er_max:
-            self._record(
-                "ltl1-exit", bundle,
-                "ER left from 0x%04X (legal exit is 0x%04X)"
-                % (bundle.pc, executable.er_max),
-            )
-        if not pc_in_er and next_in_er and bundle.next_pc != executable.er_min:
-            self._record(
-                "ltl2-entry", bundle,
-                "ER entered at 0x%04X (legal entry is 0x%04X)"
-                % (bundle.next_pc, executable.er_min),
-            )
-
-        if bundle.writes_into(executable.region) or bundle.dma_writes_into(executable.region):
+        if bundle.writes_into(executable) or bundle.dma_writes_into(executable):
             self._record("er-modified", bundle, "write into the executable region")
 
-        if bundle.writes_into(output.region) and not pc_in_er:
+        if bundle.writes_into(output) and not pc_in_er:
             self._record(
                 "or-modified", bundle,
                 "output region written while PC=0x%04X is outside ER" % bundle.pc,
             )
-        if bundle.dma_writes_into(output.region):
+        if bundle.dma_writes_into(output):
             self._record("or-dma", bundle, "DMA write into the output region")
 
-        if bundle.writes_into(metadata.region) or bundle.dma_writes_into(metadata.region):
+        if bundle.writes_into(metadata) or bundle.dma_writes_into(metadata):
             self._record("metadata-modified", bundle, "write into the metadata region")
 
-        if pc_in_er and bundle.dma_en:
-            self._record("dma-during-er", bundle, "DMA active during ER execution")
+    def _check_extra_rules(self, bundle: SignalBundle, pc_in_er):
+        """Architecture-specific rules (overridden by subclasses).
 
-    def _check_extra_rules(self, bundle: SignalBundle):
-        """Architecture-specific rules (overridden by subclasses)."""
+        *pc_in_er* is the step's PC-in-ER test, already made.
+        """
 
     def _record(self, rule, bundle, detail=""):
         self.violations.append(
@@ -172,8 +194,8 @@ class ApexMonitor(PoxMonitorBase):
 
     architecture = "apex"
 
-    def _check_extra_rules(self, bundle: SignalBundle):
-        if self.config.executable.contains(bundle.pc) and bundle.irq:
+    def _check_extra_rules(self, bundle: SignalBundle, pc_in_er):
+        if pc_in_er and bundle.irq:
             self._record(
                 "ltl3-interrupt", bundle,
                 "interrupt requested while ER executes (APEX forbids all interrupts)",

@@ -129,9 +129,12 @@ class MetadataRegion:
         return struct.unpack("<HHHH", raw)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoxConfig:
-    """The full PoX geometry for one deployment."""
+    """The full PoX geometry for one deployment.
+
+    Frozen: the monitors cache its bounds when they are built.
+    """
 
     executable: ExecutableRegion
     output: OutputRegion

@@ -45,7 +45,7 @@ class AsapMonitor(PoxMonitorBase):
 
     # ------------------------------------------------------------ rules
 
-    def _check_extra_rules(self, bundle: SignalBundle):
+    def _check_extra_rules(self, bundle: SignalBundle, pc_in_er):
         # [AP1] -- LTL 4: any CPU or DMA write to the IVT clears EXEC.
         # Stepping the guard FSM (Fig. 3) scans the writes once and hands
         # back the tripping write; the violation record is what actually
@@ -57,17 +57,3 @@ class AsapMonitor(PoxMonitorBase):
                 "%s write to IVT address 0x%04X"
                 % (write_event.initiator.upper(), write_event.address),
             )
-
-    # ------------------------------------------------------------ queries
-
-    def authorized_interrupts_serviced(self, trace):
-        """Count interrupts serviced while the PC stayed inside ER.
-
-        Convenience for tests and benches replaying a
-        :class:`~repro.device.trace.TraceRecorder`.
-        """
-        count = 0
-        for entry in trace:
-            if entry.irq and self.config.executable.contains(entry.next_pc):
-                count += 1
-        return count

@@ -14,6 +14,11 @@ Transitions (exactly the edges of Fig. 3):
   the same cycle;
 * otherwise each state loops to itself.
 
+The guard observes every simulated step.  A step that carries no CPU or
+DMA write cannot trip it, so only the ``NOT_EXEC -> RUN`` edge is
+tested there; on a step with writes, each write's byte span is compared
+with the IVT bounds (:func:`~repro.cpu.signals.first_byte_in`).
+
 The LTL model checker verifies LTL 4 against the Kripke model
 ``build_ivt_guard_model`` (:mod:`repro.ltl.properties`), and the
 hardware-cost model counts the FSM's LUTs/registers for the Fig. 6
@@ -26,7 +31,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cpu.signals import SignalBundle
+from repro.cpu.signals import SignalBundle, first_byte_in
 from repro.memory.layout import MemoryRegion
 
 
@@ -78,14 +83,16 @@ class IvtGuard:
         """Return the first IVT write in *bundle*, or ``None``.
 
         Implements the Fig. 3 trigger condition
-        ``(Wen ∧ Daddr ∈ IVT) ∨ (DMAen ∧ DMAaddr ∈ IVT)``.
+        ``(Wen ∧ Daddr ∈ IVT) ∨ (DMAen ∧ DMAaddr ∈ IVT)``.  The event
+        names the first IVT byte of the first tripping CPU write, else
+        of the first tripping DMA write.
         """
-        for address in bundle.write_addresses:
-            if self.ivt_region.contains(address):
-                return IvtWriteEvent(bundle.cycle, "cpu", address)
-        for address in bundle.dma_write_addresses:
-            if self.ivt_region.contains(address):
-                return IvtWriteEvent(bundle.cycle, "dma", address)
+        address = first_byte_in(bundle.writes, self.ivt_region)
+        if address is not None:
+            return IvtWriteEvent(bundle.cycle, "cpu", address)
+        address = first_byte_in(bundle.dma_writes, self.ivt_region)
+        if address is not None:
+            return IvtWriteEvent(bundle.cycle, "dma", address)
         return None
 
     def observe(self, bundle: SignalBundle) -> Optional[IvtWriteEvent]:
@@ -95,10 +102,12 @@ class IvtGuard:
         ``None``: the caller acts on the same single scan of the
         bundle's write lists that drove the transition.
         """
-        write_event = self.ivt_write_in(bundle)
-        if write_event is not None:
-            self.events.append(write_event)
-            self.state = IvtGuardState.NOT_EXEC
-        elif self.state is IvtGuardState.NOT_EXEC and bundle.pc == self.er_min:
+        if bundle.writes or bundle.dma_writes:
+            write_event = self.ivt_write_in(bundle)
+            if write_event is not None:
+                self.events.append(write_event)
+                self.state = IvtGuardState.NOT_EXEC
+                return write_event
+        if self.state is IvtGuardState.NOT_EXEC and bundle.pc == self.er_min:
             self.state = IvtGuardState.RUN
-        return write_event
+        return None

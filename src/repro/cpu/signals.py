@@ -102,19 +102,20 @@ class SignalBundle:
 
     def writes_into(self, region):
         """``True`` if any CPU write touched *region*."""
-        return any(region.contains(address) for address in self.write_addresses)
+        return first_byte_in(self.writes, region) is not None
 
     def reads_from(self, region):
         """``True`` if any CPU read touched *region*."""
-        return any(region.contains(address) for address in self.read_addresses)
+        return first_byte_in(self.reads, region) is not None
 
     def dma_touches(self, region):
         """``True`` if any DMA access (read or write) touched *region*."""
-        return any(region.contains(address) for address in self.dma_addresses)
+        return (first_byte_in(self.dma_writes, region) is not None
+                or first_byte_in(self.dma_reads, region) is not None)
 
     def dma_writes_into(self, region):
         """``True`` if any DMA write touched *region*."""
-        return any(region.contains(address) for address in self.dma_write_addresses)
+        return first_byte_in(self.dma_writes, region) is not None
 
     def pc_in(self, region):
         """``True`` if the step's program counter lies in *region*."""
@@ -132,3 +133,28 @@ def _expand_addresses(accesses):
         for offset in range(access.size):
             out.append((access.address + offset) & 0xFFFF)
     return out
+
+
+def first_byte_in(accesses, region):
+    """The first byte of *accesses* that lies in *region*, or ``None``.
+
+    Bytes are taken in the order :func:`_expand_addresses` lists them:
+    access by access, each from ``address`` upwards for ``size`` bytes,
+    wrapping at 64 KiB.  Each access's span ``[address, address + size
+    - 1]`` is compared with the region's inclusive bounds, so no byte
+    list is built.
+    """
+    start = region.start
+    end = region.end
+    for access in accesses:
+        size = access.size
+        if size <= 0:
+            continue
+        first = access.address & 0xFFFF
+        last = first + size - 1
+        if first <= end and start <= last:
+            return first if first > start else start
+        if last > 0xFFFF and start <= last - 0x10000:
+            # The span wraps past 0xFFFF and reaches the region from 0.
+            return start
+    return None

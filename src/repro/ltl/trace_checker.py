@@ -137,13 +137,10 @@ def bundles_to_trace(bundles, config, ivt_region=None):
                 "pc_at_ermax": bundle.pc == executable.er_max,
                 "irq": bundle.irq,
                 "Wen": bundle.wen,
-                "Daddr_in_ivt": any(
-                    ivt_region.contains(address) for address in bundle.write_addresses
-                ),
+                "Daddr_in_ivt": bundle.writes_into(ivt_region),
                 "DMA_en": bundle.dma_en,
-                "DMA_addr_in_ivt": any(
-                    ivt_region.contains(address) for address in bundle.dma_addresses
-                ),
+                # DMA reads count: the atom is the DMA address, not a write.
+                "DMA_addr_in_ivt": bundle.dma_touches(ivt_region),
                 "write_in_er": bundle.writes_into(executable.region)
                 or bundle.dma_writes_into(executable.region),
                 "write_in_or": bundle.writes_into(config.output.region)

@@ -44,7 +44,6 @@ class VrasedMonitor:
     def __init__(self, config: VrasedConfig):
         self.config = config
         self.violations: List[Violation] = []
-        self._in_swatt = False
         self._reset_pending = False
 
     # ------------------------------------------------------------ state
@@ -62,7 +61,6 @@ class VrasedMonitor:
     def reset(self):
         """Clear the monitor state (models an MCU reset)."""
         self.violations = []
-        self._in_swatt = False
         self._reset_pending = False
 
     def signal_values(self):
@@ -106,7 +104,6 @@ class VrasedMonitor:
                     "swatt-exit", bundle,
                     "SW-Att left from 0x%04X, not its last instruction" % bundle.pc,
                 )
-        self._in_swatt = swatt.contains(bundle.next_pc)
 
     def _legal_swatt_exit(self, pc):
         """Return ``True`` if *pc* is the legal SW-Att exit point.
