@@ -42,9 +42,10 @@ MEASURE_STEPS = 30000
 #: cannot drag a number down.
 REPEATS = 4
 #: Required speedup of the decode cache (trace off, like for like).
-#: Ten runs per firmware image on a 2-CPU x86-64 box measured 2.83-3.45x
-#: (median within-round ratio); a cache that stopped hitting would
-#: measure ~1x, so this floor fails only for a real loss.
+#: Ten runs per firmware image on a 2-CPU x86-64 box measured 7.4-11.4x
+#: (median within-round ratio; a miss decodes and compiles the
+#: instruction, a hit runs its closure); a cache that stopped hitting
+#: would measure ~1x, so this floor fails only for a real loss.
 REQUIRED_SPEEDUP = 2.5
 
 

@@ -1,16 +1,21 @@
 """Decoded-instruction cache for the simulation fast path.
 
-Re-decoding every instruction from raw memory words dominates the cost
-of :meth:`repro.cpu.core.CPU.step`: each fetch peeks three words,
-re-parses the operand encodings and re-renders the assembly text for the
-signal bundle.  Firmware spends nearly all of its time in loops, so the
-same handful of addresses are decoded millions of times.
+Decoding an instruction dominates the cost of a step that has to do it:
+each fetch peeks three words, re-parses the operand encodings, renders
+the assembly text for the signal bundle and compiles the instruction
+into its closure (:mod:`repro.cpu.compiler`).  Firmware spends nearly
+all of its time in loops, so the same handful of addresses are decoded
+millions of times.
 
-:class:`DecodeCache` memoises the result of a fetch -- the decoded
-:class:`~repro.isa.instructions.Instruction`, its size in bytes, its
-rendered text and its cycle count -- keyed by the program counter.  The
-cached artifacts are pure functions of the instruction bytes, so a cache
-hit produces a signal bundle byte-for-byte identical to a cold decode.
+:class:`DecodeCache` memoises the result of a fetch keyed by the program
+counter: the entry is ``(execute, size, text, cycles)`` -- the compiled
+closure, the instruction's size in bytes, its rendered text and its
+cycle count.  :meth:`repro.cpu.core.CPU.step` calls ``execute()`` of
+the entry at the PC, so a hit runs no decode and no dispatch.  The
+entry is a pure function of the instruction bytes and their address,
+so a cache hit produces a signal bundle byte-for-byte identical to a
+cold decode.  The closures act on the CPU that compiled them: a cache
+serves one CPU.
 
 Correctness under self-modifying code
 -------------------------------------
@@ -32,7 +37,7 @@ comparisons.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import register_global_collector
 
@@ -46,14 +51,14 @@ FULL_FLUSH_THRESHOLD = 64
 
 
 class DecodeCache:
-    """Memoises ``(instruction, size, text, cycles)`` per fetch address."""
+    """Memoises ``(execute, size, text, cycles)`` per fetch address."""
 
     #: Live instances, for process-wide stats snapshots (benchmarks).
     _live = weakref.WeakSet()
 
     def __init__(self):
-        #: pc -> (Instruction, size_bytes, rendered_text, cycle_count)
-        self._entries: Dict[int, Tuple[object, int, str, int]] = {}
+        #: pc -> (execute, size_bytes, rendered_text, cycle_count)
+        self._entries: Dict[int, Tuple[Callable, int, str, int]] = {}
         # Span of cached fetch addresses, for cheap invalidation rejects.
         self._min_pc = 0x10000
         self._max_pc = -1
@@ -65,7 +70,7 @@ class DecodeCache:
     def __len__(self):
         return len(self._entries)
 
-    def lookup(self, pc) -> Optional[Tuple[object, int, str, int]]:
+    def lookup(self, pc) -> Optional[Tuple[Callable, int, str, int]]:
         """Return the cached fetch result for *pc*, or ``None``."""
         entry = self._entries.get(pc)
         if entry is not None:
@@ -74,9 +79,9 @@ class DecodeCache:
             self.misses += 1
         return entry
 
-    def store(self, pc, instruction, size, text, cycles):
-        """Cache the decoded fetch result for *pc*."""
-        self._entries[pc] = (instruction, size, text, cycles)
+    def store(self, pc, execute, size, text, cycles):
+        """Cache the compiled fetch result for *pc*."""
+        self._entries[pc] = (execute, size, text, cycles)
         if pc < self._min_pc:
             self._min_pc = pc
         if pc > self._max_pc:

@@ -50,8 +50,14 @@ def build_prover_bench(firmware, architecture, device_id,
     bench provisions a private local verifier, which the cluster layer
     then mines for a shippable
     :class:`~repro.net.service.DeviceEnrollment`.
+
+    The device records no trace, as a deployed prover keeps none:
+    nothing on the fleet path reads one.  Its recorder still counts
+    cycles (``device.trace.total_cycles``), and every monitor still
+    observes every step.
     """
-    config = TestbenchConfig(architecture=architecture, device_id=device_id)
+    config = TestbenchConfig(architecture=architecture, device_id=device_id,
+                             trace_enabled=False)
     return PoxTestbench(firmware, config, pox_verifier=pox_verifier)
 
 

@@ -268,6 +268,14 @@ class TestConcurrentExchanges:
         assert report.pending_challenges_after == 0
         assert report.service_counters["accepted"] == 24
 
+    def test_fleet_provers_record_no_trace(self):
+        fleet = Fleet(2, architecture="asap")
+        report = fleet.run(exchanges_per_device=2)
+        assert report.all_accepted()
+        for bench in fleet.benches:
+            assert len(bench.device.trace) == 0
+            assert bench.device.trace.total_cycles == bench.device.total_cycles > 0
+
     def test_fleet_over_tcp_socket_pairs(self):
         fleet = Fleet(3, architecture="apex", transport="tcp")
         report = fleet.run(exchanges_per_device=2)

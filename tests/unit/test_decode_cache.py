@@ -25,11 +25,16 @@ def load_program(device, source, base=0xE000):
     return image
 
 
+def _no_access():
+    """An entry's execute closure that changes nothing and touches no bus."""
+    return (), ()
+
+
 class TestDecodeCacheUnit:
     def test_store_and_lookup(self):
         cache = DecodeCache()
-        cache.store(0xE000, "instr", 2, "NOP", 1)
-        assert cache.lookup(0xE000) == ("instr", 2, "NOP", 1)
+        cache.store(0xE000, _no_access, 2, "NOP", 1)
+        assert cache.lookup(0xE000) == (_no_access, 2, "NOP", 1)
         assert cache.lookup(0xE002) is None
         assert cache.hits == 1 and cache.misses == 1
 
@@ -43,10 +48,10 @@ class TestDecodeCacheUnit:
 
     def test_invalidate_leaves_unrelated_entries(self):
         cache = DecodeCache()
-        cache.store(0xE000, "a", 2, "A", 1)
-        cache.store(0xE010, "b", 2, "B", 1)
+        cache.store(0xE000, _no_access, 2, "A", 1)
+        cache.store(0xE010, _no_access, 2, "B", 1)
         cache.invalidate_range(0xE010, 2)
-        assert cache.lookup(0xE000) == ("a", 2, "A", 1)
+        assert cache.lookup(0xE000) == (_no_access, 2, "A", 1)
         assert cache.lookup(0xE010) is None
 
     def test_write_outside_cached_span_is_cheap_reject(self):
