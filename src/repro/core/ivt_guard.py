@@ -14,10 +14,13 @@ Transitions (exactly the edges of Fig. 3):
   the same cycle;
 * otherwise each state loops to itself.
 
-The guard observes every simulated step.  A step that carries no CPU or
-DMA write cannot trip it, so only the ``NOT_EXEC -> RUN`` edge is
-tested there; on a step with writes, each write's byte span is compared
-with the IVT bounds (:func:`~repro.cpu.signals.first_byte_in`).
+The ASAP monitor steps the guard on every step it does not settle as
+quiet (:mod:`repro.apex.hwmod`): a quiet step carries no write and has
+its PC off ``ER_min``, so it can take neither edge.  A step that carries
+no CPU or DMA write cannot trip the guard, so only the
+``NOT_EXEC -> RUN`` edge is tested there; on a step with writes, each
+write's byte span is compared with the IVT bounds
+(:func:`~repro.cpu.signals.first_byte_in`).
 
 The LTL model checker verifies LTL 4 against the Kripke model
 ``build_ivt_guard_model`` (:mod:`repro.ltl.properties`), and the

@@ -1,10 +1,11 @@
 """The name and telemetry of the simulator's one step loop.
 
-Every device steps through ``Device.step`` -> ``CPU.step`` -> monitors
--> trace (:mod:`repro.device.mcu`): the observed path the hardware
-monitors rely on.  :class:`InterpreterEngine` only names that loop for
-benches and diagnostics and feeds the ``engine.interp.instances``
-gauge; it executes nothing itself.
+Every device steps through one loop, ``Device._run``
+(:mod:`repro.device.mcu`): events, peripherals, ``CPU.step``, every
+monitor, trace -- the observed path the hardware monitors rely on.
+``Device.step`` is one iteration of it.  :class:`InterpreterEngine`
+only names that loop for benches and diagnostics and feeds the
+``engine.interp.instances`` gauge; it executes nothing itself.
 """
 
 from __future__ import annotations

@@ -7,10 +7,15 @@ controller, and a set of attached *hardware monitors* (the VRASED, APEX
 and ASAP modules) that observe every step's signal bundle exactly the
 way the Verilog modules observe the MCU buses.
 
-:meth:`Device.step` is the simulator's one step loop: CPU step, then
-every monitor observes the bundle, then the trace records it.
-:meth:`Device.run`, :meth:`Device.run_until_pc` and
-:meth:`Device.run_steps` are all built on it.
+``Device._run`` is the simulator's one step loop.  Each step fires its
+due events, ticks the peripherals while they are dirty, runs the CPU
+step, attaches the DMA activity and acknowledges a serviced interrupt,
+shows the bundle to every attached monitor and records it in the trace
+(with tracing off it only counts the step's cycles).  :meth:`Device.step`
+is one iteration of it; :meth:`Device.run`, :meth:`Device.run_until_pc`
+and :meth:`Device.run_steps` call it.  Bundles the loop does not produce
+-- a software write, a crashed device's synthetic steps -- go through
+``Device._publish``, which observes and records them the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +46,10 @@ class DeviceConfig:
 
     ``stack_top`` is where the reset sequence points SP (top of data
     memory by default); ``trace_enabled`` controls whether every step is
-    recorded (benches measuring raw simulation speed can turn it off).
+    recorded.  Waveforms and scenario observations read the trace;
+    deployed provers do not, so the ``pox`` benchmark's prover and the
+    fleet's provers run with it off, as do benches measuring raw
+    simulation speed.  A disabled trace still counts cycles.
 
     ``decode_cache_enabled`` (default on) attaches a
     :class:`~repro.cpu.decode_cache.DecodeCache` to the CPU so hot loops
@@ -146,7 +154,7 @@ class Device:
 
         self.monitors: List[object] = []
         #: Monitors exporting ``signal_values()``; maintained by
-        #: attach/detach so :meth:`_publish` never probes a monitor and
+        #: attach/detach so the step loop never probes a monitor and
         #: skips the per-step signal dict when nothing would populate it.
         self._signal_exporters: List[object] = []
         self.trace = TraceRecorder(
@@ -244,58 +252,103 @@ class Device:
 
     def step(self):
         """Advance the whole device by one step; return the signal bundle."""
-        self.step_number += 1
+        return self._run(1)[1]
+
+    def _run(self, max_steps, stop_condition=None):
+        """The simulator's step loop: run up to *max_steps* steps.
+
+        Returns ``(executed, bundle)``: the steps run and the last one's
+        bundle (``None`` when none ran).  The loop stops after a step
+        that crashed the device, or once *stop_condition(bundle,
+        device)* is true; a crash step is not shown to the condition.
+
+        The monitors' ``observe`` methods are looked up here, per call
+        and never at attach time, so a wrapper put on a monitor class
+        after it was attached still sees every step.
+        """
         if self.crashed:
-            return self._crash_bundle()
-        events = self._events
-        if events and events[0].step <= self.step_number:
-            self._fire_events()
-
-        if self._periph_dirty:
-            elapsed = self._last_step_cycles
-            for peripheral in self.peripherals:
-                peripheral.tick(elapsed)
-            if self.watchdog.expired:
-                # An un-serviced watchdog requests a reset; this step's
-                # instruction then executes from the reset vector (and
-                # an unprogrammed vector crashes the device, exactly as
-                # a cold reset into zeroed memory would).
-                self._watchdog_reset()
-            pending = self.interrupt_controller.highest_pending()
-            if pending is None and all(
-                peripheral.quiescent() for peripheral in self.peripherals
-            ):
-                # Nothing can change until a wake signal fires; stop
-                # ticking (see the wiring in __init__).
-                self._periph_dirty = False
-        else:
-            pending = None
-        try:
-            bundle = self.cpu.step(pending)
-        except CPUError as error:
-            self._latch_crash(error)
-            return self._crash_bundle()
-        self._last_step_cycles = bundle.cycles_consumed
-
+            if max_steps < 1:
+                return 0, None
+            self.step_number += 1
+            return 1, self._crash_bundle()
+        cpu_step = self.cpu.step
         dma = self.dma
-        if dma._step_reads or dma._step_writes:
-            bundle.dma_en = True
-            bundle.dma_reads = dma._step_reads
-            bundle.dma_writes = dma._step_writes
+        acknowledge = self.interrupt_controller.acknowledge
+        observers = [monitor.observe for monitor in self.monitors]
+        trace = self.trace
+        record = trace.record if trace.enabled else None
+        exporters = self._signal_exporters
+        executed = 0
+        bundle = None
+        for executed in range(1, max_steps + 1):
+            step_number = self.step_number = self.step_number + 1
+            events = self._events
+            if events and events[0].step <= step_number:
+                self._fire_events()
+            pending = self._tick_peripherals() if self._periph_dirty else None
+            try:
+                bundle = cpu_step(pending)
+            except CPUError as error:
+                self._latch_crash(error)
+                return executed, self._crash_bundle()
+            cycles = self._last_step_cycles = bundle.cycles_consumed
+            if dma._step_reads or dma._step_writes:
+                bundle.dma_en = True
+                bundle.dma_reads = dma._step_reads
+                bundle.dma_writes = dma._step_writes
+            if bundle.irq:
+                acknowledge(bundle.irq_source)
+                self._periph_dirty = True
+            for observe in observers:
+                observe(bundle)
+            if record is None:
+                # What a disabled recorder's record() does: count cycles.
+                trace._total_cycles += cycles
+            elif exporters:
+                signals = {}
+                for monitor in exporters:
+                    signals.update(monitor.signal_values())
+                record(bundle, signals)
+            else:
+                record(bundle)
+            if stop_condition is not None and stop_condition(bundle, self):
+                break
+        return executed, bundle
 
-        if bundle.irq:
-            self.interrupt_controller.acknowledge(bundle.irq_source)
-            self._periph_dirty = True
+    def _tick_peripherals(self):
+        """Tick every peripheral by the last step's cycles; return the
+        pending interrupt the CPU may accept this step (or ``None``).
 
-        return self._publish(bundle)
+        The step loop calls this only while ``_periph_dirty`` is set.
+        Once nothing is pending and every peripheral is quiescent, it
+        clears the flag: nothing can change until a wake signal fires
+        (see the wiring in ``__init__``).
+        """
+        elapsed = self._last_step_cycles
+        for peripheral in self.peripherals:
+            peripheral.tick(elapsed)
+        if self.watchdog.expired:
+            # An un-serviced watchdog requests a reset; this step's
+            # instruction then executes from the reset vector (and
+            # an unprogrammed vector crashes the device, exactly as
+            # a cold reset into zeroed memory would).
+            self._watchdog_reset()
+        pending = self.interrupt_controller.highest_pending()
+        if pending is None and all(
+            peripheral.quiescent() for peripheral in self.peripherals
+        ):
+            self._periph_dirty = False
+        return pending
 
     def _publish(self, bundle, observe=True):
-        """Show *bundle* to every monitor, then record it in the trace.
+        """Show a bundle the step loop did not produce to every monitor,
+        then record it in the trace.
 
-        The trace entry carries the signals the exporting monitors report
-        after observing; with tracing off nothing would keep them, so
-        they are not collected.  ``observe=False`` records without
-        stepping the monitors, so the entry holds their current signals.
+        Used for a software write (:meth:`write_word_as_cpu`) and for a
+        crashed device's synthetic steps; the entry carries the same
+        exported signals as a step-loop entry.  ``observe=False``
+        records without stepping the monitors, so the entry holds their
+        current signals.
         """
         if observe:
             for monitor in self.monitors:
@@ -358,46 +411,40 @@ class Device:
     def run(self, max_steps=10000, stop_condition=None):
         """Run until *stop_condition(bundle, device)* is true or *max_steps*.
 
-        Returns the number of steps executed.
+        Stops early after a step that crashed the device.  Returns the
+        number of steps executed.
         """
-        executed = 0
-        step = self.step
-        for _ in range(max_steps):
-            bundle = step()
-            executed += 1
-            if self.crashed:
-                break
-            if stop_condition is not None and stop_condition(bundle, self):
-                break
-        return executed
+        return self._run(max_steps, stop_condition)[0]
 
     def run_until_pc(self, address, max_steps=10000):
         """Run until the program counter reaches *address*.
 
         Returns ``True`` if the address was reached within *max_steps*.
         A crash before reaching the target returns ``False`` (unless the
-        crash happened at the target address itself): the early ``break``
-        of the run loop must not masquerade as success.
+        crash happened at the target address itself): the early stop of
+        the run loop must not masquerade as success.
         """
         target = address & 0xFFFF
-        found = False
 
         def reached(bundle, _device):
-            nonlocal found
-            if bundle.next_pc == target or bundle.pc == target:
-                found = True
-            return found
+            return bundle.next_pc == target or bundle.pc == target
 
-        self.run(max_steps=max_steps, stop_condition=reached)
+        _, bundle = self._run(max_steps, reached)
         if self.crashed:
-            return found or self.cpu.pc == target
-        return found
+            # A crash step is never shown to the stop condition, so the
+            # target was not reached before it.
+            return self.cpu.pc == target
+        return bundle is not None and reached(bundle, self)
 
     def run_steps(self, count):
-        """Run exactly *count* steps, crashed or not."""
-        step = self.step
-        for _ in range(count):
-            step()
+        """Run exactly *count* steps, crashed or not.
+
+        The step loop stops at a crash step; a crashed device's
+        synthetic steps count too, so the loop is re-entered until
+        *count* steps have run.
+        """
+        while count > 0:
+            count -= self._run(count)[0]
 
     # ------------------------------------------------------------ helpers
 

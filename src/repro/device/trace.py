@@ -7,10 +7,13 @@ samples from the simulator (CPU signals plus whatever signals the
 attached monitors export), and :class:`Waveform` turns them into
 series and an ASCII rendering that the benches print.
 
-Every entry -- executed steps, software writes and a crashed device's
-synthetic steps alike -- is recorded by the device's one
-observe-and-record routine (``Device._publish``), so each carries every
-exported signal and a waveform never misses a sample.
+Every entry carries every signal the attached monitors export after
+observing its step, so a waveform never misses a sample.  Executed
+steps are recorded by the device's step loop (``Device._run``);
+software writes and a crashed device's synthetic steps by
+``Device._publish``, which collects the signals the same way.  With
+recording disabled, the step loop does what :meth:`TraceRecorder.record`
+would: it counts the step's cycles and keeps no entry.
 """
 
 from __future__ import annotations

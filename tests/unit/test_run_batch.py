@@ -1,7 +1,8 @@
 """Tests for ``Device.run_steps``, the step loop's name and event pruning.
 
-``Device.run_steps(n)`` is *n* ``Device.step`` calls: it must run
-exactly that many steps and fire every scheduled event on time.
+``Device.run_steps(n)`` runs the step loop (``Device._run``) for *n*
+steps, re-entering it after a crash step: it must run exactly that many
+steps and fire every scheduled event on time.
 """
 
 from repro.cpu.decode_cache import DecodeCache
