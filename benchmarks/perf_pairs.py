@@ -13,8 +13,8 @@ committed and the repository's git state is left alone.  Each pair runs
 the pair's seed (``--seed`` plus the pair index); the side that runs
 first alternates from pair to pair.  Every run prints ``correct`` and
 its metrics.  The summary gives, per end-to-end metric of
-``BENCHMARK.json``, the pairs each side won (ties count for neither)
-and each side's median and quartiles.
+``BENCHMARK.json``, the pairs each side won (ties count for neither),
+each side's median and quartiles, and a verdict (see :func:`verdict`).
 
 Exit status: 0 when every run was ``correct``, 1 otherwise, 2 when a
 run produced no result.
@@ -43,8 +43,39 @@ def quartiles(values: Sequence[float]):
     return q1, median, q3
 
 
+def verdict(parent: Sequence[float], change: Sequence[float], lower: bool,
+            bound: float) -> str:
+    """One metric's verdict on paired runs: run *i* of *parent* and of
+    *change* made pair *i*; *bound* is the metric's ``BENCHMARK.json``
+    bound, a fraction of the parent's median.
+
+    * ``gain``: the change wins at least 9 in 10 pairs, and its median
+      beats the parent's by more than the parent's interquartile range;
+    * ``worse``: the change's median is worse than the parent's by more
+      than the bound;
+    * ``unresolved``: the parent's interquartile range exceeds the bound,
+      and not every change run beats every parent run;
+    * ``same``: otherwise.
+    """
+    # Scores: lower is better whichever way the metric points.
+    parent = [value if lower else -value for value in parent]
+    change = [value if lower else -value for value in change]
+    parent_q1, parent_median, parent_q3 = quartiles(parent)
+    change_median = quartiles(change)[1]
+    spread = parent_q3 - parent_q1
+    allowed = bound * abs(parent_median)
+    wins = sum(c < p for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and parent_median - change_median > spread:
+        return "gain"
+    if change_median - parent_median > allowed:
+        return "worse"
+    if spread > allowed and not max(change) < min(parent):
+        return "unresolved"
+    return "same"
+
+
 def summarize(pairs: Sequence[Dict[str, dict]], end_to_end: Sequence[dict]) -> List[dict]:
-    """Per metric: wins per side and each side's quartiles.
+    """Per metric: wins per side, each side's quartiles and the verdict.
 
     *pairs* holds one ``{"parent": metrics, "change": metrics}`` per
     pair, each ``metrics`` mapping a metric name to its value;
@@ -58,25 +89,27 @@ def summarize(pairs: Sequence[Dict[str, dict]], end_to_end: Sequence[dict]) -> L
             parent, change = pair["parent"][name], pair["change"][name]
             if parent != change:
                 wins["change" if (change < parent) == lower else "parent"] += 1
+        values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
         rows.append({
             "name": name, "unit": metric["unit"], "better": metric["better"],
             "wins": wins,
-            **{side: quartiles([pair[side][name] for pair in pairs]) for side in SIDES},
+            **{side: quartiles(values[side]) for side in SIDES},
+            "verdict": verdict(values["parent"], values["change"], lower, metric["bound"]),
         })
     return rows
 
 
 def format_summary(rows: Sequence[dict], pairs: int) -> str:
-    lines = ["%-12s %-6s %11s  %-30s  %-30s  %s" % (
+    lines = ["%-12s %-6s %11s  %-30s  %-30s  %-13s  %s" % (
         "metric", "better", "wins c:p", "parent q1 / median / q3",
-        "change q1 / median / q3", "median change")]
+        "change q1 / median / q3", "median change", "verdict")]
     for row in rows:
         parent, change = row["parent"], row["change"]
         shift = (change[1] - parent[1]) / parent[1] if parent[1] else 0.0
-        lines.append("%-12s %-6s %5d:%-5d  %-30s  %-30s  %+.1f%%" % (
+        lines.append("%-12s %-6s %5d:%-5d  %-30s  %-30s  %-13s  %s" % (
             row["name"], row["better"], row["wins"]["change"], row["wins"]["parent"],
             "%.4g / %.4g / %.4g" % parent, "%.4g / %.4g / %.4g" % change,
-            100 * shift))
+            "%+.1f%%" % (100 * shift), row["verdict"]))
     lines.append("(%d pairs; unit per metric: %s)" % (
         pairs, ", ".join("%s %s" % (row["name"], row["unit"]) for row in rows)))
     return "\n".join(lines)

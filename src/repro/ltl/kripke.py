@@ -16,6 +16,12 @@ reachable, states are kept in discovery order, and each state records
 the BFS parent it was first reached from: following parents back gives a
 shortest path from an initial state.  :meth:`KripkeStructure.as_dict`
 renders a state for people and for the trace checker.
+
+States share successor tuples: every state whose successor set equals
+an earlier state's holds that state's tuple object, so a model whose
+states all step into the same environment stores its successors once
+(the VRASED model's 512 states hold 4 tuples), and the model checker
+can work per tuple instead of per transition.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ class KripkeStructure:
 
         *successors* maps a state to an iterable of successor states
         (duplicates collapse).  Every discovered state must set only bits
-        of *atoms*.
+        of *atoms*.  States with equal successor tuples share one tuple
+        object.
 
         :raises ValueError: for a state with bits outside *atoms*.
         :raises RuntimeError: when more than *max_states* states are
@@ -66,12 +73,17 @@ class KripkeStructure:
                 discover(state, None)
         initial_states = list(order)
         edges: Dict[int, Tuple[int, ...]] = {}
+        # Each distinct successor tuple, mapped to itself.
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         # ``order`` grows while it is walked: a FIFO queue.
         for state in order:
-            targets = edges[state] = tuple(dict.fromkeys(successors(state)))
-            for target in targets:
-                if target not in parents:
-                    discover(target, state)
+            targets = tuple(dict.fromkeys(successors(state)))
+            stored = edges[state] = shared.setdefault(targets, targets)
+            # A tuple stored before had all its targets discovered then.
+            if stored is targets:
+                for target in targets:
+                    if target not in parents:
+                        discover(target, state)
         return cls(atoms, initial_states, edges, parents)
 
     # ------------------------------------------------------------ queries

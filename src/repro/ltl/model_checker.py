@@ -16,21 +16,31 @@ integer masks (``s & 4``), ``s``/``t``, ``not``/``and``/``or``,
 the model lacks gets mask 0 and reads false.  A formula outside the
 fragment raises :class:`UnsupportedFormulaError` at compile time.
 
-Every reachable transition is then evaluated, states in BFS order.  A
-state without successors (a deadlock) is checked once with ``t = None``,
-where ``X phi`` holds: the weak next of :mod:`repro.ltl.trace_checker`.
-A failing check reports a counterexample path: the shortest path from an
-initial state to the violating state, plus the violating successor.
-Each check records simple statistics (states, transitions, wall-clock
-time) that the verification-cost bench aggregates into the
-reproduction's analogue of the paper's "21 properties, ~150 s" result.
+States are visited in BFS order, and every reachable transition is
+covered without being evaluated one by one.  ``step`` sees a successor
+only through the atoms ``psi`` reads under ``X``, so for each successor
+tuple of the model (shared by every state with that successor set, see
+:mod:`repro.ltl.kripke`) the check projects the successors onto those
+atoms once and keeps the distinct projections.  A state is then
+evaluated against its tuple's projections: the VRASED model's 256
+successors per state project onto at most 8 for any of its properties.
+Only a state that fails is rescanned, successor by successor, for the
+first failing one, so the verdict, the counts and the counterexample are
+those of the transition-by-transition loop.  A state without successors
+(a deadlock) is checked once with ``t = None``, where ``X phi`` holds:
+the weak next of :mod:`repro.ltl.trace_checker`.  A failing check
+reports a counterexample path: the shortest path from an initial state
+to the violating state, plus the violating successor.  Each check
+records simple statistics (states, transitions covered, wall-clock time)
+that the verification-cost bench aggregates into the reproduction's
+analogue of the paper's "21 properties, ~150 s" result.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ltl.ast import (
     And,
@@ -107,6 +117,17 @@ def compile_step(formula: Formula, atoms: Sequence[str]) -> Callable[[int, Optio
     return eval("lambda s, t: " + step_source(formula, masks), {"__builtins__": {}})
 
 
+def _next_atoms(formula: Formula) -> FrozenSet[str]:
+    """The atoms a propositional-plus-one-X *formula* reads under ``X``."""
+    if isinstance(formula, Next):
+        return formula.operand.atoms()
+    if isinstance(formula, Not):
+        return _next_atoms(formula.operand)
+    if isinstance(formula, (And, Or, Implies)):
+        return _next_atoms(formula.left) | _next_atoms(formula.right)
+    return frozenset()
+
+
 class ModelChecker:
     """Checks ``G``-shaped safety properties against a Kripke structure."""
 
@@ -129,20 +150,36 @@ class ModelChecker:
             raise UnsupportedFormulaError(
                 "only G-shaped safety properties are supported, got %s" % formula
             )
-        step = compile_step(body, self.model.atoms)
+        atoms = self.model.atoms
+        step = compile_step(body, atoms)
+        # ``step`` reads a successor only through these bits.
+        read = _next_atoms(body)
+        next_mask = sum(1 << index for index, atom in enumerate(atoms) if atom in read)
 
         reachable = self.model.reachable_states()
+        # The distinct projections of each successor tuple, keyed by the
+        # tuple's id: the model holds every tuple for the whole check.
+        projections: Dict[int, Tuple[int, ...]] = {}
         transitions_checked = 0
         for state in reachable:
             successors = self.model.successors(state)
-            if not successors and not step(state, None):
-                return self._failure(name, state, None, started,
-                                     len(reachable), transitions_checked)
-            for successor in successors:
-                if not step(state, successor):
-                    transitions_checked += successors.index(successor) + 1
-                    return self._failure(name, state, successor, started,
+            if not successors:
+                if not step(state, None):
+                    return self._failure(name, state, None, started,
                                          len(reachable), transitions_checked)
+                continue
+            projected = projections.get(id(successors))
+            if projected is None:
+                projected = projections[id(successors)] = tuple(
+                    dict.fromkeys([successor & next_mask for successor in successors]))
+            for projection in projected:
+                if not step(state, projection):
+                    # Report the first real successor that fails.
+                    for index, successor in enumerate(successors):
+                        if not step(state, successor):
+                            return self._failure(name, state, successor, started,
+                                                 len(reachable),
+                                                 transitions_checked + index + 1)
             transitions_checked += len(successors)
         return CheckResult(
             holds=True,

@@ -1,9 +1,16 @@
 """Property-based tests for memory, assembler sizing and LTL semantics,
-and the model checker against the trace checker."""
+the model checker against the trace checker, and the Kripke build and
+the model checker against the loops they replaced (``reference_ltl.py``)."""
+
+import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_ltl import ReferenceKripkeStructure, ReferenceModelChecker
+
+from repro.ltl import properties
 from repro.ltl.ast import (
     And,
     Atom,
@@ -20,6 +27,7 @@ from repro.ltl.ast import (
 from repro.ltl.kripke import KripkeStructure
 from repro.ltl.model_checker import ModelChecker, UnsupportedFormulaError
 from repro.ltl.parser import parse_ltl
+from repro.ltl.properties import MODEL_BUILDERS, apex_property_suite, asap_property_suite
 from repro.ltl.trace_checker import check_trace, evaluate_at, find_violation
 from repro.memory.layout import MemoryRegion
 from repro.memory.memory import Memory
@@ -134,15 +142,31 @@ MODEL_ATOMS = ("p", "q", "r", "s")
 
 
 @st.composite
-def kripke_structures(draw):
-    """A random structure over at most four atoms: every state gets up to
-    four successors, none at all making it a deadlock state."""
+def kripke_inputs(draw):
+    """The ``(atoms, initial, successors)`` of a random structure over at
+    most four atoms: every state gets up to four successors, none at all
+    making it a deadlock state.  Most states take their list from a
+    small pool, so that states share successor sets; the pool holds two
+    to four distinct lists of one length, plus at most one list of any
+    length (the empty one included)."""
     atoms = MODEL_ATOMS[:draw(st.integers(min_value=1, max_value=4))]
     states = st.integers(min_value=0, max_value=(1 << len(atoms)) - 1)
-    table = draw(st.lists(st.lists(states, max_size=4),
+    any_list = st.lists(states, max_size=4)
+    width = draw(st.integers(min_value=1, max_value=min(4, 1 << len(atoms))))
+    pool = draw(st.lists(st.lists(states, min_size=width, max_size=width, unique=True),
+                         min_size=2, max_size=4, unique_by=tuple))
+    pool += draw(st.lists(any_list, max_size=1))
+    shared = st.sampled_from(pool)
+    # A state takes its list from the pool three times in four.
+    table = draw(st.lists(st.one_of(shared, shared, shared, any_list),
                           min_size=1 << len(atoms), max_size=1 << len(atoms)))
     initial = draw(st.lists(states, min_size=1, max_size=3))
-    return KripkeStructure.build(atoms, initial, table.__getitem__)
+    return atoms, initial, table.__getitem__
+
+
+def kripke_structures():
+    """A random structure built from :func:`kripke_inputs`."""
+    return kripke_inputs().map(lambda inputs: KripkeStructure.build(*inputs))
 
 
 def _connectives(children):
@@ -210,3 +234,92 @@ class TestModelCheckerMatchesTraceChecker:
         formula = Or(bad, body) if bad_first else And(body, bad)
         with pytest.raises(UnsupportedFormulaError):
             ModelChecker(model).check(Globally(formula))
+
+
+def _result_fields(result):
+    """Every field of a ``CheckResult`` but its wall-clock time."""
+    fields = dataclasses.asdict(result)
+    del fields["elapsed_seconds"]
+    return fields
+
+
+def _assert_same_structure(model, reference):
+    """The same atoms and initial states, the same states in the same
+    order, the same successors and the same shortest paths."""
+    assert model.atoms == reference.atoms
+    assert model.initial_states == reference.initial_states
+    assert list(model.states) == list(reference.states)
+    for state in reference.states:
+        assert model.successors(state) == reference.successors(state)
+        assert model.path_to(state) == reference.path_to(state)
+
+
+def _holds_only_at(state, atoms):
+    """The conjunction of literals that holds at *state* and nowhere else."""
+    literals = [Atom(atom) if state >> index & 1 else Not(Atom(atom))
+                for index, atom in enumerate(atoms)]
+    return functools.reduce(And, literals)
+
+
+class TestBuildAndCheckMatchTheReference:
+    @given(kripke_inputs(), st.lists(step_bodies, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_random_structures(self, inputs, bodies):
+        model = KripkeStructure.build(*inputs)
+        reference = ReferenceKripkeStructure.build(*inputs)
+        _assert_same_structure(model, reference)
+        for body in bodies:
+            # A check reports only its first failing state, and most
+            # bodies fail at the first state.  ``G (at_s -> body)`` fails
+            # at *s* or nowhere, so each state's verdict shows.
+            for formula in [body] + [Implies(_holds_only_at(state, model.atoms), body)
+                                     for state in reference.states]:
+                result = ModelChecker(model).check(Globally(formula))
+                expected = ReferenceModelChecker(reference).check(Globally(formula))
+                assert _result_fields(result) == _result_fields(expected)
+
+
+#: E6's 21 ASAP properties and APEX's LTL 3.
+E6_PROPERTIES = asap_property_suite() + [
+    spec for spec in apex_property_suite() if spec.name == "apex-ltl3-no-interrupts"]
+
+
+def _negated_consequent(formula):
+    """``G (a -> !b)`` for ``G (a -> b)``."""
+    assert isinstance(formula, Globally) and isinstance(formula.operand, Implies)
+    return Globally(Implies(formula.operand.left, Not(formula.operand.right)))
+
+
+@pytest.fixture(scope="module")
+def e6_models():
+    """Every E6 model, built by ``KripkeStructure`` and by the reference."""
+    models = {name: builder() for name, builder in MODEL_BUILDERS.items()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(properties, "KripkeStructure", ReferenceKripkeStructure)
+        references = {name: builder() for name, builder in MODEL_BUILDERS.items()}
+    assert all(type(model) is ReferenceKripkeStructure for model in references.values())
+    return models, references
+
+
+class TestE6MatchesTheReference:
+    """E6's models, and every property checked on them with a failing
+    variant of it, so that the failure path also runs on the
+    131,072-transition VRASED model."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_models(self, e6_models, name):
+        models, references = e6_models
+        _assert_same_structure(models[name], references[name])
+
+    @pytest.mark.parametrize("spec", E6_PROPERTIES, ids=lambda spec: spec.name)
+    def test_property_and_its_negated_consequent(self, e6_models, spec):
+        models, references = e6_models
+        model, reference = models[spec.model], references[spec.model]
+        variant = _negated_consequent(spec.formula)
+        results = [ModelChecker(model).check(formula, name=spec.name)
+                   for formula in (spec.formula, variant)]
+        expected = [ReferenceModelChecker(reference).check(formula, name=spec.name)
+                    for formula in (spec.formula, variant)]
+        assert [_result_fields(result) for result in results] == \
+            [_result_fields(result) for result in expected]
+        assert [result.holds for result in results] == [True, False]

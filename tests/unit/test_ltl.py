@@ -26,6 +26,7 @@ from repro.ltl.model_checker import (
     step_source,
 )
 from repro.ltl.parser import LtlParseError, parse_ltl
+from repro.ltl.properties import MODEL_BUILDERS
 from repro.ltl.trace_checker import check_trace, evaluate_at, find_violation
 
 
@@ -213,6 +214,28 @@ class TestKripkeStructure:
             KripkeStructure.build(("a", "b"), [0], lambda state: (0b100,))
         with pytest.raises(ValueError):
             KripkeStructure.build(("a",), [-1], lambda state: ())
+
+
+class TestSharedSuccessorTuples:
+    """Lost sharing leaves every check correct but slow: the checker
+    projects each successor tuple once, keyed by the tuple's identity."""
+
+    COUNTS = {
+        "vrased": (512, 131072),
+        "memory_protection": (64, 2048),
+        "ivt_guard": (24, 192),
+        "er_flow_apex": (16, 128),
+        "er_flow_asap": (16, 128),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_equal_successor_tuples_are_one_object(self, verification_models, name):
+        model = verification_models[name]
+        first = {}
+        for state in model.states:
+            successors = model.successors(state)
+            assert first.setdefault(successors, successors) is successors
+        assert (model.state_count(), model.transition_count()) == self.COUNTS[name]
 
 
 class TestModelChecker:
