@@ -8,210 +8,101 @@ simulator, the VRASED remote-attestation substrate, the APEX PoX
 architecture, the ASAP monitor/linker/protocol, an LTL verification
 toolkit and a hardware-cost model for the paper's overhead comparison.
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
-the reproduced tables and figures.
+See ``README.md``: "Layout" for the package inventory and "Running the
+experiments" for the reproduced tables and figures.
+
+``import repro`` imports none of the subpackages.  Each name exported
+here is imported from its defining module on first use
+(:mod:`repro._lazy`), so a process loads only what its run needs.
 """
 
-from repro.memory import Memory, MemoryLayout, MemoryRegion, InterruptVectorTable
-from repro.isa import Assembler, AssembledImage
-from repro.device import Device, DeviceConfig, TraceRecorder, Waveform
-from repro.crypto import (
-    KeyStore,
-    DeviceKey,
-    Hmac,
-    HmacKey,
-    hmac_sha256,
-    sha256,
-    set_backend as set_crypto_backend,
-    use_backend as use_crypto_backend,
-)
-from repro.vrased import (
-    VrasedConfig,
-    VrasedMonitor,
-    SwAtt,
-    AttestationProtocol,
-    Verifier,
-)
-from repro.apex import (
-    ExecutableRegion,
-    OutputRegion,
-    MetadataRegion,
-    PoxConfig,
-    ApexMonitor,
-    PoxProtocol,
-    PoxVerifier,
-    PoxResult,
-)
-from repro.core import (
-    AsapMonitor,
-    IvtGuard,
-    ErLinker,
-    LinkedFirmware,
-    AsapPoxProtocol,
-    AsapPoxVerifier,
-)
-from repro.ltl import (
-    parse_ltl,
-    check_trace,
-    ModelChecker,
-    KripkeStructure,
-    asap_property_suite,
-    apex_property_suite,
-)
-from repro.hwcost import (
-    synthesize_monitor,
-    compare_costs,
-    figure6_comparison,
-)
-from repro.firmware import (
-    PoxTestbench,
-    TestbenchConfig,
-    blinker_firmware,
-    syringe_pump_firmware,
-    busy_wait_pump_firmware,
-    sensor_logger_firmware,
-    attack_suite,
-)
-from repro.sim import (
-    CampaignResult,
-    CampaignRunner,
-    EventSpec,
-    FirmwareRef,
-    Observe,
-    ResultStore,
-    ScenarioResult,
-    ScenarioSpec,
-    StopSpec,
-    run_scenario,
-    shutdown_warm_pools,
-)
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    export_telemetry,
-    get_registry,
-    get_tracer,
-    use_registry,
-)
-# The fleet service layer (repro.net) is re-exported lazily via
-# __getattr__ below: eagerly importing it here would drag asyncio and
-# the whole service stack into every `import repro` -- including the
-# campaign engine's spawn-context pool workers -- and defeat the
-# deliberate lazy import in repro.sim.runner.
-_NET_EXPORTS = frozenset({
-    "Fleet",
-    "FleetReport",
-    "LinkConditions",
-    "ProverEndpoint",
-    "RetryPolicy",
-    "VerifierService",
-})
+from repro._lazy import lazy_exports
 
-# The cluster control plane (repro.cluster) is likewise lazy, for the
-# same reason -- and it imports repro.net itself.
-_CLUSTER_EXPORTS = frozenset({
-    "ClusterFleet",
-    "ClusterReport",
-    "HashRing",
-    "ShardedVerifierCluster",
-    "WorkerRegistry",
-})
-
-
-def __getattr__(name):
-    if name in _NET_EXPORTS:
-        from repro import net
-
-        return getattr(net, name)
-    if name in _CLUSTER_EXPORTS:
-        from repro import cluster
-
-        return getattr(cluster, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+_EXPORTS = {
+    "Memory": "repro.memory.memory",
+    "MemoryLayout": "repro.memory.layout",
+    "MemoryRegion": "repro.memory.layout",
+    "InterruptVectorTable": "repro.memory.ivt",
+    "Assembler": "repro.isa.assembler",
+    "AssembledImage": "repro.isa.assembler",
+    "Device": "repro.device.mcu",
+    "DeviceConfig": "repro.device.mcu",
+    "TraceRecorder": "repro.device.trace",
+    "Waveform": "repro.device.trace",
+    "KeyStore": "repro.crypto.keys",
+    "DeviceKey": "repro.crypto.keys",
+    "Hmac": "repro.crypto.hmac",
+    "HmacKey": "repro.crypto.hmac",
+    "hmac_sha256": "repro.crypto.hmac",
+    "sha256": "repro.crypto.backend",
+    "set_crypto_backend": "repro.crypto.backend:set_backend",
+    "use_crypto_backend": "repro.crypto.backend:use_backend",
+    "VrasedConfig": "repro.vrased.config",
+    "VrasedMonitor": "repro.vrased.hwmod",
+    "SwAtt": "repro.vrased.swatt",
+    "AttestationProtocol": "repro.vrased.protocol",
+    "Verifier": "repro.vrased.protocol",
+    "ExecutableRegion": "repro.apex.regions",
+    "OutputRegion": "repro.apex.regions",
+    "MetadataRegion": "repro.apex.regions",
+    "PoxConfig": "repro.apex.regions",
+    "ApexMonitor": "repro.apex.hwmod",
+    "PoxProtocol": "repro.apex.pox",
+    "PoxVerifier": "repro.apex.pox",
+    "PoxResult": "repro.apex.pox",
+    "AsapMonitor": "repro.core.hwmod",
+    "IvtGuard": "repro.core.ivt_guard",
+    "ErLinker": "repro.core.linker",
+    "LinkedFirmware": "repro.core.linker",
+    "AsapPoxProtocol": "repro.core.pox",
+    "AsapPoxVerifier": "repro.core.pox",
+    "parse_ltl": "repro.ltl.parser",
+    "check_trace": "repro.ltl.trace_checker",
+    "ModelChecker": "repro.ltl.model_checker",
+    "KripkeStructure": "repro.ltl.kripke",
+    "asap_property_suite": "repro.ltl.properties",
+    "apex_property_suite": "repro.ltl.properties",
+    "synthesize_monitor": "repro.hwcost.report",
+    "compare_costs": "repro.hwcost.report",
+    "figure6_comparison": "repro.hwcost.report",
+    "PoxTestbench": "repro.firmware.testbench",
+    "TestbenchConfig": "repro.firmware.testbench",
+    "blinker_firmware": "repro.firmware.blinker",
+    "syringe_pump_firmware": "repro.firmware.syringe_pump",
+    "busy_wait_pump_firmware": "repro.firmware.syringe_pump",
+    "sensor_logger_firmware": "repro.firmware.sensor_logger",
+    "attack_suite": "repro.firmware.attacks",
+    "CampaignResult": "repro.sim.runner",
+    "CampaignRunner": "repro.sim.runner",
+    "EventSpec": "repro.sim.scenario",
+    "FirmwareRef": "repro.sim.scenario",
+    "Observe": "repro.sim.scenario",
+    "ResultStore": "repro.sim.store",
+    "ScenarioResult": "repro.sim.runner",
+    "ScenarioSpec": "repro.sim.scenario",
+    "StopSpec": "repro.sim.scenario",
+    "run_scenario": "repro.sim.runner",
+    "shutdown_warm_pools": "repro.sim.runner",
+    "MetricsRegistry": "repro.obs.metrics",
+    "Tracer": "repro.obs.trace",
+    "export_telemetry": "repro.obs.export",
+    "get_registry": "repro.obs.metrics",
+    "get_tracer": "repro.obs.trace",
+    "use_registry": "repro.obs.metrics",
+    "Fleet": "repro.net.fleet",
+    "FleetReport": "repro.net.fleet",
+    "LinkConditions": "repro.net.transport",
+    "ProverEndpoint": "repro.net.prover",
+    "RetryPolicy": "repro.net.rpc",
+    "VerifierService": "repro.net.service",
+    "ClusterFleet": "repro.cluster.fleet",
+    "ClusterReport": "repro.cluster.metrics",
+    "HashRing": "repro.cluster.hashring",
+    "ShardedVerifierCluster": "repro.cluster.shards",
+    "WorkerRegistry": "repro.cluster.registry",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Memory",
-    "MemoryLayout",
-    "MemoryRegion",
-    "InterruptVectorTable",
-    "Assembler",
-    "AssembledImage",
-    "Device",
-    "DeviceConfig",
-    "TraceRecorder",
-    "Waveform",
-    "KeyStore",
-    "DeviceKey",
-    "Hmac",
-    "HmacKey",
-    "hmac_sha256",
-    "sha256",
-    "set_crypto_backend",
-    "use_crypto_backend",
-    "VrasedConfig",
-    "VrasedMonitor",
-    "SwAtt",
-    "AttestationProtocol",
-    "Verifier",
-    "ExecutableRegion",
-    "OutputRegion",
-    "MetadataRegion",
-    "PoxConfig",
-    "ApexMonitor",
-    "PoxProtocol",
-    "PoxVerifier",
-    "PoxResult",
-    "AsapMonitor",
-    "IvtGuard",
-    "ErLinker",
-    "LinkedFirmware",
-    "AsapPoxProtocol",
-    "AsapPoxVerifier",
-    "parse_ltl",
-    "check_trace",
-    "ModelChecker",
-    "KripkeStructure",
-    "asap_property_suite",
-    "apex_property_suite",
-    "synthesize_monitor",
-    "compare_costs",
-    "figure6_comparison",
-    "PoxTestbench",
-    "TestbenchConfig",
-    "blinker_firmware",
-    "syringe_pump_firmware",
-    "busy_wait_pump_firmware",
-    "sensor_logger_firmware",
-    "attack_suite",
-    "CampaignResult",
-    "CampaignRunner",
-    "EventSpec",
-    "FirmwareRef",
-    "Observe",
-    "ResultStore",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "StopSpec",
-    "run_scenario",
-    "shutdown_warm_pools",
-    "MetricsRegistry",
-    "Tracer",
-    "export_telemetry",
-    "get_registry",
-    "get_tracer",
-    "use_registry",
-    "Fleet",
-    "FleetReport",
-    "LinkConditions",
-    "ProverEndpoint",
-    "RetryPolicy",
-    "VerifierService",
-    "ClusterFleet",
-    "ClusterReport",
-    "HashRing",
-    "ShardedVerifierCluster",
-    "WorkerRegistry",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -17,18 +17,18 @@ This package provides:
   EXEC-bearing attestation report into a proof of execution.
 """
 
-from repro.apex.regions import ExecutableRegion, OutputRegion, MetadataRegion, PoxConfig
-from repro.apex.hwmod import ApexMonitor, ExecViolation
-from repro.apex.pox import PoxProtocol, PoxResult, PoxVerifier
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExecutableRegion",
-    "OutputRegion",
-    "MetadataRegion",
-    "PoxConfig",
-    "ApexMonitor",
-    "ExecViolation",
-    "PoxProtocol",
-    "PoxResult",
-    "PoxVerifier",
-]
+_EXPORTS = {
+    "ExecutableRegion": "repro.apex.regions",
+    "OutputRegion": "repro.apex.regions",
+    "MetadataRegion": "repro.apex.regions",
+    "PoxConfig": "repro.apex.regions",
+    "ApexMonitor": "repro.apex.hwmod",
+    "ExecViolation": "repro.apex.hwmod",
+    "PoxProtocol": "repro.apex.pox",
+    "PoxResult": "repro.apex.pox",
+    "PoxVerifier": "repro.apex.pox",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -25,28 +25,21 @@ multiplex a fleet of provers; this package is the layer that makes a
 as :class:`~repro.net.fleet.Fleet`, routed and supervised.
 """
 
-from repro.cluster.fleet import ClusterFleet
-from repro.cluster.hashring import HashRing
-from repro.cluster.metrics import (
-    BackpressureGate,
-    ClusterReport,
-    ShardStats,
-)
-from repro.cluster.registry import WorkerRecord, WorkerRegistry
-from repro.cluster.shards import ShardedVerifierCluster, VerifierShard
-from repro.net.rpc import RetryPolicy, RpcChannel, RpcTimeout
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackpressureGate",
-    "ClusterFleet",
-    "ClusterReport",
-    "HashRing",
-    "RetryPolicy",
-    "RpcChannel",
-    "RpcTimeout",
-    "ShardStats",
-    "ShardedVerifierCluster",
-    "VerifierShard",
-    "WorkerRecord",
-    "WorkerRegistry",
-]
+_EXPORTS = {
+    "BackpressureGate": "repro.cluster.metrics",
+    "ClusterFleet": "repro.cluster.fleet",
+    "ClusterReport": "repro.cluster.metrics",
+    "HashRing": "repro.cluster.hashring",
+    "RetryPolicy": "repro.net.rpc",
+    "RpcChannel": "repro.net.rpc",
+    "RpcTimeout": "repro.net.rpc",
+    "ShardStats": "repro.cluster.metrics",
+    "ShardedVerifierCluster": "repro.cluster.shards",
+    "VerifierShard": "repro.cluster.shards",
+    "WorkerRecord": "repro.cluster.registry",
+    "WorkerRegistry": "repro.cluster.registry",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -29,7 +29,6 @@ nothing it issued can ever be replayed elsewhere.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 from typing import Dict, List, Optional
 
 from repro.cluster.hashring import DEFAULT_REPLICAS, HashRing
@@ -100,6 +99,8 @@ class VerifierShard:
         if self.placement == "inline":
             self.service = VerifierService(allow_enroll=True)
         else:
+            import multiprocessing
+
             context = multiprocessing.get_context("spawn")
             channel = context.Queue()
             self.process = context.Process(

@@ -18,20 +18,19 @@ provable execution without invalidating the proof:
   is the entry point of an intended ISR.
 """
 
-from repro.core.ivt_guard import IvtGuard, IvtGuardState
-from repro.core.hwmod import AsapMonitor
-from repro.core.linker import ErLinker, LinkedFirmware, IsrDescriptor, LinkError
-from repro.core.pox import AsapPoxProtocol, AsapPoxVerifier, IVT_SNAPSHOT
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IvtGuard",
-    "IvtGuardState",
-    "AsapMonitor",
-    "ErLinker",
-    "LinkedFirmware",
-    "IsrDescriptor",
-    "LinkError",
-    "AsapPoxProtocol",
-    "AsapPoxVerifier",
-    "IVT_SNAPSHOT",
-]
+_EXPORTS = {
+    "IvtGuard": "repro.core.ivt_guard",
+    "IvtGuardState": "repro.core.ivt_guard",
+    "AsapMonitor": "repro.core.hwmod",
+    "ErLinker": "repro.core.linker",
+    "LinkedFirmware": "repro.core.linker",
+    "IsrDescriptor": "repro.core.linker",
+    "LinkError": "repro.core.linker",
+    "AsapPoxProtocol": "repro.core.pox",
+    "AsapPoxVerifier": "repro.core.pox",
+    "IVT_SNAPSHOT": "repro.core.pox",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

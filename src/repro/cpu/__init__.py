@@ -8,18 +8,17 @@ rendering of that wire bundle: the CPU emits one bundle per executed
 step, and every monitor consumes the same bundles.
 """
 
-from repro.cpu.signals import SignalBundle, MemoryWrite, MemoryRead
-from repro.cpu.core import CPU, CPUError
-from repro.cpu.decode_cache import DecodeCache
-from repro.cpu.engine import InterpreterEngine, engine_name
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SignalBundle",
-    "MemoryWrite",
-    "MemoryRead",
-    "CPU",
-    "CPUError",
-    "DecodeCache",
-    "InterpreterEngine",
-    "engine_name",
-]
+_EXPORTS = {
+    "SignalBundle": "repro.cpu.signals",
+    "MemoryWrite": "repro.cpu.signals",
+    "MemoryRead": "repro.cpu.signals",
+    "CPU": "repro.cpu.core",
+    "CPUError": "repro.cpu.core",
+    "DecodeCache": "repro.cpu.decode_cache",
+    "InterpreterEngine": "repro.cpu.engine",
+    "engine_name": "repro.cpu.engine",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

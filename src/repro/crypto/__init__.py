@@ -11,39 +11,33 @@ and chunking, so the attestation substrate keeps a self-contained,
 auditable reference while the hot path runs at host speed.
 """
 
-from repro.crypto.backend import (
-    BACKENDS as CRYPTO_BACKENDS,
-    HashlibSha256,
-    backend_name,
-    hasher_class,
-    new_sha256,
-    register_backend,
-    set_backend,
-    sha256,
-    use_backend,
-)
-from repro.crypto.compare import constant_time_compare
-from repro.crypto.sha256 import Sha256
-from repro.crypto.hmac import Hmac, HmacKey, hmac_sha256, verify_hmac
-from repro.crypto.keys import KeyStore, DeviceKey, derive_key
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CRYPTO_BACKENDS",
-    "HashlibSha256",
-    "Sha256",
-    "backend_name",
-    "hasher_class",
-    "new_sha256",
-    "register_backend",
-    "set_backend",
-    "sha256",
-    "use_backend",
-    "Hmac",
-    "HmacKey",
-    "hmac_sha256",
-    "verify_hmac",
-    "KeyStore",
-    "DeviceKey",
-    "derive_key",
-    "constant_time_compare",
-]
+_EXPORTS = {
+    "CRYPTO_BACKENDS": "repro.crypto.backend:BACKENDS",
+    "HashlibSha256": "repro.crypto.backend",
+    "Sha256": "repro.crypto.sha256",
+    "backend_name": "repro.crypto.backend",
+    "hasher_class": "repro.crypto.backend",
+    "new_sha256": "repro.crypto.backend",
+    "register_backend": "repro.crypto.backend",
+    "set_backend": "repro.crypto.backend",
+    "sha256": "repro.crypto.backend",
+    "use_backend": "repro.crypto.backend",
+    "Hmac": "repro.crypto.hmac",
+    "HmacKey": "repro.crypto.hmac",
+    "hmac_sha256": "repro.crypto.hmac",
+    "verify_hmac": "repro.crypto.hmac",
+    "KeyStore": "repro.crypto.keys",
+    "DeviceKey": "repro.crypto.keys",
+    "derive_key": "repro.crypto.keys",
+    "constant_time_compare": "repro.crypto.compare",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+# ``sha256`` also names the submodule ``crypto/sha256.py``, and the first
+# import of a submodule binds it over the package attribute of that name.
+# Resolving the function here imports backend, and with it that submodule,
+# first, so ``repro.crypto.sha256`` stays the backend's one-shot.
+sha256 = __getattr__("sha256")

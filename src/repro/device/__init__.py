@@ -8,19 +8,18 @@ per-step signal bundle, and records traces that the waveform benches
 turn into the paper's Fig. 5.
 """
 
-from repro.cpu.decode_cache import DecodeCache
-from repro.device.trace import TraceRecorder, TraceEntry, Waveform
-from repro.device.mcu import Device, DeviceConfig, ScheduledEvent
-from repro.device.vcd import VcdWriter, export_vcd
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecodeCache",
-    "TraceRecorder",
-    "TraceEntry",
-    "Waveform",
-    "Device",
-    "DeviceConfig",
-    "ScheduledEvent",
-    "VcdWriter",
-    "export_vcd",
-]
+_EXPORTS = {
+    "DecodeCache": "repro.cpu.decode_cache",
+    "TraceRecorder": "repro.device.trace",
+    "TraceEntry": "repro.device.trace",
+    "Waveform": "repro.device.trace",
+    "Device": "repro.device.mcu",
+    "DeviceConfig": "repro.device.mcu",
+    "ScheduledEvent": "repro.device.mcu",
+    "VcdWriter": "repro.device.vcd",
+    "export_vcd": "repro.device.vcd",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -10,42 +10,26 @@ under any backend.  ``python -m repro.experiments`` is the CLI
 (``--jobs``/``--backend``/``--json``/``--list``).
 """
 
-from repro.experiments.runners import (
-    EXPERIMENT_RUNNERS,
-    ExperimentResult,
-    busywait_scenarios,
-    fig5_scenarios,
-    fig6_scenarios,
-    load_json,
-    run_all_experiments,
-    run_busywait_ablation,
-    run_fig5_waveforms,
-    run_fig6_overhead,
-    run_runtime_overhead,
-    run_security_scenarios,
-    run_verification_cost,
-    runtime_scenarios,
-    security_scenarios,
-    verification_scenarios,
-    write_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENT_RUNNERS",
-    "ExperimentResult",
-    "busywait_scenarios",
-    "fig5_scenarios",
-    "fig6_scenarios",
-    "load_json",
-    "run_all_experiments",
-    "run_busywait_ablation",
-    "run_fig5_waveforms",
-    "run_fig6_overhead",
-    "run_runtime_overhead",
-    "run_security_scenarios",
-    "run_verification_cost",
-    "runtime_scenarios",
-    "security_scenarios",
-    "verification_scenarios",
-    "write_json",
-]
+_EXPORTS = {
+    "EXPERIMENT_RUNNERS": "repro.experiments.runners",
+    "ExperimentResult": "repro.experiments.runners",
+    "busywait_scenarios": "repro.experiments.runners",
+    "fig5_scenarios": "repro.experiments.runners",
+    "fig6_scenarios": "repro.experiments.runners",
+    "load_json": "repro.experiments.runners",
+    "run_all_experiments": "repro.experiments.runners",
+    "run_busywait_ablation": "repro.experiments.runners",
+    "run_fig5_waveforms": "repro.experiments.runners",
+    "run_fig6_overhead": "repro.experiments.runners",
+    "run_runtime_overhead": "repro.experiments.runners",
+    "run_security_scenarios": "repro.experiments.runners",
+    "run_verification_cost": "repro.experiments.runners",
+    "runtime_scenarios": "repro.experiments.runners",
+    "security_scenarios": "repro.experiments.runners",
+    "verification_scenarios": "repro.experiments.runners",
+    "write_json": "repro.experiments.runners",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -8,7 +8,8 @@ line, or hand any runner to the functions here, to sweep in parallel)
 and folded into an :class:`ExperimentResult` with structured rows.  The
 spec lists are public so benches and notebooks can re-sweep them under
 different backends, and :func:`write_json` exports a whole report for
-machine consumption.
+machine consumption.  Each ``*_scenarios()`` function imports its own
+experiment's stack, so a run loads only the experiments it selects.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.firmware.syringe_pump import PUMP_OUTPUT_LAYOUT, PumpParameters
-from repro.firmware.attacks import attack_suite
-from repro.firmware.testbench import TestbenchConfig
-from repro.ltl.properties import asap_property_suite
 from repro.sim import (
     CampaignRunner,
     EventSpec,
@@ -98,6 +95,8 @@ def _failure_notes(outcome) -> List[str]:
 
 def fig5_scenarios() -> List[ScenarioSpec]:
     """The three Fig. 5 interrupt-handling scenarios as a campaign."""
+    from repro.firmware.testbench import TestbenchConfig
+
     matrix = [
         ("Fig. 5(a)", "asap", True, True),
         ("Fig. 5(b)", "asap", False, False),
@@ -176,6 +175,8 @@ def run_fig6_overhead(campaign: Optional[CampaignRunner] = None) -> ExperimentRe
 
 def verification_scenarios() -> List[ScenarioSpec]:
     """The 21-property ASAP verification suite as a campaign."""
+    from repro.ltl.properties import asap_property_suite
+
     return [
         ScenarioSpec(
             name="ltl-%s" % spec.name,
@@ -210,6 +211,9 @@ def run_verification_cost(campaign: Optional[CampaignRunner] = None) -> Experime
 
 def runtime_scenarios() -> List[ScenarioSpec]:
     """The proved task under the APEX and ASAP monitors."""
+    from repro.firmware.syringe_pump import PumpParameters
+    from repro.firmware.testbench import TestbenchConfig
+
     return [
         ScenarioSpec(
             name="runtime-%s" % architecture,
@@ -258,6 +262,9 @@ def run_runtime_overhead(campaign: Optional[CampaignRunner] = None) -> Experimen
 
 def busywait_scenarios(dosage_cycles=400, abort_step=30) -> List[ScenarioSpec]:
     """Interrupt-driven vs. busy-wait pump, plus the mid-dose abort."""
+    from repro.firmware.syringe_pump import PUMP_OUTPUT_LAYOUT, PumpParameters
+    from repro.firmware.testbench import TestbenchConfig
+
     pump = PumpParameters(dosage_cycles=dosage_cycles)
     step_counters = (Observe("active_steps", key="active steps"),
                      Observe("sleep_steps", key="sleep steps"))
@@ -341,6 +348,8 @@ def run_busywait_ablation(campaign: Optional[CampaignRunner] = None,
 
 def security_scenarios() -> List[ScenarioSpec]:
     """The adversarial attack gallery as a campaign (one spec per attack)."""
+    from repro.firmware.attacks import attack_suite
+
     return [
         ScenarioSpec(
             name=scenario.name,

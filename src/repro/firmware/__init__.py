@@ -20,27 +20,20 @@ evaluates it with firmware whose trusted ISRs are linked inside ER
   interrupts, mid-ER entry, report forgery).
 """
 
-from repro.firmware.testbench import PoxTestbench, TestbenchConfig
-from repro.firmware.blinker import blinker_firmware
-from repro.firmware.syringe_pump import (
-    syringe_pump_firmware,
-    busy_wait_pump_firmware,
-    PumpParameters,
-    PUMP_OUTPUT_LAYOUT,
-)
-from repro.firmware.sensor_logger import sensor_logger_firmware, SensorParameters
-from repro.firmware.attacks import AttackScenario, attack_suite
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PoxTestbench",
-    "TestbenchConfig",
-    "blinker_firmware",
-    "syringe_pump_firmware",
-    "busy_wait_pump_firmware",
-    "PumpParameters",
-    "PUMP_OUTPUT_LAYOUT",
-    "sensor_logger_firmware",
-    "SensorParameters",
-    "AttackScenario",
-    "attack_suite",
-]
+_EXPORTS = {
+    "PoxTestbench": "repro.firmware.testbench",
+    "TestbenchConfig": "repro.firmware.testbench",
+    "blinker_firmware": "repro.firmware.blinker",
+    "syringe_pump_firmware": "repro.firmware.syringe_pump",
+    "busy_wait_pump_firmware": "repro.firmware.syringe_pump",
+    "PumpParameters": "repro.firmware.syringe_pump",
+    "PUMP_OUTPUT_LAYOUT": "repro.firmware.syringe_pump",
+    "sensor_logger_firmware": "repro.firmware.sensor_logger",
+    "SensorParameters": "repro.firmware.sensor_logger",
+    "AttackScenario": "repro.firmware.attacks",
+    "attack_suite": "repro.firmware.attacks",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -8,7 +8,8 @@ against the syringe-pump / blinker deployments and records whether the
 defence behaved as the security argument predicts (an invalid proof --
 either ``EXEC = 0`` or a verifier-side rejection).
 
-The suite doubles as experiment E9 of DESIGN.md and as the integration
+The suite doubles as experiment E9 (``python -m repro.experiments E9``;
+see "Running the experiments" in ``README.md``) and as the integration
 test matrix in ``tests/integration/test_attack_scenarios.py``.
 """
 

@@ -15,48 +15,27 @@ architecture is larger and by roughly how much -- is derived from the
 same structural differences the paper describes (Section 5).
 """
 
-from repro.hwcost.netlist import (
-    Component,
-    Module,
-    register,
-    equality_comparator,
-    magnitude_comparator,
-    range_checker,
-    logic_function,
-    fsm_state,
-)
-from repro.hwcost.monitors import (
-    vrased_hwmod,
-    apex_hwmod,
-    asap_hwmod,
-    apex_overhead_module,
-    asap_overhead_module,
-)
-from repro.hwcost.report import (
-    CostReport,
-    ComparisonReport,
-    synthesize_monitor,
-    compare_costs,
-    figure6_comparison,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Component",
-    "Module",
-    "register",
-    "equality_comparator",
-    "magnitude_comparator",
-    "range_checker",
-    "logic_function",
-    "fsm_state",
-    "vrased_hwmod",
-    "apex_hwmod",
-    "asap_hwmod",
-    "apex_overhead_module",
-    "asap_overhead_module",
-    "CostReport",
-    "ComparisonReport",
-    "synthesize_monitor",
-    "compare_costs",
-    "figure6_comparison",
-]
+_EXPORTS = {
+    "Component": "repro.hwcost.netlist",
+    "Module": "repro.hwcost.netlist",
+    "register": "repro.hwcost.netlist",
+    "equality_comparator": "repro.hwcost.netlist",
+    "magnitude_comparator": "repro.hwcost.netlist",
+    "range_checker": "repro.hwcost.netlist",
+    "logic_function": "repro.hwcost.netlist",
+    "fsm_state": "repro.hwcost.netlist",
+    "vrased_hwmod": "repro.hwcost.monitors",
+    "apex_hwmod": "repro.hwcost.monitors",
+    "asap_hwmod": "repro.hwcost.monitors",
+    "apex_overhead_module": "repro.hwcost.monitors",
+    "asap_overhead_module": "repro.hwcost.monitors",
+    "CostReport": "repro.hwcost.report",
+    "ComparisonReport": "repro.hwcost.report",
+    "synthesize_monitor": "repro.hwcost.report",
+    "compare_costs": "repro.hwcost.report",
+    "figure6_comparison": "repro.hwcost.report",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -14,9 +14,10 @@ board) in a deliberately simple way:
 
 These choices are calibrated against published LUT counts for small
 MSP430 monitoring modules (VRASED/APEX/RATA report their overheads in
-the same units) and are documented in EXPERIMENTS.md; the Fig. 6
-reproduction only relies on *differences* between two modules built from
-the same primitives.
+the same units) and are documented here; the Fig. 6 reproduction
+(experiment E4-E5, see "Running the experiments" in ``README.md``) only
+relies on *differences* between two modules built from the same
+primitives.
 """
 
 from __future__ import annotations

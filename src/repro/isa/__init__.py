@@ -18,48 +18,31 @@ The package provides:
   and debugging helpers.
 """
 
-from repro.isa.registers import (
-    PC,
-    SP,
-    SR,
-    CG,
-    REGISTER_NAMES,
-    register_number,
-    register_name,
-    StatusFlag,
-)
-from repro.isa.instructions import (
-    AddressingMode,
-    Operand,
-    Opcode,
-    Instruction,
-    InstructionFormat,
-)
-from repro.isa.encoding import encode_instruction, decode_instruction, DecodeError
-from repro.isa.assembler import Assembler, AssemblyError, Section, AssembledImage
-from repro.isa.disassembler import disassemble_word, disassemble_range
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PC",
-    "SP",
-    "SR",
-    "CG",
-    "REGISTER_NAMES",
-    "register_number",
-    "register_name",
-    "StatusFlag",
-    "AddressingMode",
-    "Operand",
-    "Opcode",
-    "Instruction",
-    "InstructionFormat",
-    "encode_instruction",
-    "decode_instruction",
-    "DecodeError",
-    "Assembler",
-    "AssemblyError",
-    "Section",
-    "AssembledImage",
-    "disassemble_word",
-    "disassemble_range",
-]
+_EXPORTS = {
+    "PC": "repro.isa.registers",
+    "SP": "repro.isa.registers",
+    "SR": "repro.isa.registers",
+    "CG": "repro.isa.registers",
+    "REGISTER_NAMES": "repro.isa.registers",
+    "register_number": "repro.isa.registers",
+    "register_name": "repro.isa.registers",
+    "StatusFlag": "repro.isa.registers",
+    "AddressingMode": "repro.isa.instructions",
+    "Operand": "repro.isa.instructions",
+    "Opcode": "repro.isa.instructions",
+    "Instruction": "repro.isa.instructions",
+    "InstructionFormat": "repro.isa.instructions",
+    "encode_instruction": "repro.isa.encoding",
+    "decode_instruction": "repro.isa.encoding",
+    "DecodeError": "repro.isa.encoding",
+    "Assembler": "repro.isa.assembler",
+    "AssemblyError": "repro.isa.assembler",
+    "Section": "repro.isa.assembler",
+    "AssembledImage": "repro.isa.assembler",
+    "disassemble_word": "repro.isa.disassembler",
+    "disassemble_range": "repro.isa.disassembler",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -16,58 +16,35 @@ reproduction's stand-in:
   (the reproduction's equivalent of the paper's 21 verified properties).
 """
 
-from repro.ltl.ast import (
-    Atom,
-    Not,
-    And,
-    Or,
-    Implies,
-    Next,
-    Globally,
-    Finally,
-    Until,
-    TrueFormula,
-    FalseFormula,
-)
-from repro.ltl.parser import parse_ltl, LtlParseError
-from repro.ltl.trace_checker import check_trace, find_violation, evaluate_at
-from repro.ltl.kripke import KripkeStructure
-from repro.ltl.model_checker import ModelChecker, CheckResult
-from repro.ltl.properties import (
-    apex_property_suite,
-    asap_property_suite,
-    vrased_property_suite,
-    build_apex_model,
-    build_asap_model,
-    build_vrased_model,
-    PropertySpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Atom",
-    "Not",
-    "And",
-    "Or",
-    "Implies",
-    "Next",
-    "Globally",
-    "Finally",
-    "Until",
-    "TrueFormula",
-    "FalseFormula",
-    "parse_ltl",
-    "LtlParseError",
-    "check_trace",
-    "find_violation",
-    "evaluate_at",
-    "KripkeStructure",
-    "ModelChecker",
-    "CheckResult",
-    "apex_property_suite",
-    "asap_property_suite",
-    "vrased_property_suite",
-    "build_apex_model",
-    "build_asap_model",
-    "build_vrased_model",
-    "PropertySpec",
-]
+_EXPORTS = {
+    "Atom": "repro.ltl.ast",
+    "Not": "repro.ltl.ast",
+    "And": "repro.ltl.ast",
+    "Or": "repro.ltl.ast",
+    "Implies": "repro.ltl.ast",
+    "Next": "repro.ltl.ast",
+    "Globally": "repro.ltl.ast",
+    "Finally": "repro.ltl.ast",
+    "Until": "repro.ltl.ast",
+    "TrueFormula": "repro.ltl.ast",
+    "FalseFormula": "repro.ltl.ast",
+    "parse_ltl": "repro.ltl.parser",
+    "LtlParseError": "repro.ltl.parser",
+    "check_trace": "repro.ltl.trace_checker",
+    "find_violation": "repro.ltl.trace_checker",
+    "evaluate_at": "repro.ltl.trace_checker",
+    "KripkeStructure": "repro.ltl.kripke",
+    "ModelChecker": "repro.ltl.model_checker",
+    "CheckResult": "repro.ltl.model_checker",
+    "apex_property_suite": "repro.ltl.properties",
+    "asap_property_suite": "repro.ltl.properties",
+    "vrased_property_suite": "repro.ltl.properties",
+    "build_apex_model": "repro.ltl.properties",
+    "build_asap_model": "repro.ltl.properties",
+    "build_vrased_model": "repro.ltl.properties",
+    "PropertySpec": "repro.ltl.properties",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -7,18 +7,18 @@ algebra in :mod:`repro.memory.layout` is the vocabulary every other
 subsystem speaks.
 """
 
-from repro.memory.layout import MemoryRegion, MemoryLayout
-from repro.memory.memory import Memory, MemoryAccess, MemoryError
-from repro.memory.ivt import InterruptVectorTable, IVT_BASE, IVT_END, IVT_ENTRIES
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MemoryRegion",
-    "MemoryLayout",
-    "Memory",
-    "MemoryAccess",
-    "MemoryError",
-    "InterruptVectorTable",
-    "IVT_BASE",
-    "IVT_END",
-    "IVT_ENTRIES",
-]
+_EXPORTS = {
+    "MemoryRegion": "repro.memory.layout",
+    "MemoryLayout": "repro.memory.layout",
+    "Memory": "repro.memory.memory",
+    "MemoryAccess": "repro.memory.memory",
+    "MemoryError": "repro.memory.memory",
+    "InterruptVectorTable": "repro.memory.ivt",
+    "IVT_BASE": "repro.memory.ivt",
+    "IVT_END": "repro.memory.ivt",
+    "IVT_ENTRIES": "repro.memory.ivt",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -12,48 +12,33 @@ framing for the campaign engine's ``backend="remote"`` workers.  See
 ``README.md`` ("Fleet service & remote backend") for a worked example.
 """
 
-from repro.net.transport import (
-    ClosedTransportError,
-    LinkConditions,
-    LoopbackTransport,
-    MessageTransport,
-    StreamTransport,
-    allow_frame_type,
-    loopback_pair,
-    open_tcp_listener,
-    open_tcp_transport,
-    read_frame,
-    write_frame,
-)
-from repro.net.rpc import RetryPolicy, RpcChannel, RpcTimeout
-from repro.net.service import DeviceEnrollment, VerifierService, provision_enrollment
-from repro.net.prover import ExchangeResult, ProverEndpoint
-from repro.net.fleet import Fleet, FleetReport, build_prover_bench
-from repro.net.remote import run_remote_campaign, worker_loop
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClosedTransportError",
-    "DeviceEnrollment",
-    "ExchangeResult",
-    "allow_frame_type",
-    "build_prover_bench",
-    "Fleet",
-    "FleetReport",
-    "LinkConditions",
-    "LoopbackTransport",
-    "MessageTransport",
-    "ProverEndpoint",
-    "RetryPolicy",
-    "RpcChannel",
-    "RpcTimeout",
-    "StreamTransport",
-    "VerifierService",
-    "loopback_pair",
-    "open_tcp_listener",
-    "open_tcp_transport",
-    "provision_enrollment",
-    "read_frame",
-    "run_remote_campaign",
-    "worker_loop",
-    "write_frame",
-]
+_EXPORTS = {
+    "ClosedTransportError": "repro.net.transport",
+    "DeviceEnrollment": "repro.net.service",
+    "ExchangeResult": "repro.net.prover",
+    "allow_frame_type": "repro.net.transport",
+    "build_prover_bench": "repro.net.fleet",
+    "Fleet": "repro.net.fleet",
+    "FleetReport": "repro.net.fleet",
+    "LinkConditions": "repro.net.transport",
+    "LoopbackTransport": "repro.net.transport",
+    "MessageTransport": "repro.net.transport",
+    "ProverEndpoint": "repro.net.prover",
+    "RetryPolicy": "repro.net.rpc",
+    "RpcChannel": "repro.net.rpc",
+    "RpcTimeout": "repro.net.rpc",
+    "StreamTransport": "repro.net.transport",
+    "VerifierService": "repro.net.service",
+    "loopback_pair": "repro.net.transport",
+    "open_tcp_listener": "repro.net.transport",
+    "open_tcp_transport": "repro.net.transport",
+    "provision_enrollment": "repro.net.service",
+    "read_frame": "repro.net.transport",
+    "run_remote_campaign": "repro.net.remote",
+    "worker_loop": "repro.net.remote",
+    "write_frame": "repro.net.transport",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -12,40 +12,33 @@ per-step hot paths never touch the registry), ``store.*``,
 ``service.*``, ``campaign.*``, ``fleet.*`` and ``cluster.*`` directly.
 """
 
-from repro.obs.export import (InMemorySink, JsonlSink, TELEMETRY_FILENAME,
-                              export_telemetry)
-from repro.obs.metrics import (Counter, DEFAULT_BUCKETS, DEFAULT_WINDOW,
-                               Gauge, Histogram, MetricsRegistry,
-                               get_registry, register_global_collector,
-                               set_registry, unregister_global_collector,
-                               use_registry)
-from repro.obs.trace import (Span, Tracer, attach_context, current_context,
-                             detach_context, get_tracer, render_tree,
-                             set_tracer, span_tree)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_WINDOW",
-    "Gauge",
-    "Histogram",
-    "InMemorySink",
-    "JsonlSink",
-    "MetricsRegistry",
-    "Span",
-    "TELEMETRY_FILENAME",
-    "Tracer",
-    "attach_context",
-    "current_context",
-    "detach_context",
-    "export_telemetry",
-    "get_registry",
-    "get_tracer",
-    "register_global_collector",
-    "render_tree",
-    "set_registry",
-    "set_tracer",
-    "span_tree",
-    "unregister_global_collector",
-    "use_registry",
-]
+_EXPORTS = {
+    "Counter": "repro.obs.metrics",
+    "DEFAULT_BUCKETS": "repro.obs.metrics",
+    "DEFAULT_WINDOW": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "InMemorySink": "repro.obs.export",
+    "JsonlSink": "repro.obs.export",
+    "MetricsRegistry": "repro.obs.metrics",
+    "Span": "repro.obs.trace",
+    "TELEMETRY_FILENAME": "repro.obs.export",
+    "Tracer": "repro.obs.trace",
+    "attach_context": "repro.obs.trace",
+    "current_context": "repro.obs.trace",
+    "detach_context": "repro.obs.trace",
+    "export_telemetry": "repro.obs.export",
+    "get_registry": "repro.obs.metrics",
+    "get_tracer": "repro.obs.trace",
+    "register_global_collector": "repro.obs.metrics",
+    "render_tree": "repro.obs.trace",
+    "set_registry": "repro.obs.metrics",
+    "set_tracer": "repro.obs.trace",
+    "span_tree": "repro.obs.trace",
+    "unregister_global_collector": "repro.obs.metrics",
+    "use_registry": "repro.obs.metrics",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

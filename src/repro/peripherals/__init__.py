@@ -13,23 +13,18 @@ the reproduction's attack scenarios use it to attempt writes to the IVT
 and output region behind the CPU's back.
 """
 
-from repro.peripherals.registers import PeripheralRegisters
-from repro.peripherals.base import Peripheral
-from repro.peripherals.gpio import GpioPort
-from repro.peripherals.timer import TimerA
-from repro.peripherals.uart import Uart
-from repro.peripherals.dma import DmaController
-from repro.peripherals.watchdog import Watchdog
-from repro.peripherals.interrupt_controller import InterruptController, InterruptSource
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PeripheralRegisters",
-    "Peripheral",
-    "GpioPort",
-    "TimerA",
-    "Uart",
-    "DmaController",
-    "Watchdog",
-    "InterruptController",
-    "InterruptSource",
-]
+_EXPORTS = {
+    "PeripheralRegisters": "repro.peripherals.registers",
+    "Peripheral": "repro.peripherals.base",
+    "GpioPort": "repro.peripherals.gpio",
+    "TimerA": "repro.peripherals.timer",
+    "Uart": "repro.peripherals.uart",
+    "DmaController": "repro.peripherals.dma",
+    "Watchdog": "repro.peripherals.watchdog",
+    "InterruptController": "repro.peripherals.interrupt_controller",
+    "InterruptSource": "repro.peripherals.interrupt_controller",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

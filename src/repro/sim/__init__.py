@@ -10,50 +10,29 @@ benchmark are all built on top of it; see ``README.md`` for a worked
 example.
 """
 
-from repro.sim.scenario import (
-    CODE_EPOCH,
-    EventSpec,
-    FirmwareRef,
-    Observe,
-    ScenarioContext,
-    ScenarioSpec,
-    StopSpec,
-    canonical_bytes,
-    code_epoch,
-    register_event_kind,
-    register_firmware_builder,
-    register_observer,
-)
-from repro.sim.runner import (
-    BACKENDS,
-    CampaignResult,
-    CampaignRunner,
-    ScenarioResult,
-    register_job,
-    run_scenario,
-    shutdown_warm_pools,
-)
-from repro.sim.store import ResultStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "CODE_EPOCH",
-    "CampaignResult",
-    "CampaignRunner",
-    "EventSpec",
-    "FirmwareRef",
-    "Observe",
-    "ResultStore",
-    "ScenarioContext",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "StopSpec",
-    "canonical_bytes",
-    "code_epoch",
-    "register_event_kind",
-    "register_firmware_builder",
-    "register_job",
-    "register_observer",
-    "run_scenario",
-    "shutdown_warm_pools",
-]
+_EXPORTS = {
+    "BACKENDS": "repro.sim.runner",
+    "CODE_EPOCH": "repro.sim.scenario",
+    "CampaignResult": "repro.sim.runner",
+    "CampaignRunner": "repro.sim.runner",
+    "EventSpec": "repro.sim.scenario",
+    "FirmwareRef": "repro.sim.scenario",
+    "Observe": "repro.sim.scenario",
+    "ResultStore": "repro.sim.store",
+    "ScenarioContext": "repro.sim.scenario",
+    "ScenarioResult": "repro.sim.runner",
+    "ScenarioSpec": "repro.sim.scenario",
+    "StopSpec": "repro.sim.scenario",
+    "canonical_bytes": "repro.sim.scenario",
+    "code_epoch": "repro.sim.scenario",
+    "register_event_kind": "repro.sim.scenario",
+    "register_firmware_builder": "repro.sim.scenario",
+    "register_job": "repro.sim.runner",
+    "register_observer": "repro.sim.scenario",
+    "run_scenario": "repro.sim.runner",
+    "shutdown_warm_pools": "repro.sim.runner",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -53,17 +53,14 @@ Two orthogonal levers make campaigns *incremental*:
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing.pool import ThreadPool
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro._lru import LruDict
-from repro.firmware.testbench import PoxTestbench
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.sim.scenario import (
@@ -186,6 +183,8 @@ class CampaignResult:
 
 def _run_pox_spec(spec: ScenarioSpec) -> Dict[str, object]:
     """Execute a testbench scenario and return its observations."""
+    from repro.firmware.testbench import PoxTestbench
+
     bench = PoxTestbench.from_spec(spec)
     context = ScenarioContext(bench=bench)
     if spec.mode == "pox":
@@ -367,6 +366,8 @@ def _process_context():
     made in the parent are only visible to workers when they happen at
     import time of a module the spec's execution path imports.
     """
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -640,6 +641,8 @@ class CampaignRunner:
                     yield from pool.imap_unordered(
                         _run_indexed, items, chunksize=1)
         elif self.jobs > 1 and len(items) > 1 and self.backend == "thread":
+            from multiprocessing.pool import ThreadPool
+
             with ThreadPool(processes=min(self.jobs, len(items))) as pool:
                 yield from pool.imap_unordered(
                     _run_indexed, items, chunksize=1)

@@ -21,29 +21,31 @@ the vocabulary without touching this module::
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.firmware.blinker import blinker_firmware
-from repro.firmware.sensor_logger import sensor_logger_firmware
-from repro.firmware.syringe_pump import busy_wait_pump_firmware, syringe_pump_firmware
-from repro.firmware.testbench import TestbenchConfig
+from repro._lazy import resolve
 
 
 # --------------------------------------------------------------------------
 # Firmware references
 # --------------------------------------------------------------------------
 
-#: Named firmware builders a :class:`FirmwareRef` can point at.  A spec
-#: carries the *name* (picklable), the worker resolves it back to the
-#: callable at execution time.
-FIRMWARE_BUILDERS: Dict[str, Callable] = {
-    "blinker": blinker_firmware,
-    "syringe_pump": syringe_pump_firmware,
-    "busy_wait_pump": busy_wait_pump_firmware,
-    "sensor_logger": sensor_logger_firmware,
+#: Named firmware builders a :class:`FirmwareRef` can point at: the
+#: registered ones and the built-ins resolved so far.  A spec carries
+#: the *name* (picklable), the worker resolves it back to the callable
+#: at execution time.
+FIRMWARE_BUILDERS: Dict[str, Callable] = {}
+
+#: The built-in builders, as ``"module:function"``.  Each is imported
+#: and entered in :data:`FIRMWARE_BUILDERS` when a reference first names
+#: it, unless a builder was registered under that name before.
+_BUILTIN_BUILDERS = {
+    "blinker": "repro.firmware.blinker:blinker_firmware",
+    "syringe_pump": "repro.firmware.syringe_pump:syringe_pump_firmware",
+    "busy_wait_pump": "repro.firmware.syringe_pump:busy_wait_pump_firmware",
+    "sensor_logger": "repro.firmware.sensor_logger:sensor_logger_firmware",
 }
 
 
@@ -72,13 +74,14 @@ class FirmwareRef:
 
     def build(self):
         """Resolve the builder name and produce the firmware spec."""
-        try:
-            builder = FIRMWARE_BUILDERS[self.builder]
-        except KeyError:
-            raise KeyError(
-                "unknown firmware builder %r (registered: %s)"
-                % (self.builder, ", ".join(sorted(FIRMWARE_BUILDERS)))
-            ) from None
+        builder = FIRMWARE_BUILDERS.get(self.builder)
+        if builder is None:
+            if self.builder not in _BUILTIN_BUILDERS:
+                known = set(FIRMWARE_BUILDERS) | set(_BUILTIN_BUILDERS)
+                raise KeyError("unknown firmware builder %r (registered: %s)"
+                               % (self.builder, ", ".join(sorted(known))))
+            builder = FIRMWARE_BUILDERS.setdefault(
+                self.builder, resolve(_BUILTIN_BUILDERS[self.builder]))
         return builder(**dict(self.kwargs))
 
 
@@ -413,6 +416,8 @@ class ScenarioSpec:
 
     def testbench_config(self) -> TestbenchConfig:
         """The effective testbench configuration (base + overrides)."""
+        from repro.firmware.testbench import TestbenchConfig
+
         base = self.config if self.config is not None else TestbenchConfig()
         if self.config_overrides:
             base = dataclasses.replace(base, **dict(self.config_overrides))
@@ -468,6 +473,8 @@ class ScenarioSpec:
         rows -- so warm campaigns can serve cached results without
         executing anything.
         """
+        import hashlib
+
         payload = canonical_bytes(
             (code_epoch(), self._ambient_state(), self))
         return hashlib.sha256(_FINGERPRINT_SCHEME + payload).hexdigest()

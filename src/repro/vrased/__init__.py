@@ -17,26 +17,19 @@ violations, :class:`SwAtt` computes the measurement, and
 challenge-response exchange of the paper's Fig. 1.
 """
 
-from repro.vrased.config import VrasedConfig
-from repro.vrased.hwmod import VrasedMonitor, Violation
-from repro.vrased.swatt import SwAtt, AttestationReport
-from repro.vrased.protocol import (
-    AttestationProtocol,
-    AttestationRequest,
-    AttestationResult,
-    Verifier,
-    ProverStub,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VrasedConfig",
-    "VrasedMonitor",
-    "Violation",
-    "SwAtt",
-    "AttestationReport",
-    "AttestationProtocol",
-    "AttestationRequest",
-    "AttestationResult",
-    "Verifier",
-    "ProverStub",
-]
+_EXPORTS = {
+    "VrasedConfig": "repro.vrased.config",
+    "VrasedMonitor": "repro.vrased.hwmod",
+    "Violation": "repro.vrased.hwmod",
+    "SwAtt": "repro.vrased.swatt",
+    "AttestationReport": "repro.vrased.swatt",
+    "AttestationProtocol": "repro.vrased.protocol",
+    "AttestationRequest": "repro.vrased.protocol",
+    "AttestationResult": "repro.vrased.protocol",
+    "Verifier": "repro.vrased.protocol",
+    "ProverStub": "repro.vrased.protocol",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -188,22 +188,6 @@ class TestRestrictedDecoding:
         allow_frame_type(CustomPayload)
         assert decode_payload(frame) == CustomPayload()
 
-    def test_importing_repro_does_not_import_the_net_stack(self):
-        # The service layer is an explicit opt-in; `import repro` (what
-        # every spawn-context pool worker executes) must not pay for it.
-        import subprocess
-        import sys
-
-        code = ("import repro, sys; "
-                "sys.exit(1 if 'repro.net' in sys.modules else 0)")
-        result = subprocess.run([sys.executable, "-c", code])
-        assert result.returncode == 0
-        # ...while the lazy re-export still resolves.
-        code = ("from repro import Fleet; "
-                "import sys; sys.exit(0 if Fleet.__name__ == 'Fleet' else 1)")
-        result = subprocess.run([sys.executable, "-c", code])
-        assert result.returncode == 0
-
 
 class TestTcpTransport:
     def test_roundtrip_over_real_sockets(self):

@@ -8,6 +8,11 @@ _spec = importlib.util.spec_from_file_location("perf_pairs", _SCRIPT)
 perf_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(perf_pairs)
 
+_CLI_SCRIPT = _SCRIPT.with_name("cli_pairs.py")
+_cli_spec = importlib.util.spec_from_file_location("cli_pairs", _CLI_SCRIPT)
+cli_pairs = importlib.util.module_from_spec(_cli_spec)
+_cli_spec.loader.exec_module(cli_pairs)
+
 END_TO_END = [
     {"name": "op_ms", "unit": "ms", "better": "lower", "bound": 0.25},
     {"name": "ok_ratio", "unit": "ratio", "better": "higher", "bound": 0.01},
@@ -87,3 +92,38 @@ class TestVerdict:
         assert [row["verdict"] for row in rows] == ["same", "same"]
         text = perf_pairs.format_summary(rows, 5)
         assert all(line.endswith("same") for line in text.splitlines()[1:3])
+
+
+class TestCliSummary:
+    """``benchmarks/cli_pairs.py``: one row per command, walls in seconds."""
+
+    COMMANDS = ["--list", "E6", ""]
+
+    def rows(self, parent, change):
+        pairs = [{"parent": dict(zip(map(cli_pairs.label, self.COMMANDS), p)),
+                  "change": dict(zip(map(cli_pairs.label, self.COMMANDS), c))}
+                 for p, c in zip(parent, change)]
+        return {row["name"]: row for row in cli_pairs.summarize(pairs, self.COMMANDS, 0.25)}
+
+    def test_one_row_per_command_and_the_full_run_is_labelled(self):
+        rows = self.rows([(0.18, 0.21, 0.30)], [(0.08, 0.12, 0.29)])
+        assert list(rows) == ["--list", "E6", "(all)"]
+        assert all(row["unit"] == "s" and row["better"] == "lower" for row in rows.values())
+
+    def test_wins_quartiles_and_verdict_per_command(self):
+        parent = [(0.18, 0.21, 0.30), (0.17, 0.20, 0.28), (0.19, 0.22, 0.31),
+                  (0.18, 0.21, 0.29), (0.18, 0.20, 0.30)]
+        change = [(0.08, 0.12, 0.31), (0.07, 0.11, 0.27), (0.08, 0.13, 0.29),
+                  (0.09, 0.12, 0.30), (0.08, 0.12, 0.28)]
+        rows = self.rows(parent, change)
+        assert rows["--list"]["wins"] == {"parent": 0, "change": 5}
+        assert rows["--list"]["parent"] == (0.18, 0.18, 0.18)
+        assert rows["--list"]["change"] == (0.08, 0.08, 0.08)
+        assert rows["--list"]["verdict"] == rows["E6"]["verdict"] == "gain"
+        assert rows["(all)"]["wins"] == {"parent": 2, "change": 3}
+        assert rows["(all)"]["verdict"] == "same"
+
+    def test_the_bound_decides_worse(self):
+        rows = self.rows([(0.10, 0.20, 0.30)] * 5, [(0.10, 0.20, 0.40)] * 5)
+        assert rows["(all)"]["verdict"] == "worse"
+        assert rows["--list"]["verdict"] == rows["E6"]["verdict"] == "same"

@@ -52,6 +52,24 @@ class TestFirmwareRef:
         finally:
             del FIRMWARE_BUILDERS["blinker-alias"]
 
+    def test_registration_before_first_use_wins_over_the_built_in(self, monkeypatch):
+        # A fresh registry is what a new process starts with: no built-in
+        # has been resolved yet.
+        import repro.sim.scenario as scenario
+
+        monkeypatch.setattr(scenario, "FIRMWARE_BUILDERS", {})
+
+        def custom(**kwargs):
+            return ("custom", kwargs)
+
+        register_firmware_builder("blinker", custom)
+        assert FirmwareRef.of("blinker", authorized=True).build() == (
+            "custom", {"authorized": True})
+        assert scenario.FIRMWARE_BUILDERS["blinker"] is custom
+        # Built-ins nobody registered over still resolve on first use.
+        assert FirmwareRef.of("sensor_logger").build().name.startswith("sensor")
+        assert scenario.FIRMWARE_BUILDERS["sensor_logger"] is not custom
+
     def test_kwargs_are_ordered_pairs(self):
         ref = FirmwareRef.of("blinker", authorized=True)
         assert ref.kwargs == (("authorized", True),)
