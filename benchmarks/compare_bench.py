@@ -9,7 +9,7 @@ any row's throughput regressed by more than ``--threshold`` (default
     python benchmarks/compare_bench.py --current BENCH_sim.json
     python benchmarks/compare_bench.py --absolute --threshold 0.10
 
-Four gated **profiles**, selected with ``--profile``:
+Three gated **profiles**, selected with ``--profile``:
 
 * ``sim`` (default): ``BENCH_sim.json`` rows keyed by ``label``
   (``interp-idle``, ``interp-monitored``, ``interp-memloop``,
@@ -28,11 +28,6 @@ Four gated **profiles**, selected with ``--profile``:
   ``reports_per_sec``, normalized to the ``pure-64KiB`` reference --
   tracking the fast-backend speedup and the small-region overhead
   ratio rather than absolute crypto throughput.
-* ``campaign``: ``BENCH_campaign.json`` rows keyed by ``label``
-  (``serial-1``, ``process-4-warm``, ``store-warm``, ...), rates from
-  ``scenarios_per_sec``, normalized to the ``serial-1`` row -- so the
-  gate tracks backend scaling and the warm-store speedup of the
-  incremental campaign path.
 
 Two comparison modes:
 
@@ -86,13 +81,6 @@ PROFILES = {
         "key": "label",
         "value": "reports_per_sec",
         "reference": "pure-64KiB",
-    },
-    "campaign": {
-        "baseline": "BENCH_campaign.baseline.json",
-        "current": "BENCH_campaign.json",
-        "key": "label",
-        "value": "scenarios_per_sec",
-        "reference": "serial-1",
     },
 }
 

@@ -32,11 +32,8 @@ from repro import (
 def campaign_demo():
     """A 10-line scenario campaign: the same exchange, swept declaratively.
 
-    ``ScenarioSpec`` is picklable plain data, so the same list can run
-    through ``CampaignRunner(backend="process", jobs=4)`` for parallel
-    sweeps (add ``warm=True`` to keep the workers -- and their cached
-    firmware images -- alive across campaigns), or ``backend="thread"``
-    on GIL-free runtimes.  Results come back in spec order either way.
+    Each ``ScenarioSpec`` is plain data; ``CampaignRunner`` runs the list
+    in-process and returns the results in spec order.
     """
     specs = [
         ScenarioSpec(
@@ -53,56 +50,6 @@ def campaign_demo():
     print("\n--- campaign sweep (architecture x ISR authorization) ---")
     for result in outcome:
         print("%-24s %s" % (result.name, result.row))
-
-
-def store_demo():
-    """Incremental campaigns: a content-addressed result store.
-
-    Every spec has a stable content address (``spec.fingerprint()``,
-    SHA-256 over the canonical spec encoding + the code epoch).  Give
-    the runner a store directory and unchanged scenarios are served
-    from disk instead of executing -- the second sweep below runs
-    **zero** scenarios and produces identical rows.
-
-    Cached entries are invalidated automatically when anything that
-    could change the outcome changes:
-
-    * *the spec* -- any field perturbation (schedule, config override,
-      expectation, firmware reference) changes the fingerprint;
-    * *the crypto backend* -- for opaque ``job`` specs only, the ambient
-      selection (``REPRO_CRYPTO_BACKEND``) is folded in;
-    * *the code epoch* -- bump ``repro.sim.CODE_EPOCH`` (or set
-      ``REPRO_CODE_EPOCH``) when a code change alters what scenarios
-      compute, invalidating every stored result at once.
-
-    The CLI equivalent is ``python -m repro.experiments --store DIR``
-    (``--no-reuse`` to recompute, ``--stream`` for per-scenario
-    progress lines).
-    """
-    import tempfile
-
-    specs = [
-        ScenarioSpec(
-            name="store-blinker-%s" % architecture,
-            firmware=FirmwareRef.of("blinker", authorized=True),
-            config_overrides={"architecture": architecture},
-            events=(EventSpec("button_press", step=6),),
-            observe=(Observe("accepted"),),
-        )
-        for architecture in ("asap", "apex")
-    ]
-    print("\n--- incremental campaigns (content-addressed store) ---")
-    with tempfile.TemporaryDirectory() as store_dir:
-        cold = CampaignRunner(store=store_dir).run(specs)
-        warm = CampaignRunner(store=store_dir).run(specs)
-        print("cold run: %d executed, %d served from cache"
-              % (cold.store_misses, cold.store_hits))
-        print("warm run: %d executed, %d served from cache"
-              % (warm.store_misses, warm.store_hits))
-        assert warm.rows() == cold.rows()
-        assert all(result.cached for result in warm)
-        print("rows identical; fingerprint example: %s..."
-              % specs[0].fingerprint()[:16])
 
 
 def cluster_demo():
@@ -139,9 +86,8 @@ def telemetry_demo():
 
     ``repro.obs`` gives the whole stack a shared metrics registry
     (counters/gauges/histograms under dotted names) and a tracer whose
-    spans cross process boundaries and reassemble into one tree.  The
-    campaign below publishes ``campaign.*`` counters and spans as it
-    runs; the engine/decode-cache/service families arrive at
+    spans nest into one tree.  The campaign below publishes
+    ``campaign.*`` counters and spans as it runs; the engine/decode-cache/service families arrive at
     *snapshot* time through collectors, so the simulation hot path
     pays nothing until someone asks.  The CLI equivalent is
     ``python -m repro.experiments E9 --telemetry DIR``.
@@ -249,7 +195,6 @@ def main():
         raise SystemExit("unexpected: the proof should have been accepted")
 
     campaign_demo()
-    store_demo()
     cluster_demo()
     telemetry_demo()
 

@@ -77,12 +77,10 @@ _EXPORTS = {
     "EventSpec": "repro.sim.scenario",
     "FirmwareRef": "repro.sim.scenario",
     "Observe": "repro.sim.scenario",
-    "ResultStore": "repro.sim.store",
     "ScenarioResult": "repro.sim.runner",
     "ScenarioSpec": "repro.sim.scenario",
     "StopSpec": "repro.sim.scenario",
     "run_scenario": "repro.sim.runner",
-    "shutdown_warm_pools": "repro.sim.runner",
     "MetricsRegistry": "repro.obs.metrics",
     "Tracer": "repro.obs.trace",
     "export_telemetry": "repro.obs.export",

@@ -8,11 +8,11 @@ leak the moment a generated-firmware corpus makes every spec unique.
 :class:`LruDict` keeps the setdefault-style idiom those caches use and
 adds a hard capacity with LRU eviction.
 
-Thread-safety: every mutation happens under one lock, so the thread
-campaign backend can share a cache without corrupting the eviction
-order.  Like ``dict.setdefault``, racing builders may construct a
-value that loses the insertion race -- the loser is discarded, every
-caller sees the single winner.
+Thread-safety: every mutation happens under one lock, so threads can
+share a cache without corrupting the eviction order.  Like
+``dict.setdefault``, racing builders may construct a value that loses
+the insertion race -- the loser is discarded, every caller sees the
+single winner.
 """
 
 from __future__ import annotations

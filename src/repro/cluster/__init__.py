@@ -5,8 +5,8 @@ multiplex a fleet of provers; this package is the layer that makes a
 *deployment* out of it:
 
 * :class:`~repro.cluster.registry.WorkerRegistry` -- join/leave
-  membership with heartbeats and dead-peer eviction, shared by the
-  remote campaign dispatcher and the verifier cluster;
+  membership with heartbeats and dead-peer eviction for the verifier
+  shards;
 * :class:`~repro.cluster.hashring.HashRing` +
   :class:`~repro.cluster.shards.ShardedVerifierCluster` -- N
   independent verifier services behind consistent hashing on device

@@ -300,7 +300,7 @@ class ClusterFleet:
             stats.rejected = tally["rejected"]
             stats.timed_out = tally["timed_out"]
         # The report *is* the registry view: project it so a snapshot
-        # taken after the run carries cluster.* alongside engine.*,
-        # store.* and service.* metrics.
+        # taken after the run carries cluster.* alongside engine.*
+        # and service.* metrics.
         report.publish()
         return report

@@ -1,13 +1,10 @@
-"""Worker/shard registry: join, leave, heartbeats, dead-peer eviction.
+"""Shard registry: join, leave, heartbeats, dead-peer eviction.
 
-One passive bookkeeping class serves both control planes: the remote
-campaign dispatcher registers its socket workers here (heartbeat frames
-ride the existing message framing), and the sharded verifier cluster
-registers its shards (heartbeats are ``ping``/``pong`` round trips).
-The registry never does I/O itself -- callers feed it beats and ask it
-which peers have gone quiet -- so it is trivially testable with an
-injected clock and imposes no asyncio (or any other) dependency on the
-synchronous worker side.
+The sharded verifier cluster registers its shards here; heartbeats are
+``ping``/``pong`` round trips.  The registry never does I/O itself --
+callers feed it beats and ask it which peers have gone quiet -- so it
+is trivially testable with an injected clock and imposes no asyncio
+(or any other) dependency.
 """
 
 from __future__ import annotations
@@ -40,12 +37,11 @@ class WorkerRecord:
 class WorkerRegistry:
     """Membership + liveness for a set of named peers.
 
-    Any message from a peer counts as a beat (a worker streaming
-    results is alive whether or not its heartbeat thread is keeping
-    up); :meth:`dead` names the peers past the timeout and
-    :meth:`evict` removes one, counting it -- the *caller* then feeds
-    the eviction into its requeue/rebalance path, because what eviction
-    means (close a socket, move ring ownership) is layer-specific.
+    Any message from a peer counts as a beat; :meth:`dead` names the
+    peers past the timeout and :meth:`evict` removes one, counting it
+    -- the *caller* then feeds the eviction into its rebalance path,
+    because what eviction means (close a socket, move ring ownership)
+    is layer-specific.
     """
 
     def __init__(self, heartbeat_timeout: Optional[float] = DEFAULT_HEARTBEAT_TIMEOUT,
@@ -90,9 +86,9 @@ class WorkerRegistry:
     def beat(self, name: str) -> bool:
         """Record a sign of life; ``False`` for an unknown (evicted) peer.
 
-        An evicted worker's late heartbeat does **not** resurrect it --
+        An evicted peer's late heartbeat does **not** resurrect it --
         membership comes back only through an explicit re-join, so the
-        requeue/rebalance its eviction triggered stays consistent.
+        rebalance its eviction triggered stays consistent.
         """
         record = self._workers.get(name)
         if record is None:

@@ -5,9 +5,9 @@ evaluation as a campaign of declarative scenarios
 (:mod:`repro.sim`) and returns an :class:`ExperimentResult` with
 structured rows plus a rendered text block.  The companion
 ``*_scenarios()`` functions expose the raw
-:class:`~repro.sim.scenario.ScenarioSpec` lists so sweeps can be re-run
-under any backend.  ``python -m repro.experiments`` is the CLI
-(``--jobs``/``--backend``/``--json``/``--list``).
+:class:`~repro.sim.scenario.ScenarioSpec` lists so sweeps can be
+re-run.  ``python -m repro.experiments`` is the CLI (``--list``,
+``--json``, ``--telemetry``, ...).
 """
 
 from repro._lazy import lazy_exports

@@ -2,14 +2,13 @@
 
 Every experiment is a **campaign**: a list of declarative
 :class:`~repro.sim.scenario.ScenarioSpec` built by a ``*_scenarios()``
-function, executed through a :class:`~repro.sim.runner.CampaignRunner`
-(serial by default; pass ``--backend process --jobs N`` on the command
-line, or hand any runner to the functions here, to sweep in parallel)
-and folded into an :class:`ExperimentResult` with structured rows.  The
-spec lists are public so benches and notebooks can re-sweep them under
-different backends, and :func:`write_json` exports a whole report for
-machine consumption.  Each ``*_scenarios()`` function imports its own
-experiment's stack, so a run loads only the experiments it selects.
+function, executed in-process by a
+:class:`~repro.sim.runner.CampaignRunner` and folded into an
+:class:`ExperimentResult` with structured rows.  The spec lists are
+public so tests and notebooks can re-run them, and :func:`write_json`
+exports a whole report for machine consumption.  Each
+``*_scenarios()`` function imports its own experiment's stack, so a run
+loads only the experiments it selects.
 """
 
 from __future__ import annotations
@@ -403,9 +402,10 @@ def run_fleet_control(campaign: Optional[CampaignRunner] = None,
         from repro.cluster import ClusterFleet
         from repro.net import Fleet
 
-        # Rows carry only deterministic counters: the serial-vs-process
-        # differential pins row identity across backends, so throughput
-        # numbers live in benchmarks/test_bench_fleet.py instead.
+        # Rows carry only deterministic counters, so they stay
+        # byte-identical from run to run (perfbench/paper_rows.json
+        # pins them); throughput numbers live in
+        # benchmarks/test_bench_fleet.py instead.
         rows = []
         notes = []
         single = Fleet(size=size, architecture="asap").run(
@@ -465,29 +465,18 @@ EXPERIMENT_RUNNERS: "OrderedDict[str, Callable[[Optional[CampaignRunner]], Exper
 
 def run_all_experiments(skip: Optional[List[str]] = None,
                         campaign: Optional[CampaignRunner] = None,
-                        jobs: Optional[int] = None,
-                        backend: Optional[str] = None,
                         overrides: Optional[Dict[str, Callable]] = None,
-                        store=None,
-                        reuse: bool = True,
                         ) -> List[ExperimentResult]:
     """Run every experiment (optionally skipping some ids); return results.
 
-    Pass either a ready :class:`CampaignRunner` via *campaign* or the
-    *backend*/*jobs* pair to build one; by default everything runs
-    serially in-process.  *overrides* substitutes runners per id for
-    this call only (the CLI uses it to bind ``--shards``/``--heartbeat``
-    into the FLEET runner without mutating the registry).  *store* (a
-    :class:`~repro.sim.store.ResultStore` or directory path) makes the
-    campaigns incremental -- unchanged scenarios are served from the
-    content-addressed cache; ``reuse=False`` recomputes everything but
-    still refreshes the store.  Both are ignored when a ready
-    *campaign* is passed (configure it directly instead).
+    *campaign* is the :class:`CampaignRunner` every experiment runs its
+    scenarios through (a plain one by default).  *overrides*
+    substitutes runners per id for this call only (the CLI uses it to
+    bind ``--shards``/``--heartbeat`` into the FLEET runner without
+    mutating the registry).
     """
     skip = set(skip or [])
-    if campaign is None:
-        campaign = CampaignRunner(backend=backend or "serial", jobs=jobs,
-                                  store=store, reuse=reuse)
+    campaign = _campaign(campaign)
     results = []
     for experiment_id, runner in EXPERIMENT_RUNNERS.items():
         if experiment_id in skip:

@@ -38,14 +38,14 @@ class FirmwareSpec:
 
 #: Per-process cache of linked firmware images.  Linking (two-pass
 #: assembly plus section placement) dominates testbench construction,
-#: and campaign workers -- especially persistent warm-pool workers --
-#: rebuild the same handful of images for every scenario.  Sharing a
-#: :class:`~repro.core.linker.LinkedFirmware` across testbenches is
-#: safe: it is read-only after linking (``load_into`` copies bytes out
-#: of the image into the device, never the other way around), and the
-#: cache key covers everything that influences the link.  LRU-bounded:
-#: a generated-firmware corpus makes every image unique, and an
-#: unbounded dict would leak a full linked image per scenario.
+#: and a campaign rebuilds the same handful of images for every
+#: scenario.  Sharing a :class:`~repro.core.linker.LinkedFirmware`
+#: across testbenches is safe: it is read-only after linking
+#: (``load_into`` copies bytes out of the image into the device, never
+#: the other way around), and the cache key covers everything that
+#: influences the link.  LRU-bounded: a generated-firmware corpus
+#: makes every image unique, and an unbounded dict would leak a full
+#: linked image per scenario.
 _LINK_CACHE_CAP = 64
 _LINK_CACHE = LruDict(_LINK_CACHE_CAP)
 
@@ -151,10 +151,8 @@ class PoxTestbench:
         """Build a testbench from a :class:`~repro.sim.scenario.ScenarioSpec`.
 
         The spec is fully declarative -- a registered firmware-builder
-        name plus configuration overrides, no closures or live objects --
-        so it can cross a process boundary; everything unpicklable (the
-        device, the monitor, the protocol) is constructed here, on the
-        worker side.
+        name plus configuration overrides, no closures or live objects;
+        the device, the monitor and the protocol are constructed here.
         """
         if spec.firmware is None:
             raise ValueError("scenario %r carries no firmware reference"
@@ -170,7 +168,7 @@ class PoxTestbench:
         key = _link_cache_key(firmware, self.config.er_base)
         linked = _LINK_CACHE.get(key)
         if linked is None:
-            # setdefault so a thread-backend race builds at most one
+            # setdefault so a race between threads builds at most one
             # extra image and every caller still sees a single winner.
             linked = _LINK_CACHE.setdefault(key, self._link(firmware))
         return linked

@@ -7,9 +7,8 @@ transport (in-process loopback or TCP, both with injectable
 loss/latency/reorder via :class:`LinkConditions`), a
 :class:`ProverEndpoint` wraps one simulated device, and a
 :class:`Fleet` stands up N devices and drives sustained mixed traffic
-with per-exchange deadlines.  :mod:`repro.net.remote` reuses the same
-framing for the campaign engine's ``backend="remote"`` workers.  See
-``README.md`` ("Fleet service & remote backend") for a worked example.
+with per-exchange deadlines.  See ``README.md`` ("Fleet service") for
+a worked example.
 """
 
 from repro._lazy import lazy_exports
@@ -35,10 +34,6 @@ _EXPORTS = {
     "open_tcp_listener": "repro.net.transport",
     "open_tcp_transport": "repro.net.transport",
     "provision_enrollment": "repro.net.service",
-    "read_frame": "repro.net.transport",
-    "run_remote_campaign": "repro.net.remote",
-    "worker_loop": "repro.net.remote",
-    "write_frame": "repro.net.transport",
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

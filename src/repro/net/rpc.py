@@ -89,19 +89,6 @@ class RetryPolicy:
         return sum(self.attempt_timeouts())
 
 
-def backoff_delays(attempts: int, base: float = 0.05, multiplier: float = 2.0,
-                   cap: float = 2.0) -> Iterator[float]:
-    """Capped exponential *sleep* delays (for synchronous reconnects).
-
-    Unlike :meth:`RetryPolicy.attempt_timeouts` (reply-wait windows),
-    these are the pauses between attempts --
-    :func:`repro.net.remote.worker_loop` sleeps through them when the
-    dispatcher's listener is not up yet.
-    """
-    for attempt in range(attempts):
-        yield min(base * multiplier ** attempt, cap)
-
-
 class RpcChannel:
     """One-call-at-a-time request/reply discipline over a transport."""
 

@@ -8,22 +8,20 @@ tiny abstraction: a bidirectional, message-oriented, asyncio
   simulated provers multiplexed on one event loop;
 * :class:`StreamTransport` -- length-prefixed pickled frames over an
   asyncio TCP stream (:func:`open_tcp_listener` /
-  :func:`open_tcp_transport`), the same framing the synchronous
-  :func:`read_frame` / :func:`write_frame` helpers speak, so a plain
-  blocking-socket worker interoperates with the asyncio service.
+  :func:`open_tcp_transport`), which is how TCP fleets and
+  process-placement verifier shards talk.
 
 Both accept :class:`LinkConditions` -- injectable loss, latency and
-reordering -- so campaign scenarios can exercise the protocol's
-failure paths (timeouts, stale challenges, duplicate deliveries)
-deterministically: impairments draw from a ``random.Random`` seeded
-per endpoint, never from global randomness.
+reordering -- so scenarios can exercise the protocol's failure paths
+(timeouts, stale challenges, duplicate deliveries) deterministically:
+impairments draw from a ``random.Random`` seeded per endpoint, never
+from global randomness.
 
-Messages are plain picklable data (dicts of primitives plus the
-report/spec dataclasses).  The loopback transport passes them by
-reference; the stream transport pickles them, which is also the
-contract remote campaign workers rely on.  Inbound frames are decoded
-with a **restricted unpickler** that only resolves plain containers
-and this package's own types, so a hostile peer cannot smuggle a
+Messages are plain data: dicts of primitives plus the attestation
+report and enrollment dataclasses.  The loopback transport passes them
+by reference; the stream transport pickles them.  Inbound frames are
+decoded with a **restricted unpickler** that only resolves plain
+builtins and those payload classes, so a hostile peer cannot smuggle a
 code-executing pickle payload through the socket.
 """
 
@@ -209,7 +207,7 @@ def loopback_pair(conditions: Optional[LinkConditions] = None,
 
 
 # --------------------------------------------------------------------------
-# Frame codec (shared by the asyncio stream transport and sync sockets)
+# Frame codec
 # --------------------------------------------------------------------------
 
 def encode_frame(message) -> bytes:
@@ -224,9 +222,6 @@ _SAFE_BUILTINS = frozenset({
     "int", "list", "range", "set", "slice", "str", "tuple",
 })
 
-#: Collections types the spec/result dataclasses legitimately carry.
-_SAFE_COLLECTIONS = frozenset({"Counter", "OrderedDict", "defaultdict", "deque"})
-
 #: ``(module, qualname)`` pairs of classes allowed in decoded frames.
 #: Populated lazily with the wire protocol's own dataclasses; extended
 #: via :func:`allow_frame_type` for custom payloads.
@@ -238,22 +233,21 @@ def allow_frame_type(cls):
     """Permit instances of *cls* inside decoded frames.
 
     The restricted unpickler refuses every global it does not know, so
-    campaigns whose specs or observations carry custom dataclasses
-    (e.g. parameters of a user-registered firmware builder) must
-    register those classes on the **receiving** side before frames
-    referencing them arrive.  Returns *cls*, so it works as a
-    decorator.
+    a message carrying a custom class must have that class registered
+    on the **receiving** side before frames referencing it arrive.
+    Returns *cls*, so it works as a decorator.
     """
     _FRAME_TYPE_KEYS.add((cls.__module__, cls.__qualname__))
     return cls
 
 
 def _ensure_default_frame_types():
-    """Register the wire protocol's own payload classes (idempotent).
+    """Register the classes fleet and shard frames carry (idempotent).
 
-    Imported lazily: the transport layer must stay importable without
-    dragging in the firmware/spec modules, and several of them import
-    nothing back from here, so there is no cycle at decode time.
+    Report frames carry an :class:`~repro.vrased.swatt.AttestationReport`;
+    enrollment frames carry a :class:`~repro.net.service.DeviceEnrollment`
+    with its PoX geometry and memory regions.  Imported lazily, so the
+    transport layer stays importable without the protocol modules.
     """
     global _frame_types_initialised
     if _frame_types_initialised:
@@ -265,28 +259,13 @@ def _ensure_default_frame_types():
         OutputRegion,
         PoxConfig,
     )
-    from repro.firmware.blinker import BlinkerParameters
-    from repro.firmware.sensor_logger import SensorParameters
-    from repro.firmware.syringe_pump import PumpParameters
-    from repro.firmware.testbench import FirmwareSpec, TestbenchConfig
     from repro.memory.layout import MemoryRegion
     from repro.net.service import DeviceEnrollment
-    from repro.sim.runner import ScenarioResult
-    from repro.sim.scenario import (
-        EventSpec,
-        FirmwareRef,
-        Observe,
-        ScenarioSpec,
-        StopSpec,
-    )
     from repro.vrased.swatt import AttestationReport
 
     for cls in (
-        AttestationReport, BlinkerParameters, DeviceEnrollment, EventSpec,
-        ExecutableRegion, FirmwareRef, FirmwareSpec, MemoryRegion,
-        MetadataRegion, Observe, OutputRegion, PoxConfig, PumpParameters,
-        ScenarioResult, ScenarioSpec, SensorParameters, StopSpec,
-        TestbenchConfig,
+        AttestationReport, DeviceEnrollment, ExecutableRegion, MemoryRegion,
+        MetadataRegion, OutputRegion, PoxConfig,
     ):
         allow_frame_type(cls)
 
@@ -297,18 +276,15 @@ class _RestrictedUnpickler(pickle.Unpickler):
     Frames arrive from network peers, and an unrestricted
     ``pickle.loads`` would hand any peer that can reach the socket
     arbitrary code execution (a crafted ``__reduce__`` payload).  The
-    wire protocol only ever carries plain containers plus a known set
-    of spec/report/result dataclasses, so ``find_class`` resolves
-    exactly those -- a blanket module-prefix allowance would not do:
-    any *function* in an allowed module (``write_json``,
-    ``run_scenario``, ...) would be a REDUCE gadget.  Resolved names
-    must also actually be classes.
+    wire protocol only ever carries plain builtins plus the report and
+    enrollment dataclasses, so ``find_class`` resolves exactly those --
+    a blanket module-prefix allowance would not do: any *function* in
+    an allowed module (``write_json``, ``run_scenario``, ...) would be
+    a REDUCE gadget.  Resolved names must also actually be classes.
     """
 
     def find_class(self, module, name):
         if module == "builtins" and name in _SAFE_BUILTINS:
-            return super().find_class(module, name)
-        if module == "collections" and name in _SAFE_COLLECTIONS:
             return super().find_class(module, name)
         _ensure_default_frame_types()
         if (module, name) in _FRAME_TYPE_KEYS:
@@ -328,37 +304,6 @@ def decode_payload(payload: bytes):
     types; see :class:`_RestrictedUnpickler`.
     """
     return _RestrictedUnpickler(io.BytesIO(payload)).load()
-
-
-def read_frame(sock):
-    """Blocking-socket counterpart of :meth:`StreamTransport.recv`.
-
-    Lets a plain ``socket``-based worker (no asyncio) speak to the
-    asyncio service; returns the decoded message.
-
-    :raises ClosedTransportError: if the peer closed mid-frame.
-    """
-    header = _read_exactly(sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ClosedTransportError("oversized frame: %d bytes" % length)
-    return decode_payload(_read_exactly(sock, length))
-
-
-def write_frame(sock, message):
-    """Blocking-socket counterpart of :meth:`StreamTransport.send`."""
-    sock.sendall(encode_frame(message))
-
-
-def _read_exactly(sock, count):
-    chunks = []
-    while count:
-        chunk = sock.recv(count)
-        if not chunk:
-            raise ClosedTransportError("socket closed by peer")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
 
 
 class StreamTransport(MessageTransport):

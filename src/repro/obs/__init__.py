@@ -2,14 +2,13 @@
 
 One :class:`MetricsRegistry` (Counter/Gauge/Histogram, labels,
 snapshot/merge, snapshot-time collectors), one :class:`Tracer`
-(contextvar-propagated spans with a wire encoding that crosses the
-remote-campaign and spawned-shard frame boundaries), and exporters
-(JSON-lines sink, in-memory sink, ``export_telemetry``).
+(contextvar-propagated spans), and exporters (JSON-lines sink,
+in-memory sink, ``export_telemetry``).
 
 Every layer of the stack publishes here under consistent dotted names:
 ``engine.*`` and ``cache.*`` via snapshot-time collectors (their
-per-step hot paths never touch the registry), ``store.*``,
-``service.*``, ``campaign.*``, ``fleet.*`` and ``cluster.*`` directly.
+per-step hot paths never touch the registry), ``service.*``,
+``campaign.*``, ``fleet.*`` and ``cluster.*`` directly.
 """
 
 from repro._lazy import lazy_exports

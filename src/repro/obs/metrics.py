@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` holds every instrument the process reports
 through -- :class:`Counter` (monotonic), :class:`Gauge` (point-in-time)
 and :class:`Histogram` (fixed buckets plus a bounded sample window for
 p50/p95/p99) -- under consistent dotted names (``cache.hits``,
-``store.hits``, ``cluster.shard-0.shed``).  Instruments are created
+``campaign.scenarios``, ``cluster.shard-0.shed``).  Instruments are created
 get-or-create by name+labels, are thread-safe, and cost one lock-guarded
 integer add when touched, so they are cheap enough for per-scenario and
 per-exchange paths.  They are deliberately **not** cheap enough for the
@@ -16,10 +16,8 @@ so reading telemetry costs nothing until someone asks for it
 the hot path pays no per-step telemetry cost).
 
 ``snapshot()`` exports everything as one plain JSON-representable dict;
-``merge()`` folds another process's snapshot back in (counters add,
-gauges overwrite, histograms merge buckets and sample windows), which is
-how campaign workers and spawned shards report up to one dispatcher-side
-registry.
+``merge()`` folds another registry's snapshot in (counters add, gauges
+overwrite, histograms merge buckets and sample windows).
 
 Dependency-free by design: this module imports only the stdlib, so every
 layer of the stack -- from the CPU engine to the cluster control plane --

@@ -4,25 +4,17 @@ A :class:`Span` is one timed unit of work -- name, wall-clock start and
 duration, attributes, and a parent link -- grouped under a trace id.
 :class:`Tracer` hands them out three ways:
 
-* ``with tracer.span("campaign.dispatch")`` for plain nested code --
+* ``with tracer.span("campaign.run")`` for plain nested code --
   parentage propagates through a contextvar, so spans opened anywhere
   below (including across ``await``) attach to the right parent.
-* ``tracer.begin()`` / ``span.finish()`` for code that cannot hold a
-  context manager open -- generators in particular: a ``with`` inside a
-  generator would leak the contextvar into the *caller's* context
-  between yields, so the campaign-level span is explicit.
-* ``tracer.add(name, duration, parent=...)`` for synthetic spans built
-  after the fact from a measured duration (per-scenario dispatch spans
-  are stamped from ``result.elapsed_seconds``, uniformly across the
-  serial/thread/process/remote backends).
+* ``tracer.begin()`` / ``tracer.finish()`` for code that cannot hold a
+  context manager open.
+* ``tracer.add(name, duration)`` for synthetic spans built after the
+  fact from a measured duration (the per-scenario ``campaign.scenario``
+  spans are stamped from ``result.elapsed_seconds``).
 
-Spans cross process boundaries as plain lists of JSON/pickle-safe
-scalars (:meth:`Span.to_wire` / :meth:`Span.from_wire` -- no custom
-classes, so the restricted unpickler on the framed transports passes
-them untouched).  A remote worker runs its own private tracer, ships
-``drain_wire()`` with each result frame, and the dispatcher ``ingest``-s
-the batch; :func:`span_tree` then reassembles everything into one
-parent→children tree regardless of which process timed what.
+:func:`span_tree` reassembles the finished spans into one
+parent→children tree, and :func:`render_tree` prints it.
 """
 
 from __future__ import annotations
@@ -36,13 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 #: The ambient trace context: ``(trace_id, span_id)`` of the innermost
 #: open span, or None at top level.  Contextvars are per-thread (and
-#: per-task under asyncio): worker threads that should participate in a
-#: dispatcher-side trace must attach explicitly via ``current_context``
-#: / ``attach_context``.
+#: per-task under asyncio): another thread that should join a trace
+#: attaches explicitly via ``current_context`` / ``attach_context``.
 _CURRENT: contextvars.ContextVar = contextvars.ContextVar(
     "repro_obs_span", default=None)
-
-_WIRE_VERSION = 1
 
 
 def _new_id() -> str:
@@ -75,27 +64,6 @@ class Span:
     def finished(self) -> bool:
         return self.duration is not None
 
-    # -------------------------------------------------------------- wire
-
-    def to_wire(self) -> list:
-        """Compact encoding: a plain list of scalars and one flat dict.
-
-        Deliberately free of custom classes so it passes the restricted
-        unpickler on the remote-campaign and shard frame transports.
-        """
-        return [_WIRE_VERSION, self.trace_id, self.span_id, self.parent_id,
-                self.name, self.start_time, self.duration,
-                dict(self.attributes)]
-
-    @classmethod
-    def from_wire(cls, wire: Sequence) -> "Span":
-        version = wire[0]
-        if version != _WIRE_VERSION:
-            raise ValueError("unknown span wire version %r" % (version,))
-        return cls(name=wire[4], trace_id=wire[1], span_id=wire[2],
-                   parent_id=wire[3], start_time=wire[5], duration=wire[6],
-                   attributes=wire[7])
-
     def __repr__(self):
         return ("Span(%r, trace=%s, id=%s, parent=%s, duration=%s)"
                 % (self.name, self.trace_id, self.span_id, self.parent_id,
@@ -115,15 +83,12 @@ class Tracer:
 
     def begin(self, name: str,
               parent: Optional[Tuple[str, str]] = None,
-              attributes: Optional[Dict[str, object]] = None,
-              activate: bool = True) -> Span:
-        """Open a span; caller must ``finish()`` it.
+              attributes: Optional[Dict[str, object]] = None) -> Span:
+        """Open a span and make it the ambient parent; caller must
+        ``finish()`` it.
 
         ``parent`` overrides the ambient context with an explicit
-        ``(trace_id, span_id)`` pair (how a remote worker roots its
-        spans under the dispatcher's campaign span).  ``activate=False``
-        opens the span without touching the contextvar -- required
-        inside generators, where mutated context leaks to the caller.
+        ``(trace_id, span_id)`` pair.
         """
         if parent is None:
             parent = _CURRENT.get()
@@ -134,8 +99,7 @@ class Tracer:
         span = Span(name=name, trace_id=trace_id, span_id=_new_id(),
                     parent_id=parent_id, start_time=time.time(),
                     attributes=attributes)
-        if activate:
-            span._token = _CURRENT.set((span.trace_id, span.span_id))
+        span._token = _CURRENT.set((span.trace_id, span.span_id))
         return span
 
     def finish(self, span: Span, end_time: Optional[float] = None):
@@ -157,12 +121,7 @@ class Tracer:
     def span(self, name: str,
              parent: Optional[Tuple[str, str]] = None,
              attributes: Optional[Dict[str, object]] = None):
-        """``with tracer.span("name") as span:`` -- the common case.
-
-        Do not use inside a generator body: the contextvar mutation
-        would escape to the caller between yields.  Use
-        ``begin(..., activate=False)`` / ``finish`` there instead.
-        """
+        """``with tracer.span("name") as span:`` -- the common case."""
         opened = self.begin(name, parent=parent, attributes=attributes)
         try:
             yield opened
@@ -175,10 +134,9 @@ class Tracer:
             attributes: Optional[Dict[str, object]] = None) -> Span:
         """Record a synthetic, already-measured span.
 
-        The dispatcher-side per-scenario spans are built this way from
-        ``result.elapsed_seconds`` so every campaign backend -- serial,
-        thread, process, remote -- reports the same span shape without
-        needing tracer plumbing inside the worker function.
+        The campaign runner builds its per-scenario spans this way from
+        ``result.elapsed_seconds``, so the scenario body needs no tracer
+        plumbing.
         """
         if parent is None:
             parent = _CURRENT.get()
@@ -214,17 +172,6 @@ class Tracer:
             spans, self._finished = self._finished, []
         return spans
 
-    def drain_wire(self) -> List[list]:
-        """``drain()``, wire-encoded -- what a worker ships per frame."""
-        return [span.to_wire() for span in self.drain()]
-
-    def ingest(self, wire_spans: Sequence[Sequence]) -> List[Span]:
-        """Decode and retain spans from another process's ``drain_wire``."""
-        spans = [Span.from_wire(wire) for wire in wire_spans]
-        for span in spans:
-            self._retain(span)
-        return spans
-
     def reset(self):
         with self._lock:
             self._finished = []
@@ -243,9 +190,9 @@ def current_context() -> Optional[Tuple[str, str]]:
 def attach_context(parent: Optional[Tuple[str, str]]):
     """Set the ambient trace context in *this* thread/task.
 
-    Returns a token for :func:`detach_context`.  Worker threads (and
-    remote worker processes) call this with the ``(trace_id, span_id)``
-    pair shipped in their job frame so their spans root correctly.
+    Returns a token for :func:`detach_context`.  Another thread calls
+    this with a pair taken by :func:`current_context` so its spans root
+    under that span.
     """
     return _CURRENT.set(tuple(parent) if parent is not None else None)
 
@@ -264,9 +211,8 @@ def detach_context(token):
 def span_tree(spans: Sequence[Span]) -> Dict[Optional[str], List[Span]]:
     """Group spans as ``parent_id -> [children sorted by start]``.
 
-    Roots (no parent, or parent not in the batch -- a worker span whose
-    campaign root lives dispatcher-side in a different export) appear
-    under ``None``.
+    Roots (no parent, or parent not in the batch -- a span whose parent
+    was exported separately) appear under ``None``.
     """
     known = {span.span_id for span in spans}
     tree: Dict[Optional[str], List[Span]] = {}

@@ -1,64 +1,24 @@
-"""Scenario execution and the parallel campaign runner.
+"""Scenario execution and the campaign runner.
 
 :func:`run_scenario` executes one :class:`~repro.sim.scenario.ScenarioSpec`
 in complete isolation -- it builds a fresh testbench (or model, or attack
 body) from the declarative spec, runs it, extracts the requested
 observations and folds any exception into the returned
-:class:`ScenarioResult` instead of letting it escape.  Because both the
-spec and the result are plain picklable data and the worker function is
-a module-level callable, the same code path runs unchanged inside a
-``multiprocessing`` pool.
+:class:`ScenarioResult` instead of letting it escape.
 
-:class:`CampaignRunner` sweeps a list of specs through a pluggable
-backend:
-
-* ``"serial"`` -- run in-process, one after another;
-* ``"thread"`` -- fan out over a thread pool.  Correct because the
-  workers are share-nothing (every scenario builds its own device,
-  monitor and protocol; the few module-level caches are idempotent
-  under the GIL), though CPU-bound sweeps only scale on runtimes
-  without a GIL -- the backend exists so they can;
-* ``"process"`` -- fan out over a process pool (``--jobs`` workers),
-  with results returned in **spec order** regardless of completion
-  order, so serial and parallel campaigns are row-for-row identical.
-  With ``warm=True`` the pool is **persistent**: workers survive the
-  campaign and keep their per-process caches hot (assembled firmware
-  images, LTL monitor models, HMAC key states), so back-to-back sweeps
-  skip the fork-and-rebuild cost.  :func:`shutdown_warm_pools` tears
-  the pools down (also registered via :mod:`atexit`);
-* ``"remote"`` -- ship each spec to a worker endpoint over the fleet
-  service's message transport (:mod:`repro.net.remote`): specs and
-  results cross real TCP sockets, the workers run the plain
-  blocking-socket :func:`~repro.net.remote.worker_loop` that would run
-  unchanged on another host, and results come back spec-ordered, so
-  remote campaigns are row-for-row identical to serial ones.
-
-Two orthogonal levers make campaigns *incremental*:
-
-* **Result store** -- give the runner a
-  :class:`~repro.sim.store.ResultStore` (``store=...``) and specs whose
-  :meth:`~repro.sim.scenario.ScenarioSpec.fingerprint` is already on
-  disk are served from cache (``result.cached``) without executing
-  anything; only the misses go through the backend, and their results
-  are written back.  A re-run of an unchanged sweep executes zero
-  scenarios.
-* **Streaming completion** -- :meth:`CampaignRunner.run_iter` yields
-  each :class:`ScenarioResult` as it *finishes* (store hits first,
-  then backend completions in arrival order -- the process backend
-  streams via ``imap_unordered``, the remote backend surfaces the
-  dispatcher's out-of-order arrivals) while still returning the final
-  spec-ordered :class:`CampaignResult` as the generator's value.
+:class:`CampaignRunner` runs a list of specs in-process, one after
+another, and returns their results in spec order.  Its ``on_result``
+hook sees each result as it finishes (the CLI's ``--stream``), and
+``fail_fast=True`` stops the campaign at the first failing scenario
+(``--fail-fast``).
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro._lru import LruDict
 from repro.obs.metrics import get_registry
@@ -69,9 +29,6 @@ from repro.sim.scenario import (
     ScenarioSpec,
     OBSERVERS,
 )
-
-#: Backends a :class:`CampaignRunner` accepts.
-BACKENDS = ("serial", "thread", "process", "remote")
 
 #: Default observations for ``kind="pox"`` scenarios that do not name
 #: any: verdict-shaped for modes that end in an attestation, run-shaped
@@ -97,11 +54,6 @@ class ScenarioResult:
     ok: bool = True
     error: Optional[str] = None
     elapsed_seconds: float = 0.0
-    #: ``True`` when this result was served from a
-    #: :class:`~repro.sim.store.ResultStore` instead of being executed.
-    #: Provenance only: deliberately *not* part of :attr:`row`, so
-    #: cached rows stay byte-identical to recomputed ones.
-    cached: bool = False
 
     @property
     def row(self) -> Dict[str, object]:
@@ -128,19 +80,12 @@ class ScenarioResult:
 @dataclass
 class CampaignResult:
     """Outcome of a campaign: one :class:`ScenarioResult` per spec, in
-    spec order, plus sweep-level accounting."""
+    spec order."""
 
     results: List[ScenarioResult]
-    backend: str
-    jobs: int
     elapsed_seconds: float = 0.0
-    #: Result-store accounting: specs served from cache vs executed.
-    #: Both stay 0 when the campaign ran without a store.
-    store_hits: int = 0
-    store_misses: int = 0
     #: ``True`` when a ``fail_fast`` campaign stopped at the first
-    #: failing result; ``results`` then holds only the scenarios that
-    #: finished before the abort (still in spec order).
+    #: failing result; ``results`` then ends with that result.
     aborted: bool = False
 
     def __iter__(self):
@@ -164,21 +109,9 @@ class CampaignResult:
         """The scenarios that errored or missed an expectation."""
         return [result for result in self.results if not result.ok]
 
-    @property
-    def scenarios_per_second(self) -> float:
-        """Sweep throughput (the campaign benchmark's metric).
-
-        0.0 for empty and zero-elapsed campaigns: a rate of
-        ``float("inf")`` would be meaningless *and* unserialisable as
-        RFC-8259 JSON, which the bench payloads must stay.
-        """
-        if self.elapsed_seconds <= 0 or not self.results:
-            return 0.0
-        return len(self.results) / self.elapsed_seconds
-
 
 # --------------------------------------------------------------------------
-# Single-scenario execution (the worker function)
+# Single-scenario execution
 # --------------------------------------------------------------------------
 
 def _run_pox_spec(spec: ScenarioSpec) -> Dict[str, object]:
@@ -322,7 +255,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
 
     Any exception from the scenario body is captured into
     ``result.error`` (full traceback) so one broken scenario cannot take
-    down a sweep -- or a worker process.
+    down a sweep.
     """
     started = time.perf_counter()
     result = ScenarioResult(
@@ -344,308 +277,63 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     return result
 
 
-def _run_indexed(item: Tuple[int, ScenarioSpec]) -> Tuple[int, ScenarioResult]:
-    """Pool worker for the streaming backends: tag the result with its
-    spec index so ``imap_unordered`` completions can be re-ordered."""
-    index, spec = item
-    return index, run_scenario(spec)
-
-
 # --------------------------------------------------------------------------
 # The campaign runner
 # --------------------------------------------------------------------------
 
-def _process_context():
-    """The multiprocessing context for the process backend.
-
-    ``fork`` (cheap, inherits the warm interpreter) where available;
-    ``spawn`` elsewhere.  Specs and results are picklable and the worker
-    is a module-level function, so both start methods execute; note that
-    under ``spawn`` the workers re-import this package from scratch, so
-    runtime registrations (``register_firmware_builder`` and friends)
-    made in the parent are only visible to workers when they happen at
-    import time of a module the spec's execution path imports.
-    """
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
-#: Persistent worker pools for ``warm=True`` campaigns, keyed by size.
-#: A warm pool outlives the campaign that created it; its workers keep
-#: their per-process caches (assembled firmware, LTL models, HMAC key
-#: states), which is the whole point.  Guarded by a lock: a
-#: check-then-act race between two threads would leak the displaced
-#: pool's worker processes past shutdown_warm_pools().
-_WARM_POOLS: Dict[int, object] = {}
-_WARM_POOLS_LOCK = threading.Lock()
-
-
-def _warm_pool(processes):
-    with _WARM_POOLS_LOCK:
-        pool = _WARM_POOLS.get(processes)
-        if pool is None:
-            pool = _process_context().Pool(processes=processes)
-            _WARM_POOLS[processes] = pool
-        return pool
-
-
-def shutdown_warm_pools():
-    """Terminate every persistent warm worker pool (idempotent)."""
-    with _WARM_POOLS_LOCK:
-        pools = list(_WARM_POOLS.values())
-        _WARM_POOLS.clear()
-    for pool in pools:
-        pool.terminate()
-        pool.join()
-
-
-atexit.register(shutdown_warm_pools)
-
-
 class CampaignRunner:
-    """Run a list of :class:`ScenarioSpec` through a pluggable backend.
+    """Run a list of :class:`ScenarioSpec` in-process, in spec order.
 
-    ``jobs`` defaults to the machine's CPU count; the serial backend
-    ignores it.  Results always come back in spec order (the parallel
-    backends use an order-preserving ``Pool.map``), so campaigns are
-    reproducible and differential-testable across backends.
-
-    ``warm=True`` (process backend only) draws workers from a
-    persistent, module-wide pool instead of forking a fresh one per
-    campaign; see :func:`shutdown_warm_pools`.
-
-    ``store`` (a :class:`~repro.sim.store.ResultStore` or a directory
-    path) makes the campaign incremental: with ``reuse=True`` (the
-    default) specs whose fingerprint is already stored are served from
-    cache without executing, and every executed result is written back.
-    ``reuse=False`` recomputes everything but still refreshes the
-    store.  ``on_result`` is called with each :class:`ScenarioResult`
-    as it completes (hits and misses alike), from :meth:`run` and
-    :meth:`run_iter` both -- the streaming hook the CLI's ``--stream``
-    uses.
-
-    ``fail_fast=True`` aborts dispatch at the first result with
-    ``ok=False``: in-flight work is torn down (the pool backends
-    terminate their workers; the remote dispatcher drains its assigned
-    workers and requeues nothing), the returned :class:`CampaignResult`
-    carries ``aborted=True`` and holds only the scenarios that finished
-    -- so fuzzing-shaped sweeps stop burning the rest of the campaign
-    once a failure is in hand.
+    ``on_result`` is called with each :class:`ScenarioResult` as it
+    finishes -- the streaming hook the CLI's ``--stream`` uses.
+    ``fail_fast=True`` stops at the first result with ``ok=False``: the
+    returned :class:`CampaignResult` carries ``aborted=True`` and ends
+    with that result.
     """
 
-    def __init__(self, backend: str = "serial", jobs: Optional[int] = None,
-                 warm: bool = False,
-                 heartbeat: Optional[float] = None,
-                 store=None, reuse: bool = True,
+    def __init__(self,
                  on_result: Optional[Callable[[ScenarioResult], None]] = None,
                  fail_fast: bool = False):
-        if backend not in BACKENDS:
-            raise ValueError("backend must be one of %s, got %r"
-                             % (", ".join(BACKENDS), backend))
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be >= 1, got %r" % jobs)
-        if warm and backend != "process":
-            raise ValueError("warm pools apply to the process backend only, "
-                             "not %r" % backend)
-        if heartbeat is not None and backend != "remote":
-            raise ValueError("heartbeats apply to the remote backend only, "
-                             "not %r" % backend)
-        if store is not None and not hasattr(store, "get"):
-            # A path-like: build the store in place (mkdir included).
-            from repro.sim.store import ResultStore
-
-            store = ResultStore(store)
-        self.backend = backend
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.warm = warm
-        #: Remote backend only: worker heartbeat interval in seconds;
-        #: the dispatcher registry then evicts (and requeues for) any
-        #: worker silent for three heartbeats.
-        self.heartbeat = heartbeat
-        self.store = store
-        self.reuse = reuse
         self.on_result = on_result
         self.fail_fast = fail_fast
 
     def run(self, specs: Sequence[ScenarioSpec]) -> CampaignResult:
         """Execute every spec; return a :class:`CampaignResult`.
 
-        Built on :meth:`run_iter`: the iterator is drained and its
-        final value returned, so list-at-the-end and streaming callers
-        share one execution path (and one set of store semantics).
-        """
-        iterator = self.run_iter(specs)
-        while True:
-            try:
-                next(iterator)
-            except StopIteration as finished:
-                return finished.value
-
-    def run_iter(self, specs: Sequence[ScenarioSpec]
-                 ) -> Iterator[ScenarioResult]:
-        """Generator: yield each :class:`ScenarioResult` as it finishes.
-
-        Yield order is *completion* order -- store hits first (they
-        are free), then backend results as they arrive (the process
-        backend streams through ``imap_unordered``, the remote backend
-        surfaces the dispatcher's out-of-order arrivals; serial and
-        single-job campaigns complete in spec order by nature).  The
-        generator's **return value** is the final spec-ordered
-        :class:`CampaignResult`::
-
-            def drive(runner, specs):
-                outcome = yield from runner.run_iter(specs)
-                return outcome
-
-        Executed results are written back to the store as they land,
-        so even an interrupted campaign leaves its finished work
-        cached.
+        Publishes ``campaign.*`` metrics and one ``campaign.run`` span
+        with a ``campaign.scenario`` child per scenario.
         """
         specs = list(specs)
         started = time.perf_counter()
-        tracer = get_tracer()
-        # The campaign span is explicit begin/finish, not a context
-        # manager, and is never *activated*: a ``with tracer.span``
-        # inside a generator body would leak the contextvar mutation
-        # into the caller's context between yields.  Per-scenario spans
-        # parent on it through the explicit ``trace_parent`` pair, which
-        # also crosses the remote dispatcher's job frames.
-        campaign_span = tracer.begin(
-            "campaign.run", activate=False,
-            attributes={"backend": self.backend, "jobs": self.jobs,
-                        "scenarios": len(specs)})
-        trace_parent = (campaign_span.trace_id, campaign_span.span_id)
-        results: List[Optional[ScenarioResult]] = [None] * len(specs)
-        fingerprints: Optional[List[str]] = None
-        hits = 0
-        aborted = False
-        pending = list(range(len(specs)))
-        try:
-            if self.store is not None:
-                fingerprints = [spec.fingerprint() for spec in specs]
-                if self.reuse:
-                    pending = []
-                    for index, fingerprint in enumerate(fingerprints):
-                        cached = self.store.get(fingerprint)
-                        if cached is not None:
-                            results[index] = cached
-                            hits += 1
-                            yield self._emit(cached, trace_parent)
-                            if self.fail_fast and not cached.ok:
-                                # A cached failure is a failure: nothing
-                                # pending has been dispatched yet, so the
-                                # abort is free.
-                                aborted = True
-                                pending = []
-                                break
-                        else:
-                            pending.append(index)
-            if not aborted:
-                completions = self._execute_iter(
-                    [(index, specs[index]) for index in pending],
-                    trace_parent)
-                for index, result in completions:
-                    results[index] = result
-                    if self.store is not None:
-                        self.store.put(fingerprints[index], result)
-                    yield self._emit(result, trace_parent)
-                    if self.fail_fast and not result.ok:
-                        # Tear down in-flight dispatch: closing the
-                        # generator raises GeneratorExit at its yield
-                        # point, which exits the pool context managers
-                        # (terminating their workers) -- and, on the
-                        # remote backend, runs the dispatcher's abort
-                        # path (drain assigned workers, requeue
-                        # nothing).
-                        completions.close()
-                        aborted = True
-                        break
-        finally:
-            campaign_span.set_attribute("aborted", aborted)
-            campaign_span.set_attribute("store_hits", hits)
-            tracer.finish(campaign_span)
-            if aborted:
-                get_registry().counter("campaign.aborted").inc()
-        if aborted:
-            # Spec order, completed scenarios only; unfinished slots
-            # are dropped rather than padded with placeholders.
-            results = [result for result in results if result is not None]
-        return CampaignResult(
-            results=results,
-            backend=self.backend,
-            jobs=self.jobs,
-            elapsed_seconds=time.perf_counter() - started,
-            store_hits=hits,
-            # Store accounting only makes sense when a store took part;
-            # a store-less campaign "missed" nothing.
-            store_misses=len(pending) if self.store is not None else 0,
-            aborted=aborted,
-        )
-
-    def _emit(self, result: ScenarioResult,
-              trace_parent: Optional[Tuple[str, str]] = None
-              ) -> ScenarioResult:
-        """Account one completed result: ``campaign.*`` metrics, a
-        synthetic dispatch-side span (uniform across backends, built
-        from the measured ``elapsed_seconds``), then the caller hook."""
         registry = get_registry()
-        registry.counter("campaign.scenarios").inc()
-        registry.counter("campaign.cached" if result.cached
-                         else "campaign.executed").inc()
-        if not result.ok:
-            registry.counter("campaign.failures").inc()
-        registry.histogram("campaign.scenario_seconds").record(
-            result.elapsed_seconds)
-        get_tracer().add(
-            "campaign.scenario", result.elapsed_seconds,
-            parent=trace_parent,
-            attributes={"scenario": result.name, "kind": result.kind,
-                        "cached": result.cached, "ok": result.ok})
-        if self.on_result is not None:
-            self.on_result(result)
-        return result
-
-    def _execute_iter(self, items: List[Tuple[int, ScenarioSpec]],
-                      trace_parent: Optional[Tuple[str, str]] = None
-                      ) -> Iterator[Tuple[int, ScenarioResult]]:
-        """Run ``(index, spec)`` work items through the backend,
-        yielding ``(index, result)`` in completion order."""
-        if not items:
-            return
-        if self.backend == "remote":
-            # Imported lazily: the campaign engine must not drag the
-            # service layer in for the serial/thread/process backends.
-            from repro.net.remote import run_remote_campaign_iter
-
-            yield from run_remote_campaign_iter(
-                items, jobs=self.jobs, heartbeat=self.heartbeat,
-                trace_parent=trace_parent)
-        elif self.jobs > 1 and len(items) > 1 and self.backend == "process":
-            # chunksize=1 everywhere below: scenarios are coarse units
-            # of seconds, not microtasks; per-item dispatch gives the
-            # best load balance.
-            if self.warm:
-                # Sized by self.jobs (not len(items)) so repeat
-                # campaigns of any length land on the same persistent
-                # pool.
-                yield from _warm_pool(self.jobs).imap_unordered(
-                    _run_indexed, items, chunksize=1)
-            else:
-                context = _process_context()
-                processes = min(self.jobs, len(items))
-                with context.Pool(processes=processes) as pool:
-                    yield from pool.imap_unordered(
-                        _run_indexed, items, chunksize=1)
-        elif self.jobs > 1 and len(items) > 1 and self.backend == "thread":
-            from multiprocessing.pool import ThreadPool
-
-            with ThreadPool(processes=min(self.jobs, len(items))) as pool:
-                yield from pool.imap_unordered(
-                    _run_indexed, items, chunksize=1)
-        else:
-            for index, spec in items:
-                yield index, run_scenario(spec)
+        tracer = get_tracer()
+        results: List[ScenarioResult] = []
+        aborted = False
+        with tracer.span("campaign.run",
+                         attributes={"scenarios": len(specs)}) as campaign_span:
+            for spec in specs:
+                # Looked up in the module on every call, so a wrapper
+                # installed on ``repro.sim.runner.run_scenario`` (a
+                # profiler, perfbench's ``sim.scenario`` layer) sees
+                # every scenario.
+                result = run_scenario(spec)
+                results.append(result)
+                registry.counter("campaign.scenarios").inc()
+                if not result.ok:
+                    registry.counter("campaign.failures").inc()
+                registry.histogram("campaign.scenario_seconds").record(
+                    result.elapsed_seconds)
+                tracer.add("campaign.scenario", result.elapsed_seconds,
+                           attributes={"scenario": result.name,
+                                       "kind": result.kind, "ok": result.ok})
+                if self.on_result is not None:
+                    self.on_result(result)
+                if self.fail_fast and not result.ok:
+                    aborted = True
+                    break
+            campaign_span.set_attribute("aborted", aborted)
+        if aborted:
+            registry.counter("campaign.aborted").inc()
+        return CampaignResult(results=results,
+                              elapsed_seconds=time.perf_counter() - started,
+                              aborted=aborted)

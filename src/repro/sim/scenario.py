@@ -4,9 +4,8 @@ Every paper artifact is a sweep of (firmware x attack x configuration)
 scenarios.  :class:`ScenarioSpec` describes one such scenario as plain
 data -- which firmware builder to call, which events to schedule, which
 :class:`~repro.firmware.testbench.TestbenchConfig` knobs to override,
-how to drive the run, what to observe and what to expect -- with **no
-closures or live objects**, so a spec can be pickled to a worker
-process and executed there by :func:`repro.sim.runner.run_scenario`.
+how to drive the run, what to observe and what to expect -- and
+:func:`repro.sim.runner.run_scenario` builds and runs it.
 
 Everything open-ended goes through a small string-keyed registry
 (firmware builders, event kinds, observers), so user code can extend
@@ -21,7 +20,6 @@ the vocabulary without touching this module::
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -34,8 +32,7 @@ from repro._lazy import resolve
 
 #: Named firmware builders a :class:`FirmwareRef` can point at: the
 #: registered ones and the built-ins resolved so far.  A spec carries
-#: the *name* (picklable), the worker resolves it back to the callable
-#: at execution time.
+#: the *name*, resolved back to the callable at execution time.
 FIRMWARE_BUILDERS: Dict[str, Callable] = {}
 
 #: The built-in builders, as ``"module:function"``.  Each is imported
@@ -57,11 +54,11 @@ def register_firmware_builder(name, builder):
 
 @dataclass(frozen=True)
 class FirmwareRef:
-    """A picklable reference to a registered firmware builder.
+    """A reference to a registered firmware builder.
 
     ``kwargs`` is a tuple of ``(name, value)`` pairs passed to the
     builder; parameter dataclasses (``PumpParameters`` etc.) are plain
-    data and pickle fine.
+    data.
     """
 
     builder: str
@@ -265,83 +262,6 @@ register_observer("active_steps", _active_steps)
 
 
 # --------------------------------------------------------------------------
-# Content fingerprints
-# --------------------------------------------------------------------------
-
-#: Code-version epoch folded into every fingerprint.  Bump it when a
-#: change alters what a scenario *computes* without changing its spec
-#: (new observer semantics, a monitor bugfix, ...): every stored result
-#: is then invalidated at once.  ``REPRO_CODE_EPOCH`` overrides it per
-#: process -- handy to force a cold campaign without touching a store.
-CODE_EPOCH = 1
-EPOCH_ENV_VAR = "REPRO_CODE_EPOCH"
-
-#: Version tag of the canonical encoding itself: a change to the
-#: encoding scheme must never collide with hashes of the old scheme.
-_FINGERPRINT_SCHEME = b"repro-scenario-fingerprint:v1;"
-
-
-def code_epoch() -> str:
-    """The effective code-version epoch (env override, else the constant)."""
-    return os.environ.get(EPOCH_ENV_VAR, str(CODE_EPOCH))
-
-
-def canonical_bytes(value) -> bytes:
-    """A stable, injective byte encoding of plain scenario data.
-
-    Supports exactly the vocabulary a :class:`ScenarioSpec` is allowed
-    to carry -- ``None``, bools, ints, floats, strings, bytes,
-    tuples/lists, dicts (order-insensitive: entries are sorted by their
-    encoded key) and dataclasses (tagged with their qualified class
-    name).  Every token is length- or delimiter-framed and type-tagged,
-    so distinct values can never encode to the same byte string
-    (``1``/``True``/``"1"`` all differ).  Anything else raises
-    ``TypeError`` -- a fingerprint over a value the encoding cannot
-    pin down would silently alias distinct scenarios.
-    """
-    if value is None:
-        return b"N;"
-    if value is True:
-        return b"T;"
-    if value is False:
-        return b"F;"
-    if isinstance(value, int):
-        return b"i%d;" % value
-    if isinstance(value, float):
-        return b"f" + repr(value).encode("ascii") + b";"
-    if isinstance(value, str):
-        encoded = value.encode("utf-8")
-        return b"s%d:" % len(encoded) + encoded
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        return b"b%d:" % len(raw) + raw
-    if isinstance(value, (tuple, list)):
-        return b"(" + b"".join(canonical_bytes(item) for item in value) + b")"
-    if isinstance(value, dict):
-        entries = sorted(
-            (canonical_bytes(key), canonical_bytes(item))
-            for key, item in value.items()
-        )
-        return b"{" + b"".join(key + item for key, item in entries) + b"}"
-    if isinstance(value, (frozenset, set)):
-        return b"<" + b"".join(sorted(canonical_bytes(item) for item in value)) + b">"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        tag = canonical_bytes("%s.%s" % (cls.__module__, cls.__qualname__))
-        fields = b"".join(
-            canonical_bytes(field.name)
-            + canonical_bytes(getattr(value, field.name))
-            for field in sorted(dataclasses.fields(value),
-                                key=lambda field: field.name)
-        )
-        return b"d" + tag + b"(" + fields + b")"
-    raise TypeError(
-        "cannot canonically encode %r (%s): scenario specs must carry "
-        "plain data (None/bool/int/float/str/bytes/tuple/dict/dataclass)"
-        % (value, type(value).__name__))
-
-
-# --------------------------------------------------------------------------
 # The scenario specification
 # --------------------------------------------------------------------------
 
@@ -360,7 +280,7 @@ def _as_pairs(value):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A picklable, declarative description of one campaign scenario.
+    """A declarative description of one campaign scenario.
 
     ``kind`` selects the executor:
 
@@ -435,46 +355,3 @@ class ScenarioSpec:
     def metadata(self) -> Dict[str, object]:
         """The constant row columns as a dict (insertion order kept)."""
         return dict(self.meta)
-
-    # ------------------------------------------------------------ identity
-
-    def _ambient_state(self):
-        """Process-wide selections that can steer this spec's outcome.
-
-        ``job`` bodies are opaque: unlike the declarative kinds, the
-        campaign layer cannot prove the crypto backend is irrelevant to
-        them (the backends are differentially pinned byte-identical for
-        the *declarative* paths only), so the ambient
-        ``REPRO_CRYPTO_BACKEND`` selection is folded into a job spec's
-        identity -- a warm store run under a flipped backend recomputes
-        instead of serving a result the flip might have changed.
-        """
-        if self.kind != "job":
-            return None
-        from repro.crypto.backend import backend_name
-
-        return {"crypto_backend": backend_name()}
-
-    def fingerprint(self) -> str:
-        """A stable SHA-256 content address for this scenario's outcome.
-
-        Two specs share a fingerprint exactly when they would compute
-        the same result: the hash covers every spec field (firmware /
-        event / observer registry references, schedules, configuration
-        including overrides, run mode, expectations, metadata), ambient
-        process state opaque job bodies depend on (:meth:`_ambient_state`)
-        and the :data:`code_epoch`.  Any perturbation of any of those changes
-        the fingerprint; for declarative kinds the crypto backend is
-        deliberately excluded because the backends are differentially
-        pinned byte-identical.
-
-        This is what keys the on-disk
-        :class:`~repro.sim.store.ResultStore`: same fingerprint, same
-        rows -- so warm campaigns can serve cached results without
-        executing anything.
-        """
-        import hashlib
-
-        payload = canonical_bytes(
-            (code_epoch(), self._ambient_state(), self))
-        return hashlib.sha256(_FINGERPRINT_SCHEME + payload).hexdigest()

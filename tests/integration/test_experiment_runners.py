@@ -1,6 +1,9 @@
 """Integration tests for the programmatic experiment runners."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,8 +22,10 @@ from repro.experiments import (
 from repro.experiments import runners
 from repro.experiments.__main__ import ALL_IDS, main
 
+ROOT = Path(__file__).resolve().parents[2]
+
 #: The rows a full reproduction must export, pinned per experiment.
-PAPER_ROWS = Path(__file__).resolve().parents[2] / "perfbench" / "paper_rows.json"
+PAPER_ROWS = ROOT / "perfbench" / "paper_rows.json"
 
 
 class TestIndividualRunners:
@@ -94,9 +99,22 @@ class TestCommandLine:
         assert main(["E7", "--bogus-flag"]) == 2
         assert main(["E7", "--engine", "blocks"]) == 2
 
-    def test_bad_jobs_value_rejected(self, capsys):
-        assert main(["E7", "--jobs", "0"]) == 2
-        assert main(["E7", "--jobs", "nope"]) == 2
+    @pytest.mark.parametrize("option, value", [
+        ("backend", "serial"),
+        ("jobs", "1"),
+        ("warm-pool", None),
+        ("store", "results"),
+        ("no-reuse", None),
+        ("store-prune-entries", "5"),
+        ("store-prune-age", "60"),
+    ])
+    def test_removed_flag_exits_2(self, capsys, option, value):
+        # Campaigns run serially and keep no result store: the backend,
+        # worker-pool and store flags are gone, not silently ignored.
+        flag = "--" + option
+        argv = ["E7", flag] + ([value] if value is not None else [])
+        assert main(argv) == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
     def test_multiple_ids_select_subset_in_order(self, capsys):
         assert main(["E7", "E4-E5"]) == 0
@@ -125,27 +143,6 @@ class TestCommandLine:
         assert main(["E7"]) == 1
         assert "FAILED experiments: E7" in capsys.readouterr().out
 
-    def test_process_backend_flags_accepted(self, capsys):
-        assert main(["E7", "--backend", "process", "--jobs", "2"]) == 0
-        assert "All 1 experiments" in capsys.readouterr().out
-
-    def test_thread_backend_flag_accepted(self, capsys):
-        assert main(["E7", "--backend", "thread", "--jobs", "2"]) == 0
-
-    def test_warm_pool_flag_runs_and_shuts_down(self, capsys):
-        from repro.sim import shutdown_warm_pools
-
-        try:
-            assert main(["E7", "--backend", "process", "--jobs", "2",
-                         "--warm-pool"]) == 0
-        finally:
-            shutdown_warm_pools()
-
-    def test_warm_pool_requires_process_backend(self, capsys):
-        assert main(["E7", "--warm-pool"]) == 2
-        assert "--warm-pool requires" in capsys.readouterr().err
-        assert main(["E7", "--backend", "thread", "--warm-pool"]) == 2
-
     def test_fleet_experiment_runs_with_cluster_flags(self, capsys):
         assert main(["FLEET", "--shards", "2", "--heartbeat", "0.2"]) == 0
         out = capsys.readouterr().out
@@ -164,11 +161,6 @@ class TestCommandLine:
         assert main(["E7", "--fail-fast"]) == 0
         assert "All 1 experiments" in capsys.readouterr().out
 
-    def test_fail_fast_accepted_with_remote_backend(self, capsys):
-        assert main(["E7", "--backend", "remote", "--jobs", "2",
-                     "--fail-fast"]) == 0
-        assert "All 1 experiments" in capsys.readouterr().out
-
     def test_telemetry_flag_exports_jsonl(self, capsys, tmp_path):
         import json
 
@@ -181,46 +173,6 @@ class TestCommandLine:
         assert kinds == {"metrics", "span"}
         metrics = next(r for r in records if r["record"] == "metrics")
         assert metrics["counters"]["campaign.scenarios"] > 0
-
-    def test_store_prune_flags_require_store(self, capsys):
-        assert main(["E7", "--store-prune-entries", "5"]) == 2
-        assert "require --store" in capsys.readouterr().err
-        assert main(["E7", "--store-prune-age", "60"]) == 2
-        assert "require --store" in capsys.readouterr().err
-
-    def test_negative_store_prune_values_rejected(self, capsys, tmp_path):
-        store = str(tmp_path / "store")
-        assert main(["E7", "--store", store,
-                     "--store-prune-entries", "-1"]) == 2
-        assert "--store-prune-entries" in capsys.readouterr().err
-        assert main(["E7", "--store", store,
-                     "--store-prune-age", "-1"]) == 2
-        assert "--store-prune-age" in capsys.readouterr().err
-
-    def test_store_prune_gc_prints_summary(self, capsys, tmp_path):
-        from repro.sim import ResultStore
-
-        store = str(tmp_path / "store")
-        assert main(["E7", "--store", store]) == 0
-        populated = len(ResultStore(store))
-        assert populated > 0
-        capsys.readouterr()
-        assert main(["E7", "--store", store,
-                     "--store-prune-entries", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "result store pruned: %d entr" % populated in out
-        assert ", 0 kept in" in out
-        assert len(ResultStore(store)) == 0
-
-    def test_store_prune_age_keeps_fresh_entries(self, capsys, tmp_path):
-        from repro.sim import ResultStore
-
-        store = str(tmp_path / "store")
-        assert main(["E7", "--store", store,
-                     "--store-prune-age", "3600"]) == 0
-        out = capsys.readouterr().out
-        assert "result store pruned: 0 entries removed" in out
-        assert len(ResultStore(store)) > 0
 
     def test_cli_reads_the_registry_live(self, capsys, monkeypatch):
         def extra_runner(campaign=None):
@@ -265,6 +217,22 @@ class TestRunAllExperiments:
         assert loaded[0].rows == [{"a": 1}]
         assert loaded[0].notes == ["n"]
 
+    def test_keywords_are_skip_campaign_and_overrides(self):
+        import inspect
+
+        parameters = inspect.signature(run_all_experiments).parameters
+        assert list(parameters) == ["skip", "campaign", "overrides"]
+
+    @pytest.mark.parametrize("keyword, value", [
+        ("backend", "serial"),
+        ("jobs", 1),
+        ("store", None),
+        ("reuse", True),
+    ])
+    def test_removed_keyword_rejected(self, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            run_all_experiments(skip=list(ALL_IDS), **{keyword: value})
+
     def test_scenario_lists_are_plain_data(self):
         import pickle
 
@@ -273,3 +241,25 @@ class TestRunAllExperiments:
                           runners.verification_scenarios(), runners.fig6_scenarios()):
             clone = pickle.loads(pickle.dumps(scenarios))
             assert clone == scenarios
+
+
+class TestExperimentAlone:
+    """Each experiment, run alone in a fresh interpreter, exports exactly
+    itself with its pinned rows: a registration or an import that only
+    another experiment used to trigger shows up here."""
+
+    @pytest.mark.parametrize("experiment_id", ALL_IDS)
+    def test_alone_exports_its_pinned_rows(self, tmp_path, experiment_id):
+        pinned = json.loads(PAPER_ROWS.read_text(encoding="utf-8"))
+        exported = tmp_path / "alone.json"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", experiment_id,
+             "--json", str(exported)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True, timeout=120)
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        entries = json.loads(exported.read_text(encoding="utf-8"))
+        assert [entry["experiment_id"] for entry in entries] == [experiment_id]
+        assert json.dumps(entries[0]["rows"]) == json.dumps(pinned[experiment_id])

@@ -1,21 +1,24 @@
-"""Integration tests for the telemetry spine across real process seams.
+"""Integration tests for the telemetry spine.
 
 The satellites pinned here:
 
-* spans emitted by remote campaign workers cross the real TCP job
-  socket as wire frames and reassemble dispatcher-side into one tree
-  rooted at the campaign span;
+* a campaign's spans form one tree: each ``campaign.scenario`` span is
+  a child of its ``campaign.run`` span, and each paper experiment
+  traces one campaign of exactly its own specs;
 * turning ``--telemetry`` on changes nothing about the science: the
   exported campaign rows are byte-identical with and without it;
-* the acceptance snapshot: after store-backed campaign traffic and a
-  2-shard cluster run, **one** registry snapshot carries the engine,
-  decode-cache, store, service, campaign and cluster families under
-  their consistent dotted names.
+* the acceptance snapshot: after campaign traffic and a 2-shard cluster
+  run, **one** registry snapshot carries the engine, decode-cache,
+  service, campaign and cluster families under their consistent dotted
+  names.
 """
 
 import json
 
+import pytest
+
 from repro.cluster import ClusterFleet
+from repro.experiments import runners
 from repro.experiments.__main__ import main
 from repro.obs import (
     MetricsRegistry,
@@ -37,51 +40,66 @@ def ltl_specs(count):
     ]
 
 
-class TestRemoteSpanReassembly:
-    def test_worker_spans_cross_the_socket_and_reattach(self):
+class TestCampaignSpans:
+    def test_scenario_spans_are_children_of_their_campaign_span(self):
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
             with use_registry(MetricsRegistry()):
-                outcome = CampaignRunner(backend="remote",
-                                         jobs=2).run(ltl_specs(4))
+                first = CampaignRunner().run(ltl_specs(3))
+                second = CampaignRunner().run(ltl_specs(2))
         finally:
             set_tracer(previous)
-        assert outcome.all_ok()
+        assert first.all_ok() and second.all_ok()
         spans = tracer.drain()
-        by_name = {}
-        for span in spans:
-            by_name.setdefault(span.name, []).append(span)
-        assert len(by_name["campaign.run"]) == 1
-        assert len(by_name["campaign.scenario"]) == 4
-        # The workers' own spans arrived through the result frames.
-        assert len(by_name["worker.scenario"]) == 4
-        campaign = by_name["campaign.run"][0]
-        # One trace: every span, worker-side included, carries the
-        # dispatcher's trace id and roots under the campaign span.
-        assert all(span.trace_id == campaign.trace_id for span in spans)
         tree = span_tree(spans)
-        assert tree[None] == [campaign]
-        children = {span.name for span in tree[campaign.span_id]}
-        assert children == {"campaign.scenario", "worker.scenario"}
-        # More spans than scenarios: the run itself plus both the
-        # dispatcher-side and worker-side view of each scenario.
-        assert len(spans) > len(outcome)
+        campaigns = tree[None]
+        assert [span.name for span in campaigns] == ["campaign.run"] * 2
+        assert [span.attributes["scenarios"] for span in campaigns] == [3, 2]
+        for campaign, count in zip(campaigns, (3, 2)):
+            children = tree[campaign.span_id]
+            assert [span.name for span in children] == ["campaign.scenario"] * count
+            assert all(span.trace_id == campaign.trace_id for span in children)
+            assert campaign.attributes["aborted"] is False
+        # Every span is a campaign or one of its scenarios.
+        assert len(spans) == 2 + 3 + 2
 
-    def test_worker_span_attributes_identify_the_work(self):
+
+    @pytest.mark.parametrize("experiment_id, scenarios", [
+        ("E1-E3", runners.fig5_scenarios),
+        ("E4-E5", runners.fig6_scenarios),
+        ("E6", runners.verification_scenarios),
+        ("E7", runners.runtime_scenarios),
+        ("E8", runners.busywait_scenarios),
+        ("E9", runners.security_scenarios),
+        ("FLEET", list),
+    ])
+    def test_each_experiment_traces_one_campaign_of_its_specs(
+            self, experiment_id, scenarios):
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            with use_registry(MetricsRegistry()):
-                CampaignRunner(backend="remote", jobs=1).run(ltl_specs(2))
+            with use_registry(MetricsRegistry()) as registry:
+                result = runners.EXPERIMENT_RUNNERS[experiment_id](None)
+                counters = registry.snapshot()["counters"]
         finally:
             set_tracer(previous)
-        worker_spans = [span for span in tracer.drain()
-                        if span.name == "worker.scenario"]
-        assert {span.attributes["scenario"] for span in worker_spans} \
-            == {"ltl-0", "ltl-1"}
-        assert all(span.attributes["ok"] for span in worker_spans)
-        assert all(span.finished for span in worker_spans)
+        assert result.succeeded
+        names = [spec.name for spec in scenarios()]
+        tree = span_tree(tracer.drain())
+        campaigns = [span for span in tree.get(None, [])
+                     if span.name == "campaign.run"]
+        if not names:
+            # FLEET drives its harness directly, not through a campaign.
+            assert campaigns == []
+            assert "campaign.scenarios" not in counters
+            return
+        assert len(campaigns) == 1
+        assert campaigns[0].attributes["scenarios"] == len(names)
+        children = tree[campaigns[0].span_id]
+        assert [span.attributes["scenario"] for span in children] == names
+        assert all(span.attributes["ok"] for span in children)
+        assert counters["campaign.scenarios"] == len(names)
 
 
 class TestTelemetryDifferential:
@@ -104,13 +122,9 @@ class TestTelemetryDifferential:
 
 
 class TestAcceptanceSnapshot:
-    def test_one_snapshot_spans_every_layer(self, tmp_path):
+    def test_one_snapshot_spans_every_layer(self):
         with use_registry(MetricsRegistry()):
-            # Store traffic: a cold run populates, a warm run hits.
-            specs = ltl_specs(2)
-            CampaignRunner(store=tmp_path / "store").run(specs)
-            warm = CampaignRunner(store=tmp_path / "store").run(specs)
-            assert warm.store_hits == 2
+            CampaignRunner().run(ltl_specs(4))
             # A 2-shard cluster run: engine, cache and service gauges
             # all publish through their collectors.
             fleet = ClusterFleet(2, shards=2)
@@ -121,12 +135,9 @@ class TestAcceptanceSnapshot:
         counters = snapshot["counters"]
         gauges = snapshot["gauges"]
         histograms = snapshot["histograms"]
-        # store.*: the content-addressed cache's counters.
-        assert counters["store.hits"] == 2
-        assert counters["store.misses"] >= 2
-        # campaign.*: dispatch accounting plus the latency histogram.
+        # campaign.*: scenario accounting plus the latency histogram.
         assert counters["campaign.scenarios"] == 4
-        assert counters["campaign.cached"] == 2
+        assert "campaign.failures" not in counters
         assert histograms["campaign.scenario_seconds"]["count"] == 4
         # engine.*: the live interpreter engines, one per prover device.
         assert gauges["engine.interp.instances"] >= 2

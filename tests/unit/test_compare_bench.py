@@ -170,7 +170,7 @@ class TestFleetProfile:
         assert "cluster-1" in rates and "cluster-2" in rates
 
 
-class TestAttestAndCampaignProfiles:
+class TestAttestProfile:
     def test_committed_attest_baseline_matches_profile(self):
         profile = compare_bench.PROFILES["attest"]
         rates = compare_bench.load_rates(
@@ -179,32 +179,6 @@ class TestAttestAndCampaignProfiles:
         assert profile["reference"] in rates
         assert {"pure-256B", "pure-64KiB", "fast-256B", "fast-64KiB"} \
             <= set(rates)
-
-    def test_committed_campaign_baseline_matches_profile(self):
-        profile = compare_bench.PROFILES["campaign"]
-        rates = compare_bench.load_rates(
-            _SCRIPT.parent / profile["baseline"],
-            key=profile["key"], value=profile["value"])
-        assert profile["reference"] in rates
-        assert {"serial-1", "store-cold", "store-warm"} <= set(rates)
-        # The whole point of the store: the committed warm-run row must
-        # dominate the cold one by a wide margin.
-        assert rates["store-warm"] > 5 * rates["store-cold"]
-
-    def test_campaign_gate_catches_store_speedup_collapse(self, tmp_path,
-                                                          capsys):
-        def payload(warm):
-            return {"rows": [
-                {"label": "serial-1", "scenarios_per_sec": 100.0},
-                {"label": "store-warm", "scenarios_per_sec": warm},
-            ]}
-        baseline = _write(tmp_path / "base.json", payload(2000.0))
-        current = _write(tmp_path / "cur.json", payload(150.0))
-        code = compare_bench.main([
-            "--profile", "campaign",
-            "--baseline", str(baseline), "--current", str(current)])
-        assert code == 1
-        assert "store-warm" in capsys.readouterr().out
 
     def test_attest_gate_ignores_machine_speed(self, tmp_path, capsys):
         def payload(scale):

@@ -65,6 +65,14 @@ bench = PoxTestbench(sensor_logger_firmware(), TestbenchConfig(architecture="asa
 assert bench.device.run_until_pc(bench.firmware.symbol("idle"), max_steps=64)
 """
 
+#: A verifier decoding a prover's report frame.
+_REPORT_FRAME = """
+from repro.net.transport import decode_payload, encode_frame
+from repro.vrased.swatt import AttestationReport
+report = AttestationReport(device_id="d", challenge=bytes(32), measurement=bytes(32))
+assert decode_payload(encode_frame({"report": report})[4:]) == {"report": report}
+"""
+
 #: What the E6 model checks leave unloaded.
 _E6_ABSENT = ("repro.device", "repro.firmware", "repro.hwcost", "repro.net", "repro.cluster",
               "asyncio", "multiprocessing")
@@ -75,21 +83,26 @@ FOOTPRINTS = {
     "import-repro": (
         "import repro",
         tuple("repro." + name for name in SUBPACKAGES) + ("multiprocessing", "socket", "pickle")),
-    # The fleet service is an explicit opt-in: `import repro` (what every
-    # spawn-context pool worker executes) must not pay for it, while its
-    # re-export still resolves.
+    # The fleet service is an explicit opt-in: `import repro` must not pay
+    # for it, while its re-export still resolves.
     "import-repro-without-net-stack": ("import repro", ("repro.net", "asyncio")),
     "from-repro-import-Fleet": (
         "from repro import Fleet\nassert Fleet.__name__ == 'Fleet'", ("repro.cluster",)),
     "cli-module": (
         "import repro.experiments.__main__",
         ("multiprocessing", "asyncio", "socket", "ssl", "repro.device", "repro.firmware",
-         "repro.ltl", "repro.hwcost", "repro.net", "repro.cluster", "repro.sim.store")),
+         "repro.ltl", "repro.hwcost", "repro.net", "repro.cluster")),
     "cli-E6": (_CLI % "E6", _E6_ABSENT),
     # E4-E5 is the hardware-cost comparison: it runs repro.hwcost, and
     # leaves the model checker out as well.
     "cli-E4-E5": (_CLI % "E4-E5",
                   tuple(name for name in _E6_ABSENT if name != "repro.hwcost") + ("repro.ltl",)),
+    # The frame allowlist names protocol types only: decoding a frame
+    # builds no campaign or firmware machinery.
+    "report-frame-decode": (
+        _REPORT_FRAME,
+        ("repro.sim", "repro.firmware", "repro.experiments", "repro.ltl",
+         "repro.cluster", "multiprocessing")),
     "sensor-logger-prover": (
         _PROVER,
         ("repro.ltl", "repro.sim", "repro.hwcost", "repro.experiments", "repro.net",
@@ -121,14 +134,14 @@ PUBLIC_NAMES = {
         Fleet FleetReport HashRing Hmac HmacKey InterruptVectorTable IvtGuard KeyStore
         KripkeStructure LinkConditions LinkedFirmware Memory MemoryLayout MemoryRegion
         MetadataRegion MetricsRegistry ModelChecker Observe OutputRegion PoxConfig
-        PoxProtocol PoxResult PoxTestbench PoxVerifier ProverEndpoint ResultStore
+        PoxProtocol PoxResult PoxTestbench PoxVerifier ProverEndpoint
         RetryPolicy ScenarioResult ScenarioSpec ShardedVerifierCluster StopSpec SwAtt
         TestbenchConfig TraceRecorder Tracer Verifier VerifierService VrasedConfig
         VrasedMonitor Waveform WorkerRegistry __version__ apex_property_suite
         asap_property_suite attack_suite blinker_firmware busy_wait_pump_firmware
         check_trace compare_costs export_telemetry figure6_comparison get_registry
         get_tracer hmac_sha256 parse_ltl run_scenario sensor_logger_firmware
-        set_crypto_backend sha256 shutdown_warm_pools synthesize_monitor
+        set_crypto_backend sha256 synthesize_monitor
         syringe_pump_firmware use_crypto_backend use_registry""",
     "repro.apex": """
         ApexMonitor ExecViolation ExecutableRegion MetadataRegion OutputRegion PoxConfig
@@ -184,7 +197,7 @@ PUBLIC_NAMES = {
         LinkConditions LoopbackTransport MessageTransport ProverEndpoint RetryPolicy
         RpcChannel RpcTimeout StreamTransport VerifierService allow_frame_type
         build_prover_bench loopback_pair open_tcp_listener open_tcp_transport
-        provision_enrollment read_frame run_remote_campaign worker_loop write_frame""",
+        provision_enrollment""",
     "repro.obs": """
         Counter DEFAULT_BUCKETS DEFAULT_WINDOW Gauge Histogram InMemorySink JsonlSink
         MetricsRegistry Span TELEMETRY_FILENAME Tracer attach_context current_context
@@ -195,10 +208,9 @@ PUBLIC_NAMES = {
         DmaController GpioPort InterruptController InterruptSource Peripheral
         PeripheralRegisters TimerA Uart Watchdog""",
     "repro.sim": """
-        BACKENDS CODE_EPOCH CampaignResult CampaignRunner EventSpec FirmwareRef Observe
-        ResultStore ScenarioContext ScenarioResult ScenarioSpec StopSpec canonical_bytes
-        code_epoch register_event_kind register_firmware_builder register_job
-        register_observer run_scenario shutdown_warm_pools""",
+        CampaignResult CampaignRunner EventSpec FirmwareRef Observe ScenarioContext
+        ScenarioResult ScenarioSpec StopSpec register_event_kind
+        register_firmware_builder register_job register_observer run_scenario""",
     "repro.vrased": """
         AttestationProtocol AttestationReport AttestationRequest AttestationResult
         ProverStub SwAtt Verifier Violation VrasedConfig VrasedMonitor""",

@@ -1,8 +1,6 @@
 """Unit tests for the fleet service's message transports."""
 
 import asyncio
-import socket
-import threading
 
 import pytest
 
@@ -12,8 +10,6 @@ from repro.net.transport import (
     loopback_pair,
     open_tcp_listener,
     open_tcp_transport,
-    read_frame,
-    write_frame,
 )
 
 
@@ -132,7 +128,69 @@ class TestLoopbackTransport:
         assert run(body()) == ["b", "a"]
 
 
+def _scenario_values():
+    from repro.sim.runner import ScenarioResult
+    from repro.sim.scenario import EventSpec, FirmwareRef, Observe, ScenarioSpec, StopSpec
+
+    return {
+        "ScenarioSpec": ScenarioSpec(name="s", firmware=FirmwareRef.of("blinker")),
+        "ScenarioResult": ScenarioResult(name="s", kind="pox"),
+        "EventSpec": EventSpec("uart_rx", step=5, args=(0x41,)),
+        "FirmwareRef": FirmwareRef.of("blinker", authorized=True),
+        "Observe": Observe("steps"),
+        "StopSpec": StopSpec("steps", 10),
+    }
+
+
+def _firmware_values():
+    from repro.firmware.blinker import BlinkerParameters
+    from repro.firmware.sensor_logger import SensorParameters
+    from repro.firmware.syringe_pump import PumpParameters
+    from repro.firmware.testbench import FirmwareSpec, TestbenchConfig
+
+    return {
+        "BlinkerParameters": BlinkerParameters(),
+        "SensorParameters": SensorParameters(),
+        "PumpParameters": PumpParameters(),
+        "FirmwareSpec": FirmwareSpec(name="f", source="nop"),
+        "TestbenchConfig": TestbenchConfig(),
+    }
+
+
+def _collection_values():
+    import collections
+
+    return {
+        "Counter": collections.Counter("aab"),
+        "OrderedDict": collections.OrderedDict(a=1),
+        "defaultdict": collections.defaultdict(int, a=1),
+        "deque": collections.deque([1, 2]),
+    }
+
+
+#: Types that no longer cross a socket: scenario specs and results stay
+#: in the process that runs them, firmware is built on the prover's
+#: side, and no fleet or shard frame carries a ``collections`` type.
+REFUSED_NAMES = ("ScenarioSpec", "ScenarioResult", "EventSpec", "FirmwareRef",
+                 "Observe", "StopSpec", "BlinkerParameters", "SensorParameters",
+                 "PumpParameters", "FirmwareSpec", "TestbenchConfig",
+                 "Counter", "OrderedDict", "defaultdict", "deque")
+
+
 class TestRestrictedDecoding:
+    @pytest.mark.parametrize("name", REFUSED_NAMES)
+    def test_dropped_frame_types_refused(self, name):
+        import pickle
+
+        from repro.net.transport import decode_payload, encode_frame
+
+        value = dict(_scenario_values(), **_firmware_values(),
+                     **_collection_values())[name]
+        frame = encode_frame({"kind": "probe", "value": value})
+        with pytest.raises(pickle.UnpicklingError,
+                           match=r"disallowed global .*\.%s " % name):
+            decode_payload(frame[4:])
+
     def test_hostile_pickle_frame_rejected(self):
         # A frame whose pickle references os.system must be refused at
         # find_class time, not executed.
@@ -163,19 +221,37 @@ class TestRestrictedDecoding:
         with pytest.raises(pickle.UnpicklingError, match="disallowed"):
             decode_payload(hostile)
 
-    def test_repro_dataclasses_roundtrip(self):
+    def test_only_fleet_and_shard_payloads_decode(self):
+        # The allowlist holds the classes fleet and shard frames carry:
+        # enrollments (with their PoX geometry and IVT region) and
+        # attestation reports.  Scenario specs no longer cross a socket.
+        import pickle
+
+        from repro.firmware.blinker import blinker_firmware
+        from repro.firmware.testbench import PoxTestbench, TestbenchConfig
+        from repro.net.service import provision_enrollment
         from repro.net.transport import decode_payload, encode_frame
         from repro.sim import FirmwareRef, ScenarioSpec
         from repro.vrased.swatt import AttestationReport
 
-        spec = ScenarioSpec(name="ok", firmware=FirmwareRef.of("blinker"))
+        bench = PoxTestbench(blinker_firmware(authorized=True),
+                             TestbenchConfig(architecture="asap"))
+        enrollment = provision_enrollment(bench)
+        assert enrollment.pox_config is not None
+        assert enrollment.ivt_region is not None
         report = AttestationReport(device_id="d", challenge=b"\x01" * 32,
                                    measurement=b"\x02" * 32,
                                    claims={"EXEC": 1}, snapshots={"OR": b"\x03"})
-        message = {"kind": "report", "spec": spec, "report": report, "n": 7}
-        decoded = decode_payload(encode_frame(message)[4:])
-        assert decoded == {"kind": "report", "spec": spec, "report": report,
-                           "n": 7}
+        for message in (
+            {"kind": "enroll", "seq": 0, "enrollment": enrollment},
+            {"kind": "report", "seq": 1, "protocol": "asap", "report": report},
+        ):
+            assert decode_payload(encode_frame(message)[4:]) == message
+
+        spec = ScenarioSpec(name="ok", firmware=FirmwareRef.of("blinker"))
+        frame = encode_frame({"kind": "scenario", "spec": spec})
+        with pytest.raises(pickle.UnpicklingError, match="disallowed"):
+            decode_payload(frame[4:])
 
     def test_allow_frame_type_extends_the_allowlist(self):
         import pickle
@@ -266,35 +342,3 @@ class TestTcpTransport:
             return first, second
 
         assert run(body()) == ({"late": True}, {"next": 2})
-
-    def test_sync_frames_interoperate_with_asyncio_service(self):
-        # A plain blocking-socket client (the remote campaign worker's
-        # habitat) must speak the same framing as StreamTransport.
-        async def body():
-            async def handler(transport):
-                message = await transport.recv()
-                await transport.send({"seen": message})
-
-            server = await open_tcp_listener(handler)
-            host, port = server.sockets[0].getsockname()[:2]
-            outcome = {}
-
-            def sync_client():
-                sock = socket.create_connection((host, port))
-                try:
-                    write_frame(sock, {"kind": "hello", "blob": b"x" * 4096})
-                    outcome["reply"] = read_frame(sock)
-                finally:
-                    sock.close()
-
-            thread = threading.Thread(target=sync_client)
-            thread.start()
-            while thread.is_alive():
-                await asyncio.sleep(0.01)
-            thread.join()
-            server.close()
-            await server.wait_closed()
-            return outcome
-
-        outcome = run(body())
-        assert outcome["reply"] == {"seen": {"kind": "hello", "blob": b"x" * 4096}}

@@ -225,42 +225,24 @@ class TestTracer:
         assert [span.name for span in spans] == ["inner", "outer"]
         assert all(span.finished for span in spans)
 
-    def test_begin_without_activate_leaves_context_alone(self):
-        tracer = Tracer()
-        detached = tracer.begin("campaign.run", activate=False)
-        with tracer.span("unrelated") as other:
-            assert other.trace_id != detached.trace_id
-        tracer.finish(detached)
-        assert detached.finished
-
     def test_synthetic_add_uses_measured_duration(self):
         tracer = Tracer()
-        root = tracer.begin("campaign.run", activate=False)
-        span = tracer.add("campaign.scenario", 0.25,
-                          parent=(root.trace_id, root.span_id),
-                          attributes={"scenario": "s1"})
+        with tracer.span("campaign.run") as root:
+            span = tracer.add("campaign.scenario", 0.25,
+                              attributes={"scenario": "s1"})
         assert span.duration == 0.25
         assert span.parent_id == root.span_id
         assert span.trace_id == root.trace_id
 
-    def test_wire_round_trip(self):
+    def test_explicit_parent_overrides_the_ambient_context(self):
         tracer = Tracer()
-        with tracer.span("outer", attributes={"k": "v"}):
-            with tracer.span("inner"):
-                pass
-        wire = tracer.drain_wire()
-        assert tracer.finished_spans() == []
-        # Wire frames are plain lists of scalars + one dict: exactly
-        # what the restricted unpickler on the job sockets admits.
-        assert all(isinstance(frame, list) for frame in wire)
-        receiver = Tracer()
-        received = receiver.ingest(wire)
-        assert {span.name for span in received} == {"outer", "inner"}
-        assert received[0].attributes or received[1].attributes
-
-    def test_unknown_wire_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            Span.from_wire([99, "t", "s", None, "n", 0.0, 0.0, {}])
+        root = tracer.begin("root")
+        tracer.finish(root)
+        with tracer.span("unrelated"):
+            span = tracer.add("child", 0.1,
+                              parent=(root.trace_id, root.span_id))
+        assert span.parent_id == root.span_id
+        assert span.trace_id == root.trace_id
 
     def test_retention_limit_counts_drops(self):
         tracer = Tracer(limit=2)

@@ -12,12 +12,7 @@ import asyncio
 import pytest
 
 from repro.net import VerifierService, loopback_pair
-from repro.net.rpc import (
-    RetryPolicy,
-    RpcChannel,
-    RpcTimeout,
-    backoff_delays,
-)
+from repro.net.rpc import RetryPolicy, RpcChannel, RpcTimeout
 
 
 def run(coroutine):
@@ -55,11 +50,6 @@ class TestRetryPolicy:
             RetryPolicy(multiplier=0.5)
         with pytest.raises(ValueError, match="max_timeout"):
             RetryPolicy(base_timeout=1.0, max_timeout=0.5)
-
-    def test_backoff_delays_cap(self):
-        assert list(backoff_delays(4, base=0.5, multiplier=2.0, cap=1.5)) \
-            == [0.5, 1.0, 1.5, 1.5]
-        assert list(backoff_delays(0)) == []
 
 
 def echo_server(transport, drop=0):
