@@ -3,14 +3,17 @@
 The package targets Python 3.9+ (the CI matrix pins 3.9 and 3.12).  The
 only interpreter-version dependence in the tree is ``dataclass(slots=True)``,
 which arrived in 3.10: the hot-path dataclasses (signal bundles, trace
-entries, step results) want slots for memory and lookup speed, but must
-still import on 3.9.  ``DATACLASS_SLOTS`` expands to ``{"slots": True}``
-where supported and to nothing otherwise::
+entries) want slots for memory and lookup speed, but must still import
+on 3.9.  ``DATACLASS_SLOTS`` expands to ``{"slots": True}`` where
+supported and to nothing otherwise::
 
     from repro._compat import DATACLASS_SLOTS
 
-    @dataclass(frozen=True, **DATACLASS_SLOTS)
-    class MemoryWrite: ...
+    @dataclass(**DATACLASS_SLOTS)
+    class SignalBundle: ...
+
+The per-access records (``MemoryRead``/``MemoryWrite``) are
+``typing.NamedTuple`` classes instead, which need no helper.
 """
 
 from __future__ import annotations

@@ -158,7 +158,7 @@ class CPU:
         registers = self.registers
         start_pc = registers[PC]
         sr = registers[SR]
-        gie_before = bool(sr & _GIE)
+        gie_before = (sr & _GIE) != 0
 
         if pending_interrupt is not None and gie_before:
             return self._enter_interrupt(

@@ -12,18 +12,26 @@ The paper's LTL properties are stated over a small set of MCU signals
 A :class:`SignalBundle` carries the values of those signals for one
 simulated step, including the *next* program-counter value so that
 ``X(PC)``-style properties (LTL 1 and 2) can be evaluated directly.
+
+Each bus access of a step is one :class:`MemoryRead` or
+:class:`MemoryWrite`: a ``typing.NamedTuple`` of ``(address, value,
+size=2)``.  A step builds one per access (a ``pox`` exchange builds
+532), so they are tuples rather than frozen dataclasses, which cost
+about twice as much to build.  They stay immutable, hashable and equal
+by value; being tuples, a read and a write with the same fields also
+compare equal, which nothing relies on -- a bundle keeps them in
+separate fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro._compat import DATACLASS_SLOTS
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class MemoryWrite:
+class MemoryWrite(NamedTuple):
     """One data-memory write performed during a step."""
 
     address: int
@@ -31,8 +39,7 @@ class MemoryWrite:
     size: int = 2
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class MemoryRead:
+class MemoryRead(NamedTuple):
     """One data-memory read performed during a step."""
 
     address: int
@@ -116,14 +123,6 @@ class SignalBundle:
     def dma_writes_into(self, region):
         """``True`` if any DMA write touched *region*."""
         return first_byte_in(self.dma_writes, region) is not None
-
-    def pc_in(self, region):
-        """``True`` if the step's program counter lies in *region*."""
-        return region.contains(self.pc)
-
-    def next_pc_in(self, region):
-        """``True`` if the step's next program counter lies in *region*."""
-        return region.contains(self.next_pc)
 
 
 def _expand_addresses(accesses):

@@ -8,18 +8,27 @@ and ASAP modules) that observe every step's signal bundle exactly the
 way the Verilog modules observe the MCU buses.
 
 ``Device._run`` is the simulator's one step loop.  Each step fires its
-due events, ticks the peripherals while they are dirty, runs the CPU
-step, attaches the DMA activity and acknowledges a serviced interrupt,
-shows the bundle to every attached monitor and records it in the trace
-(with tracing off it only counts the step's cycles).  :meth:`Device.step`
-is one iteration of it; :meth:`Device.run`, :meth:`Device.run_until_pc`
-and :meth:`Device.run_steps` call it.  Bundles the loop does not produce
--- a software write, a crashed device's synthetic steps -- go through
+due events, found with one compare of the step number against
+``_next_event_step`` (the first pending event's step).  While a
+peripheral is dirty, the step ticks the peripherals, runs the CPU step
+with the pending interrupt, attaches the DMA activity and acknowledges
+a serviced interrupt; while none is (every peripheral quiescent, no
+interrupt pending), the quiet branch runs the CPU step alone, since
+only a tick moves DMA data or hands the CPU an interrupt.  Either way
+the bundle goes to the attached monitors and into the trace (with
+tracing off the step only counts its cycles).  The monitors' ``observe``
+is looked up once per run call: one monitor's is called directly,
+several are called in attach order, and with none attached nothing is
+called.  :meth:`Device.step` is one iteration of the loop;
+:meth:`Device.run`, :meth:`Device.run_until_pc` and
+:meth:`Device.run_steps` call it.  Bundles the loop does not produce --
+a software write, a crashed device's synthetic steps -- go through
 ``Device._publish``, which observes and records them the same way.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -38,6 +47,10 @@ from repro.peripherals.registers import InterruptVectors, PeripheralRegisters
 from repro.peripherals.timer import TimerA
 from repro.peripherals.uart import Uart
 from repro.peripherals.watchdog import Watchdog
+
+#: ``Device._next_event_step`` while no event is pending: an int, so the
+#: step loop's due-event test stays an int compare.
+_NO_EVENT = sys.maxsize
 
 
 @dataclass
@@ -162,6 +175,11 @@ class Device:
             max_entries=self.config.trace_limit,
         )
         self._events: List[ScheduledEvent] = []
+        #: The step of the first pending event (``_NO_EVENT`` if none):
+        #: the step loop's one due-event test.  ``schedule``,
+        #: ``_fire_events`` and ``reset`` keep it equal to
+        #: ``_events[0].step``.
+        self._next_event_step = _NO_EVENT
         self._last_step_cycles = 0
         self.step_number = 0
         #: Number of warm (PUC-style) resets triggered by watchdog expiry.
@@ -213,6 +231,7 @@ class Device:
                 monitor.reset()
         self.trace.clear()
         self._events = []
+        self._next_event_step = _NO_EVENT
         self._last_step_cycles = 0
         self.step_number = 0
         self.watchdog_resets = 0
@@ -224,8 +243,8 @@ class Device:
         """Schedule *action(device)* to run just before step number *step*.
 
         ``_events`` is kept sorted by step (stable for equal steps), so
-        the step loop only ever has to look at the list head and fired
-        events can be pruned from the front.
+        the step loop only compares the step number with the head's step
+        (``_next_event_step``) and fired events are pruned from the front.
         """
         event = ScheduledEvent(step=step, action=action, label=label)
         events = self._events
@@ -233,6 +252,7 @@ class Device:
         while index > 0 and events[index - 1].step > step:
             index -= 1
         events.insert(index, event)
+        self._next_event_step = events[0].step
         return event
 
     def schedule_button_press(self, step, port=None, pin_mask=0x01):
@@ -263,8 +283,15 @@ class Device:
         device)* is true; a crash step is not shown to the condition.
 
         The monitors' ``observe`` methods are looked up here, per call
-        and never at attach time, so a wrapper put on a monitor class
-        after it was attached still sees every step.
+        and never at attach time (:meth:`_observer`), so a wrapper put on
+        a monitor class after it was attached still sees every step.
+
+        A step takes the quiet branch while ``_periph_dirty`` is clear:
+        every peripheral is quiescent and no interrupt is pending, so it
+        runs the CPU with no pending interrupt and has neither DMA
+        activity to attach nor an interrupt to acknowledge -- only
+        ``_tick_peripherals`` fills the DMA's step lists or hands the CPU
+        an interrupt.
         """
         if self.crashed:
             if max_steps < 1:
@@ -274,7 +301,7 @@ class Device:
         cpu_step = self.cpu.step
         dma = self.dma
         acknowledge = self.interrupt_controller.acknowledge
-        observers = [monitor.observe for monitor in self.monitors]
+        observe = self._observer()
         trace = self.trace
         record = trace.record if trace.enabled else None
         exporters = self._signal_exporters
@@ -282,24 +309,30 @@ class Device:
         bundle = None
         for executed in range(1, max_steps + 1):
             step_number = self.step_number = self.step_number + 1
-            events = self._events
-            if events and events[0].step <= step_number:
+            if step_number >= self._next_event_step:
                 self._fire_events()
-            pending = self._tick_peripherals() if self._periph_dirty else None
-            try:
-                bundle = cpu_step(pending)
-            except CPUError as error:
-                self._latch_crash(error)
-                return executed, self._crash_bundle()
+            if self._periph_dirty:
+                pending = self._tick_peripherals()
+                try:
+                    bundle = cpu_step(pending)
+                except CPUError as error:
+                    self._latch_crash(error)
+                    return executed, self._crash_bundle()
+                if dma._step_reads or dma._step_writes:
+                    bundle.dma_en = True
+                    bundle.dma_reads = dma._step_reads
+                    bundle.dma_writes = dma._step_writes
+                if bundle.irq:
+                    acknowledge(bundle.irq_source)
+                    self._periph_dirty = True
+            else:
+                try:
+                    bundle = cpu_step(None)
+                except CPUError as error:
+                    self._latch_crash(error)
+                    return executed, self._crash_bundle()
             cycles = self._last_step_cycles = bundle.cycles_consumed
-            if dma._step_reads or dma._step_writes:
-                bundle.dma_en = True
-                bundle.dma_reads = dma._step_reads
-                bundle.dma_writes = dma._step_writes
-            if bundle.irq:
-                acknowledge(bundle.irq_source)
-                self._periph_dirty = True
-            for observe in observers:
+            if observe is not None:
                 observe(bundle)
             if record is None:
                 # What a disabled recorder's record() does: count cycles.
@@ -314,6 +347,22 @@ class Device:
             if stop_condition is not None and stop_condition(bundle, self):
                 break
         return executed, bundle
+
+    def _observer(self):
+        """The attached monitors' ``observe`` as one callable, looked up
+        now: the one monitor's bound method, a fan-out calling several
+        in attach order, or ``None`` when no monitor is attached."""
+        observers = [monitor.observe for monitor in self.monitors]
+        if not observers:
+            return None
+        if len(observers) == 1:
+            return observers[0]
+
+        def fan_out(bundle):
+            for observe in observers:
+                observe(bundle)
+
+        return fan_out
 
     def _tick_peripherals(self):
         """Tick every peripheral by the last step's cycles; return the
@@ -390,6 +439,10 @@ class Device:
             # Events run arbitrary actions; conservatively leave the
             # quiescent fast loop so their effects are picked up.
             self._periph_dirty = True
+        # Read the list again: an action may have scheduled more events,
+        # or reset the device, which replaces the list.
+        events = self._events
+        self._next_event_step = events[0].step if events else _NO_EVENT
 
     def _crash_bundle(self):
         """Synthetic bundle emitted once the device has crashed.

@@ -13,12 +13,15 @@ Runs the experiment campaigns and prints the consolidated report::
 
 Campaigns run in-process, one scenario after another.  Unknown flags
 are rejected with exit code 2 (argparse); a failing experiment exits 1.
+A reader that closes stdout early (``| head -1``) ends the printed
+output, not the run: the experiments and the exports still complete.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from repro.experiments import runners
@@ -78,14 +81,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(*args, **kwargs) -> None:
+    """``print`` to stdout, where a closed pipe ends the output only.
+
+    The first write into a pipe whose reader has gone (``| head -1``)
+    points stdout at the null device, so the run goes on -- its exports
+    included -- and ends as it would have, without a traceback.
+    """
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_progress(result) -> None:
     """The ``--stream`` line of one completed scenario."""
     status = "ok" if result.ok else ("error" if result.error else "FAIL")
-    print("[%s] %s (%.3fs)" % (status, result.name, result.elapsed_seconds),
-          flush=True)
+    _print("[%s] %s (%.3fs)" % (status, result.name, result.elapsed_seconds),
+           flush=True)
 
 
 def main(argv=None):
+    try:
+        return _main(argv)
+    finally:
+        # Flush here, where a closed pipe is caught, rather than in the
+        # interpreter's exit flush, where it is reported.
+        _print(end="", flush=True)
+
+
+def _main(argv):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -99,7 +126,7 @@ def main(argv=None):
     all_ids = list(runners.EXPERIMENT_RUNNERS)
     if args.list_ids:
         for experiment_id in all_ids:
-            print(experiment_id)
+            _print(experiment_id)
         return 0
 
     skip = None
@@ -131,24 +158,24 @@ def main(argv=None):
     results = runners.run_all_experiments(skip=skip, campaign=campaign,
                                           overrides=overrides)
     for result in results:
-        print(result.render())
-        print()
+        _print(result.render())
+        _print()
 
     if args.json_path:
         runners.write_json(results, args.json_path)
-        print("wrote %d experiment results to %s" % (len(results), args.json_path))
+        _print("wrote %d experiment results to %s" % (len(results), args.json_path))
 
     if args.telemetry_dir is not None:
         from repro.obs import export_telemetry
 
         path = export_telemetry(args.telemetry_dir)
-        print("wrote telemetry (metrics snapshot + trace spans) to %s" % path)
+        _print("wrote telemetry (metrics snapshot + trace spans) to %s" % path)
 
     failed = [result.experiment_id for result in results if not result.succeeded]
     if failed:
-        print("FAILED experiments: %s" % ", ".join(failed))
+        _print("FAILED experiments: %s" % ", ".join(failed))
         return 1
-    print("All %d experiments reproduce the expected shape." % len(results))
+    _print("All %d experiments reproduce the expected shape." % len(results))
     return 0
 
 

@@ -106,9 +106,15 @@ class Memory:
 
     # ------------------------------------------------------------- runtime
 
+    # Every compiled instruction's bus access comes through these four:
+    # like ``peek_*``, they inline the in-range test and call _check
+    # only to raise on an access past the end of a smaller memory.
+
     def read_byte(self, address, initiator="cpu"):
         """Read one byte."""
-        address = self._check(address, 1)
+        address &= ADDRESS_MASK
+        if address >= self._size:
+            self._check(address, 1)
         value = self._data[address]
         if self._watchers:
             self._notify(MemoryAccess(address, value, 1, False, initiator))
@@ -116,7 +122,9 @@ class Memory:
 
     def write_byte(self, address, value, initiator="cpu"):
         """Write one byte."""
-        address = self._check(address, 1)
+        address &= ADDRESS_MASK
+        if address >= self._size:
+            self._check(address, 1)
         value &= 0xFF
         self._data[address] = value
         if self._watchers:
@@ -126,18 +134,24 @@ class Memory:
 
     def read_word(self, address, initiator="cpu"):
         """Read a 16-bit little-endian word (address is forced even)."""
-        address = self._check(address & 0xFFFE, 2)
-        value = self._data[address] | (self._data[address + 1] << 8)
+        address &= 0xFFFE
+        if address + 2 > self._size:
+            self._check(address, 2)
+        data = self._data
+        value = data[address] | (data[address + 1] << 8)
         if self._watchers:
             self._notify(MemoryAccess(address, value, 2, False, initiator))
         return value
 
     def write_word(self, address, value, initiator="cpu"):
         """Write a 16-bit little-endian word (address is forced even)."""
-        address = self._check(address & 0xFFFE, 2)
+        address &= 0xFFFE
+        if address + 2 > self._size:
+            self._check(address, 2)
         value &= 0xFFFF
-        self._data[address] = value & 0xFF
-        self._data[address + 1] = (value >> 8) & 0xFF
+        data = self._data
+        data[address] = value & 0xFF
+        data[address + 1] = (value >> 8) & 0xFF
         if self._watchers:
             self._notify(MemoryAccess(address, value, 2, True, initiator))
         if self._write_listeners:

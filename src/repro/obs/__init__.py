@@ -25,9 +25,6 @@ _EXPORTS = {
     "Span": "repro.obs.trace",
     "TELEMETRY_FILENAME": "repro.obs.export",
     "Tracer": "repro.obs.trace",
-    "attach_context": "repro.obs.trace",
-    "current_context": "repro.obs.trace",
-    "detach_context": "repro.obs.trace",
     "export_telemetry": "repro.obs.export",
     "get_registry": "repro.obs.metrics",
     "get_tracer": "repro.obs.trace",

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 #: The ambient trace context: ``(trace_id, span_id)`` of the innermost
 #: open span, or None at top level.  Contextvars are per-thread (and
-#: per-task under asyncio): another thread that should join a trace
-#: attaches explicitly via ``current_context`` / ``attach_context``.
+#: per-task under asyncio), so a span opened in another thread starts a
+#: trace of its own unless it is given its parent.
 _CURRENT: contextvars.ContextVar = contextvars.ContextVar(
     "repro_obs_span", default=None)
 
@@ -176,32 +176,6 @@ class Tracer:
         with self._lock:
             self._finished = []
             self.dropped = 0
-
-
-# --------------------------------------------------------------------------
-# Ambient context helpers
-# --------------------------------------------------------------------------
-
-def current_context() -> Optional[Tuple[str, str]]:
-    """The ambient ``(trace_id, span_id)``, for crossing a boundary."""
-    return _CURRENT.get()
-
-
-def attach_context(parent: Optional[Tuple[str, str]]):
-    """Set the ambient trace context in *this* thread/task.
-
-    Returns a token for :func:`detach_context`.  Another thread calls
-    this with a pair taken by :func:`current_context` so its spans root
-    under that span.
-    """
-    return _CURRENT.set(tuple(parent) if parent is not None else None)
-
-
-def detach_context(token):
-    try:
-        _CURRENT.reset(token)
-    except ValueError:
-        pass
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,13 @@ ROOT = Path(__file__).resolve().parents[2]
 PAPER_ROWS = ROOT / "perfbench" / "paper_rows.json"
 
 
+def _cli_env():
+    """The environment of a ``python -m repro.experiments`` subprocess."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestIndividualRunners:
     def test_fig5_runner_covers_three_scenarios(self):
         result = run_fig5_waveforms()
@@ -174,6 +181,23 @@ class TestCommandLine:
         metrics = next(r for r in records if r["record"] == "metrics")
         assert metrics["counters"]["campaign.scenarios"] > 0
 
+    def test_a_closed_stdout_ends_the_output_not_the_run(self, tmp_path):
+        # ``... --stream | head -1``: the reader goes after one line.
+        exported = tmp_path / "report.json"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", "E7", "E4-E5", "--stream",
+             "--json", str(exported)],
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = process.stdout.readline()
+        process.stdout.close()
+        _, errors = process.communicate(timeout=300)
+        assert first.startswith(b"[ok] ")
+        assert b"Traceback" not in errors and b"BrokenPipeError" not in errors, errors
+        assert process.returncode == 0
+        payload = json.loads(exported.read_text())
+        assert [entry["experiment_id"] for entry in payload] == ["E4-E5", "E7"]
+        assert all(entry["succeeded"] for entry in payload)
+
     def test_cli_reads_the_registry_live(self, capsys, monkeypatch):
         def extra_runner(campaign=None):
             return ExperimentResult("E10", "registered after import")
@@ -252,13 +276,10 @@ class TestExperimentAlone:
     def test_alone_exports_its_pinned_rows(self, tmp_path, experiment_id):
         pinned = json.loads(PAPER_ROWS.read_text(encoding="utf-8"))
         exported = tmp_path / "alone.json"
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                             os.environ.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-m", "repro.experiments", experiment_id,
              "--json", str(exported)],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-            text=True, timeout=120)
+            env=_cli_env(), capture_output=True, text=True, timeout=120)
         assert completed.returncode == 0, completed.stdout + completed.stderr
         entries = json.loads(exported.read_text(encoding="utf-8"))
         assert [entry["experiment_id"] for entry in entries] == [experiment_id]

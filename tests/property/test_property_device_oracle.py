@@ -13,28 +13,39 @@ tracing on or off.  After every
 call they must agree on:
 
 * the call's result;
-* every field of every bundle the monitors observed, and of every
-  bundle the stop condition was shown;
+* the shared log: every field (``dma_*`` included) of every bundle
+  each recorder observed, in observation order, with the label and
+  step of every event that fired in between;
+* every field of every bundle the stop condition was shown;
 * every trace entry, with its monitor signals;
 * the ASAP monitor's violations, EXEC, started/completed flags,
-  exported signals and IVT-guard state and events;
+  exported signals and IVT-guard state and events (when attached);
 * the step, CPU-step and cycle counters (the trace's included), the
   registers, the crash latch and the watchdog resets;
-* the serviced interrupts and the pending event schedule;
+* the serviced (acknowledged) interrupts, the ``fired`` latch of every
+  scheduled event and the pending event schedule;
 * all 64 KiB of memory.
 
 Programs: the random and memory-heavy generators of
-``test_property_decode_cache`` under an ASAP monitor (interrupt vectors
-aimed at a ``RETI`` outside ER), and the sensor logger under ASAP with
-its trusted UART ISR and an untrusted PORT5 ISR.  Events: UART bytes,
-GPIO presses on both ports, a DMA transfer into plain data, OR,
-metadata, ER or the IVT, a watchdog armed to expire, and a crash (an
-illegal word stored at the PC).
+``test_property_decode_cache`` (interrupt vectors aimed at a ``RETI``
+outside ER), optionally opened by a quiet stretch and a CPU write to
+``DMA0CTL`` that starts a DMA transfer, and the sensor logger under
+ASAP with its trusted UART ISR and an untrusted PORT5 ISR.  Events:
+UART bytes, GPIO presses on both ports, a DMA transfer into plain data,
+OR, metadata, ER or the IVT, a watchdog armed to expire, a crash (an
+illegal word stored at the PC), a device reset, and an event that
+schedules another one, due on the current step or later.
+
+Monitors: a random program runs with or without the ASAP monitor, and
+each device gets 0, 1 or 2 *recorders* -- monitors that append what
+they observe to one log per device -- so the loop's three ways of
+calling ``observe`` (none, one, a fan-out in attach order) are all
+compared.  The first recorder may schedule an event from ``observe``.
 """
 
 from unittest import mock
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from reference_device import ReferenceDevice
 from test_property_decode_cache import (
@@ -47,6 +58,7 @@ from test_property_isa import instructions
 
 from repro.apex.regions import ExecutableRegion, MetadataRegion, OutputRegion, PoxConfig
 from repro.core.hwmod import AsapMonitor
+from repro.cpu.signals import MemoryWrite
 from repro.device.mcu import Device, DeviceConfig
 from repro.firmware import testbench
 from repro.firmware.sensor_logger import SensorParameters, sensor_logger_firmware
@@ -54,6 +66,7 @@ from repro.isa.instructions import Instruction, Opcode, Operand
 from repro.isa.registers import SR, StatusFlag
 from repro.memory.ivt import IVT_BASE
 from repro.peripherals.registers import (
+    DmaBits,
     InterruptVectors,
     PeripheralRegisters,
     WatchdogBits,
@@ -76,29 +89,72 @@ INTERRUPT_SOURCES = (InterruptVectors.PORT1, InterruptVectors.PORT5,
 STOP_KINDS = (None, "irq", "bus", "every-third")
 #: Where DMA transfers and software writes land (addresses per program).
 PLACES = ("data", "or", "meta", "er", "ivt")
+#: Names of the recorders a device gets, in attach order.
+RECORDERS = ("first", "second")
+#: How far after the current step an event schedules another one; 0 is
+#: due on the current step, -1 overdue.
+DELAYS = st.integers(min_value=-1, max_value=3)
+#: Every phase but ``explain``, which only annotates a failure: it
+#: re-ran a shrunk failing draw some 1,800 times, and the failing test
+#: took 150 s and grew to 1.3 GB, against 12 s and 0.1 GB without it.
+PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
 
 
-class BundleLog:
-    """A monitor that keeps every bundle it observes (and exports no
-    signals, so the loop sees an observer that is not an exporter)."""
+class Recorder:
+    """A monitor that appends ``(name, bundle)`` to its side's log, which
+    it shares with the side's other recorder: the log shows the order
+    the monitors observe in.  It exports no signals, so the loop sees an
+    observer that is not an exporter.
 
-    def __init__(self):
-        self.bundles = []
+    With a ``plan`` of ``(k, delay)``, its k-th ``observe`` also
+    schedules an event ``delay`` steps after the step it observed.
+    """
+
+    def __init__(self, name, side):
+        self.name = name
+        self.side = side
+        self.seen = 0
+        self.plan = None
 
     def observe(self, bundle):
-        self.bundles.append(bundle)
+        side = self.side
+        side.log.append((self.name, bundle))
+        self.seen += 1
+        if self.plan is not None and self.seen == self.plan[0]:
+            side.schedule(side.device.step_number + self.plan[1], "observed")
 
 
 class Side:
-    """One device of the pair, with what the comparison reads from it."""
+    """One device of the pair, with what the comparison reads from it.
 
-    def __init__(self, device, monitor, protocol=None):
+    *monitor* is the ASAP monitor, or ``None`` when none is attached;
+    *recorders* recorders are attached after it.
+    """
+
+    def __init__(self, device, monitor, recorders, protocol=None):
         self.device = device
         self.monitor = monitor
         self.protocol = protocol
-        self.log = device.attach_monitor(BundleLog())
+        #: What the recorders observed and which events fired, in order.
+        self.log = []
+        #: The handle of every event scheduled on the device.
+        self.events = []
+        self.recorders = [device.attach_monitor(Recorder(name, self))
+                          for name in RECORDERS[:recorders]]
         #: Bundles the stop conditions of the current call were shown.
         self.shown = []
+
+    def schedule(self, step, label, action=None):
+        """Schedule *action* (by default: nothing) at *step*; a fired
+        event logs its label and the step it fired on first."""
+        log = self.log
+
+        def fire(target):
+            log.append((label, target.step_number))
+            if action is not None:
+                action(target)
+
+        self.events.append(self.device.schedule(step, fire, label=label))
 
     def stop_condition(self, kind):
         if kind is None:
@@ -133,18 +189,12 @@ class Side:
     def state(self):
         device = self.device
         cpu = device.cpu
-        monitor = self.monitor
-        return {
-            "bundles": self.log.bundles,
+        state = {
+            "log": self.log,
             "shown": self.shown,
+            "events": [(event.step, event.label, event.fired) for event in self.events],
             "trace": list(device.trace),
             "trace_cycles": device.trace.total_cycles,
-            "violations": list(monitor.violations),
-            "exec": monitor.exec_flag,
-            "started": monitor.execution_started,
-            "completed": monitor.execution_completed,
-            "signals": monitor.signal_values(),
-            "guard": (monitor.ivt_guard.state, list(monitor.ivt_guard.events)),
             "step_number": device.step_number,
             "step_count": cpu.step_count,
             "cycle_count": cpu.cycle_count,
@@ -156,19 +206,31 @@ class Side:
             "pending": [(event.step, event.label) for event in device._events],
             "memory": device.memory.dump(0, 0x10000),
         }
+        monitor = self.monitor
+        if monitor is not None:
+            state.update({
+                "violations": list(monitor.violations),
+                "exec": monitor.exec_flag,
+                "started": monitor.execution_started,
+                "completed": monitor.execution_completed,
+                "signals": monitor.signal_values(),
+                "guard": (monitor.ivt_guard.state, list(monitor.ivt_guard.events)),
+            })
+        return state
 
     def forget_call(self):
-        self.log.bundles = []
+        self.log.clear()
         self.shown.clear()
 
 
-def _schedule(device, event, places):
+def _schedule(side, event, places):
+    device = side.device
     kind, step = event[0], event[1]
     if kind == "uart":
-        device.schedule_uart_rx(step, event[2])
+        side.events.append(device.schedule_uart_rx(step, event[2]))
     elif kind == "gpio":
         port = device.gpio1 if event[2] == 1 else device.gpio5
-        device.schedule_button_press(step, port=port)
+        side.events.append(device.schedule_button_press(step, port=port))
     elif kind == "dma":
         destination, words = places[event[2]], event[3]
 
@@ -176,7 +238,7 @@ def _schedule(device, event, places):
             target.dma.configure(DMA_SOURCE, destination, words)
             target.dma.trigger()
 
-        device.schedule(step, start_dma, label="dma")
+        side.schedule(step, "dma", start_dma)
     elif kind == "watchdog":
         interval = event[2]
 
@@ -185,16 +247,28 @@ def _schedule(device, event, places):
             target.memory.write_word(PeripheralRegisters.WDTCTL,
                                      WatchdogBits.PASSWORD | WatchdogBits.CLEAR)
 
-        device.schedule(step, arm_watchdog, label="watchdog")
+        side.schedule(step, "watchdog", arm_watchdog)
+    elif kind == "crash":
+        side.schedule(step, "crash",
+                      lambda target: target.memory.load_word(target.cpu.pc, ILLEGAL))
+    elif kind == "reset":
+        side.schedule(step, "reset", lambda target: target.reset())
+    elif kind == "chain":
+        delay = event[2]
+        side.schedule(step, "chain", lambda target: side.schedule(
+            target.step_number + delay, "chained"))
+    elif kind == "observe":
+        # Not an event: the first recorder's k-th observe schedules one.
+        if side.recorders:
+            side.recorders[0].plan = (step, event[2])
     else:
-        device.schedule(step, lambda target: target.memory.load_word(target.cpu.pc, ILLEGAL),
-                        label="crash")
+        raise ValueError(kind)
 
 
 def _drive(pair, events, calls, places):
     for side in pair:
         for event in events:
-            _schedule(side.device, event, places)
+            _schedule(side, event, places)
     for index, call in enumerate(calls):
         if call[0] == "write":
             call = ("write", places[call[1]], call[2])
@@ -202,15 +276,30 @@ def _drive(pair, events, calls, places):
         assert results[0] == results[1], (index, call)
         fused, reference = (side.state() for side in pair)
         for key in fused:
-            assert fused[key] == reference[key], (key, index, call)
+            # Compared outside the assert: pytest would otherwise diff
+            # the two values (all of memory, every bundle) for each
+            # failing example the shrinker tries.
+            same = fused[key] == reference[key]
+            assert same, (key, index, call, _first_difference(fused[key], reference[key]))
         for side in pair:
             side.forget_call()
+
+
+def _first_difference(fused, reference):
+    """Where two compared values first differ."""
+    if isinstance(fused, (list, bytes)) and isinstance(reference, type(fused)):
+        for position, (mine, theirs) in enumerate(zip(fused, reference)):
+            if mine != theirs:
+                return position, mine, theirs
+        return "lengths", len(fused), len(reference)
+    return fused, reference
 
 
 # ---------------------------------------------------------------- strategies
 
 def event_lists(max_step):
-    """Up to one event of each kind, each at a drawn step."""
+    """Up to one event of each kind, each at a drawn step ("observe":
+    at a drawn observation of the first recorder)."""
     steps = st.integers(min_value=1, max_value=max_step)
 
     def maybe(*args):
@@ -223,6 +312,9 @@ def event_lists(max_step):
                      st.integers(min_value=1, max_value=4)),
         "watchdog": maybe(st.integers(min_value=8, max_value=120)),
         "crash": maybe(),
+        "reset": maybe(),
+        "chain": maybe(DELAYS),
+        "observe": maybe(DELAYS),
     }).map(lambda drawn: [(kind,) + args for kind, args in drawn.items()
                           if args is not None])
 
@@ -245,17 +337,29 @@ RANDOM_PLACES = {"data": 0x0220, "or": 0x0240, "meta": 0x0300, "er": BASE + 0x20
                  "ivt": IVT_BASE}
 #: A quiet register-only body, with every event kind and every call kind:
 #: the paths a random draw reaches only now and then.
-QUIET_BODY = [Instruction(Opcode.MOV, src=Operand.reg(4), dst=Operand.reg(4))] * 2
-EVERY_EVENT = [("uart", 5, b"\x41"), ("gpio", 12, 1), ("dma", 20, "or", 3),
-               ("watchdog", 30, 40), ("crash", 150)]
+QUIET = Instruction(Opcode.MOV, src=Operand.reg(4), dst=Operand.reg(4))
+QUIET_BODY = [QUIET] * 2
+EVERY_EVENT = [("uart", 5, b"\x41"), ("chain", 8, 0), ("observe", 10, 0),
+               ("gpio", 12, 1), ("dma", 20, "or", 3), ("chain", 25, 2),
+               ("watchdog", 30, 40), ("reset", 140), ("crash", 150)]
 EVERY_CALL = [("run_steps", 60), ("run", 120, "irq"), ("write", "ivt", 0xF000),
               ("step",), ("run_until_pc", BASE + 6, 40), ("run", 120, None),
               ("run_steps", 30), ("step",)]
+#: Monitor setups: ``(ASAP attached, recorders)``.
+MONITORS = st.tuples(st.booleans(), st.integers(min_value=0, max_value=2))
+#: ``MOV #EN|REQ, &DMA0CTL``: the CPU starts the DMA transfer the host
+#: configured, which the quiet loop must wake up for.
+DMA_KICK = Instruction(Opcode.MOV, src=Operand.imm(DmaBits.EN | DmaBits.REQ),
+                       dst=Operand.absolute(PeripheralRegisters.DMA0CTL))
+#: ``(quiet steps before the kick, destination, words)``, or no kick.
+KICKS = st.none() | st.tuples(st.integers(min_value=1, max_value=8),
+                              st.sampled_from(PLACES),
+                              st.integers(min_value=1, max_value=4))
 
 
 # ---------------------------------------------------------------- random programs
 
-def _program_side(device_class, program, register_values, trace, gie):
+def _program_side(device_class, program, register_values, trace, gie, monitors, kick):
     device = device_class(DeviceConfig(trace_enabled=trace))
     device.memory.load_bytes(BASE, program)
     device.memory.load_word(HANDLER, RETI)
@@ -270,13 +374,21 @@ def _program_side(device_class, program, register_values, trace, gie):
         device.cpu.registers[index] = value
     if gie:
         device.cpu.registers[SR] |= int(StatusFlag.GIE)
-    monitor = device.attach_monitor(AsapMonitor(RANDOM_POX))
-    return Side(device, monitor)
+    if kick is not None:
+        device.dma.configure(DMA_SOURCE, RANDOM_PLACES[kick[1]], kick[2])
+    asap, recorders = monitors
+    monitor = device.attach_monitor(AsapMonitor(RANDOM_POX)) if asap else None
+    return Side(device, monitor, recorders)
 
 
-def _check_program(body, register_values, trace, gie, events, calls):
+def _check_program(body, register_values, trace, gie, events, calls, monitors, kick):
+    if kick is not None:
+        # The stopped watchdog goes quiescent after one step; the kick
+        # then runs on a quiet step.
+        body = [QUIET] * kick[0] + [DMA_KICK] + body
     program = _program_bytes(body)
-    pair = [_program_side(device_class, program, register_values, trace, gie)
+    pair = [_program_side(device_class, program, register_values, trace, gie,
+                          monitors, kick)
             for device_class in (Device, ReferenceDevice)]
     _drive(pair, events, calls, RANDOM_PLACES)
 
@@ -289,14 +401,25 @@ class TestRandomProgramsMatchTheReferenceLoop:
         gie=st.booleans(),
         events=event_lists(60),
         calls=call_lists(RANDOM_TARGETS),
+        monitors=MONITORS,
+        kick=KICKS,
     )
     @example(body=QUIET_BODY, register_values=[0] * 12, trace=False, gie=True,
-             events=EVERY_EVENT, calls=EVERY_CALL)
+             events=EVERY_EVENT, calls=EVERY_CALL, monitors=(True, 2), kick=None)
     @example(body=QUIET_BODY, register_values=[0] * 12, trace=True, gie=True,
-             events=EVERY_EVENT, calls=EVERY_CALL)
-    @settings(max_examples=60, deadline=None)
-    def test_random_programs(self, body, register_values, trace, gie, events, calls):
-        _check_program(body, register_values, trace, gie, events, calls)
+             events=EVERY_EVENT, calls=EVERY_CALL, monitors=(True, 2), kick=None)
+    @example(body=QUIET_BODY, register_values=[0] * 12, trace=False, gie=True,
+             events=EVERY_EVENT, calls=EVERY_CALL, monitors=(False, 0), kick=None)
+    @example(body=QUIET_BODY, register_values=[0] * 12, trace=False, gie=False,
+             events=[], calls=[("run_steps", 40)], monitors=(False, 1),
+             kick=(4, "data", 3))
+    @example(body=QUIET_BODY, register_values=[0] * 12, trace=False, gie=False,
+             events=[], calls=[("run_steps", 40)], monitors=(True, 0),
+             kick=(4, "er", 2))
+    @settings(max_examples=60, deadline=None, phases=PHASES)
+    def test_random_programs(self, body, register_values, trace, gie, events, calls,
+                             monitors, kick):
+        _check_program(body, register_values, trace, gie, events, calls, monitors, kick)
 
     @given(
         body=st.lists(memory_heavy_instructions(), min_size=1, max_size=12),
@@ -305,10 +428,24 @@ class TestRandomProgramsMatchTheReferenceLoop:
         gie=st.booleans(),
         events=event_lists(60),
         calls=call_lists(RANDOM_TARGETS),
+        monitors=MONITORS,
+        kick=KICKS,
     )
-    @settings(max_examples=60, deadline=None)
-    def test_memory_heavy_programs(self, body, register_values, trace, gie, events, calls):
-        _check_program(body, register_values, trace, gie, events, calls)
+    @settings(max_examples=60, deadline=None, phases=PHASES)
+    def test_memory_heavy_programs(self, body, register_values, trace, gie, events, calls,
+                                   monitors, kick):
+        _check_program(body, register_values, trace, gie, events, calls, monitors, kick)
+
+    def test_the_kick_runs_on_a_quiet_step(self):
+        side = _program_side(Device, _program_bytes([QUIET] * 3 + [DMA_KICK]),
+                             [0] * 12, False, False, (False, 1), (3, "data", 2))
+        device = side.device
+        device.run_steps(4)
+        assert not device._periph_dirty
+        kick = device.step()
+        assert kick.writes[0].address == PeripheralRegisters.DMA0CTL
+        assert device._periph_dirty
+        assert device.step().dma_writes == [MemoryWrite(RANDOM_PLACES["data"], 0, 2)]
 
 
 # ---------------------------------------------------------------- sensor logger
@@ -319,13 +456,14 @@ SENSOR_PLACES = {"data": 0x0300, "or": 0x0600, "meta": 0x0400, "er": 0xE010,
 SENSOR_TARGETS = ("idle", "ER_entry", "ER_exit", "uart_command_isr")
 #: Boot to the idle loop, as every prover does.
 BOOT = ("run_until_pc", "idle", 64)
-EXCHANGE_EVENTS = [("uart", 20, b"\x07"), ("gpio", 35, 5), ("dma", 45, "data", 2),
-                   ("watchdog", 160, 30), ("crash", 240)]
+EXCHANGE_EVENTS = [("uart", 20, b"\x07"), ("observe", 30, 0), ("gpio", 35, 5),
+                   ("dma", 45, "data", 2), ("chain", 50, 0), ("watchdog", 160, 30),
+                   ("crash", 240)]
 EXCHANGE_CALLS = [("exchange", 400), ("run_steps", 20), ("exchange", 400),
                   ("run", 120, "bus"), ("exchange", 400), ("run_steps", 20)]
 
 
-def _sensor_side(device_class, samples, trace, port1):
+def _sensor_side(device_class, samples, trace, port1, recorders):
     # The testbench builds its device from the name in its own module.
     with mock.patch.object(testbench, "Device", device_class):
         bench = testbench.PoxTestbench(
@@ -337,7 +475,7 @@ def _sensor_side(device_class, samples, trace, port1):
         )
     assert type(bench.device) is device_class
     bench.device.memory.load_bytes(PeripheralRegisters.P5IE, bytes([0x01]))
-    return Side(bench.device, bench.monitor, bench.protocol), bench.firmware
+    return Side(bench.device, bench.monitor, recorders, bench.protocol), bench.firmware
 
 
 class TestSensorLoggerMatchesTheReferenceLoop:
@@ -348,14 +486,19 @@ class TestSensorLoggerMatchesTheReferenceLoop:
         events=event_lists(200),
         calls=call_lists(SENSOR_TARGETS, extra=(
             st.tuples(st.just("exchange"), st.integers(min_value=0, max_value=400)),) * 2),
+        recorders=st.integers(min_value=0, max_value=2),
     )
     @example(samples=10, trace=False, port1=False, events=EXCHANGE_EVENTS,
-             calls=EXCHANGE_CALLS)
+             calls=EXCHANGE_CALLS, recorders=0)
     @example(samples=10, trace=True, port1=True, events=EXCHANGE_EVENTS,
-             calls=EXCHANGE_CALLS)
-    @settings(max_examples=40, deadline=None)
-    def test_sensor_logger_under_asap(self, samples, trace, port1, events, calls):
-        sides = [_sensor_side(device_class, samples, trace, port1)
+             calls=EXCHANGE_CALLS, recorders=2)
+    @example(samples=10, trace=False, port1=False,
+             events=EXCHANGE_EVENTS[:3] + [("reset", 120)], calls=EXCHANGE_CALLS,
+             recorders=1)
+    @settings(max_examples=40, deadline=None, phases=PHASES)
+    def test_sensor_logger_under_asap(self, samples, trace, port1, events, calls,
+                                      recorders):
+        sides = [_sensor_side(device_class, samples, trace, port1, recorders)
                  for device_class in (Device, ReferenceDevice)]
         firmware = sides[0][1]
         calls = [(name, firmware.symbol(rest[0]), *rest[1:]) if name == "run_until_pc"

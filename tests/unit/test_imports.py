@@ -200,8 +200,8 @@ PUBLIC_NAMES = {
         provision_enrollment""",
     "repro.obs": """
         Counter DEFAULT_BUCKETS DEFAULT_WINDOW Gauge Histogram InMemorySink JsonlSink
-        MetricsRegistry Span TELEMETRY_FILENAME Tracer attach_context current_context
-        detach_context export_telemetry get_registry get_tracer
+        MetricsRegistry Span TELEMETRY_FILENAME Tracer export_telemetry get_registry
+        get_tracer
         register_global_collector render_tree set_registry set_tracer span_tree
         unregister_global_collector use_registry""",
     "repro.peripherals": """
