@@ -17,36 +17,40 @@ Run with::
     python examples/quickstart.py
 """
 
+import functools
+
 from repro import (
     CampaignRunner,
-    EventSpec,
-    FirmwareRef,
-    Observe,
     PoxTestbench,
-    ScenarioSpec,
+    Scenario,
     TestbenchConfig,
     blinker_firmware,
 )
 
 
-def campaign_demo():
-    """A 10-line scenario campaign: the same exchange, swept declaratively.
+def blinker_exchange(architecture, authorized):
+    """One blinker PoX exchange with a button press at step 6."""
+    bench = PoxTestbench(blinker_firmware(authorized=authorized),
+                         TestbenchConfig(architecture=architecture))
+    result = bench.run_pox(setup=lambda device: device.schedule_button_press(6))
+    return {"accepted": result.accepted, "exec_flag": bench.exec_flag}
 
-    Each ``ScenarioSpec`` is plain data; ``CampaignRunner`` runs the list
-    in-process and returns the results in spec order.
+
+def campaign_demo():
+    """A small scenario campaign: the same exchange, swept over
+    architecture x ISR authorization.
+
+    Each ``Scenario`` is a name plus a body that runs its workload
+    directly and returns the observations; ``CampaignRunner`` runs the
+    list in-process and returns the results in list order.
     """
-    specs = [
-        ScenarioSpec(
-            name="blinker-%s-%s" % (architecture, "auth" if authorized else "unauth"),
-            firmware=FirmwareRef.of("blinker", authorized=authorized),
-            config_overrides={"architecture": architecture},
-            events=(EventSpec("button_press", step=6),),
-            observe=(Observe("accepted"), Observe("exec_flag")),
-        )
+    scenarios = [
+        Scenario("blinker-%s-%s" % (architecture, "auth" if authorized else "unauth"),
+                 functools.partial(blinker_exchange, architecture, authorized))
         for architecture in ("asap", "apex")
         for authorized in (True, False)
     ]
-    outcome = CampaignRunner().run(specs)
+    outcome = CampaignRunner().run(scenarios)
     print("\n--- campaign sweep (architecture x ISR authorization) ---")
     for result in outcome:
         print("%-24s %s" % (result.name, result.row))
@@ -105,21 +109,16 @@ def telemetry_demo():
     )
 
     print("\n--- telemetry (repro.obs) ---")
-    specs = [
-        ScenarioSpec(
-            name="telemetry-blinker-%s" % architecture,
-            firmware=FirmwareRef.of("blinker", authorized=True),
-            config_overrides={"architecture": architecture},
-            events=(EventSpec("button_press", step=6),),
-            observe=(Observe("accepted"),),
-        )
+    scenarios = [
+        Scenario("telemetry-blinker-%s" % architecture,
+                 functools.partial(blinker_exchange, architecture, True))
         for architecture in ("asap", "apex")
     ]
     tracer = Tracer()
     previous = set_tracer(tracer)
     try:
         with use_registry(MetricsRegistry()) as registry:
-            CampaignRunner().run(specs)
+            CampaignRunner().run(scenarios)
             snapshot = registry.snapshot()
     finally:
         set_tracer(previous)
@@ -154,16 +153,12 @@ def main():
 
     # The Fig. 4 firmware: a dummy loop inside ER plus a trusted GPIO ISR.
     #
-    # Performance knobs (all forwarded to DeviceConfig):
+    # Performance knobs (both forwarded to DeviceConfig):
     #   decode_cache_enabled=True   -- memoise decoded instructions per PC;
     #       ~3x steps/sec, write-invalidated so self-modifying code (and
     #       the attack gallery) still executes fresh bytes.  On by default.
     #   trace_enabled=True          -- per-step trace recording; turn off
     #       for raw simulation speed (waveforms then stay empty).
-    #   trace_limit=None            -- bound the trace to the last N steps
-    #       (ring buffer) so soak runs cannot grow memory without limit.
-    #   link_cache_enabled=True     -- reuse linked firmware images across
-    #       testbenches built from the same source (per-process cache).
     firmware = blinker_firmware(authorized=True)
     bench = PoxTestbench(firmware, TestbenchConfig(architecture="asap"))
 

@@ -74,12 +74,8 @@ _EXPORTS = {
     "attack_suite": "repro.firmware.attacks",
     "CampaignResult": "repro.sim.runner",
     "CampaignRunner": "repro.sim.runner",
-    "EventSpec": "repro.sim.scenario",
-    "FirmwareRef": "repro.sim.scenario",
-    "Observe": "repro.sim.scenario",
+    "Scenario": "repro.sim.runner",
     "ScenarioResult": "repro.sim.runner",
-    "ScenarioSpec": "repro.sim.scenario",
-    "StopSpec": "repro.sim.scenario",
     "run_scenario": "repro.sim.runner",
     "MetricsRegistry": "repro.obs.metrics",
     "Tracer": "repro.obs.trace",

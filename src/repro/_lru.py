@@ -1,12 +1,11 @@
 """A small bounded mapping with least-recently-used eviction.
 
-The per-process caches that make campaigns fast (linked firmware
-images in :mod:`repro.firmware.testbench`, LTL monitor models in
-:mod:`repro.sim.runner`) were plain dicts: correct while the scenario
-vocabulary was a handful of hand-written firmwares, but an unbounded
-leak the moment a generated-firmware corpus makes every spec unique.
-:class:`LruDict` keeps the setdefault-style idiom those caches use and
-adds a hard capacity with LRU eviction.
+The per-process cache of linked firmware images
+(:mod:`repro.firmware.testbench`) was a plain dict: correct while every
+testbench linked one of a handful of hand-written firmwares, but an
+unbounded leak the moment a generated-firmware corpus makes every image
+unique.  :class:`LruDict` keeps the setdefault-style idiom that cache
+uses and adds a hard capacity with LRU eviction.
 
 Thread-safety: every mutation happens under one lock, so threads can
 share a cache without corrupting the eviction order.  Like

@@ -1,13 +1,13 @@
 """Programmatic experiment runners.
 
 Each ``run_*`` function regenerates one artifact of the paper's
-evaluation as a campaign of declarative scenarios
-(:mod:`repro.sim`) and returns an :class:`ExperimentResult` with
-structured rows plus a rendered text block.  The companion
-``*_scenarios()`` functions expose the raw
-:class:`~repro.sim.scenario.ScenarioSpec` lists so sweeps can be
-re-run.  ``python -m repro.experiments`` is the CLI (``--list``,
-``--json``, ``--telemetry``, ...).
+evaluation as a campaign of named scenarios (:mod:`repro.sim`) and
+returns an :class:`ExperimentResult` with structured rows plus a
+rendered text block.  The companion ``*_scenarios()`` functions return
+the :class:`~repro.sim.runner.Scenario` lists, whose bodies call the
+workloads directly, so sweeps can be re-run.
+``python -m repro.experiments`` is the CLI (``--list``, ``--json``,
+``--telemetry``, ...).
 """
 
 from repro._lazy import lazy_exports

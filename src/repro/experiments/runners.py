@@ -1,31 +1,28 @@
 """Experiment runners: regenerate every table and figure of the paper.
 
-Every experiment is a **campaign**: a list of declarative
-:class:`~repro.sim.scenario.ScenarioSpec` built by a ``*_scenarios()``
-function, executed in-process by a
-:class:`~repro.sim.runner.CampaignRunner` and folded into an
-:class:`ExperimentResult` with structured rows.  The spec lists are
-public so tests and notebooks can re-run them, and :func:`write_json`
-exports a whole report for machine consumption.  Each
-``*_scenarios()`` function imports its own experiment's stack, so a run
-loads only the experiments it selects.
+Every experiment is a **campaign**: a list of named
+:class:`~repro.sim.runner.Scenario` objects built by a ``*_scenarios()``
+function, run in-process by a :class:`~repro.sim.runner.CampaignRunner`
+and folded into an :class:`ExperimentResult` with structured rows.  Each
+scenario's body calls its workload directly -- a
+:class:`~repro.firmware.testbench.PoxTestbench` exchange, an attack
+from the gallery, a model check, the Fig. 6 cost report -- and returns
+its observations.  The scenario lists are public so tests and notebooks
+can re-run them, and :func:`write_json` exports a whole report for
+machine consumption.  Each ``*_scenarios()`` function imports its own
+experiment's stack, so a run loads only the experiments it selects.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.sim import (
-    CampaignRunner,
-    EventSpec,
-    FirmwareRef,
-    Observe,
-    ScenarioSpec,
-)
+from repro.sim import CampaignRunner, Scenario
 
 
 @dataclass
@@ -92,9 +89,28 @@ def _failure_notes(outcome) -> List[str]:
 # E1-E3: Fig. 5 waveforms
 # --------------------------------------------------------------------------
 
-def fig5_scenarios() -> List[ScenarioSpec]:
+def _first_irq_in_er(bench):
+    """Did the first serviced interrupt vector into the executable region?"""
+    irq_entries = bench.device.trace.steps_with_irq()
+    if not irq_entries:
+        return None
+    return bench.executable.contains(irq_entries[0].next_pc)
+
+
+def fig5_scenarios() -> List[Scenario]:
     """The three Fig. 5 interrupt-handling scenarios as a campaign."""
-    from repro.firmware.testbench import TestbenchConfig
+    from repro.firmware.blinker import blinker_firmware
+    from repro.firmware.testbench import PoxTestbench, TestbenchConfig
+
+    def body(architecture, authorized):
+        bench = PoxTestbench(blinker_firmware(authorized=authorized),
+                             TestbenchConfig(architecture=architecture))
+        result = bench.run_pox(setup=lambda device: device.schedule_button_press(6))
+        return {
+            "isr inside ER": _first_irq_in_er(bench),
+            "final EXEC": bench.waveform(["EXEC"]).final_value("EXEC"),
+            "proof accepted": result.accepted,
+        }
 
     matrix = [
         ("Fig. 5(a)", "asap", True, True),
@@ -102,19 +118,9 @@ def fig5_scenarios() -> List[ScenarioSpec]:
         ("Fig. 5(c)", "apex", True, False),
     ]
     return [
-        ScenarioSpec(
-            name=label,
-            firmware=FirmwareRef.of("blinker", authorized=authorized),
-            config=TestbenchConfig(architecture=architecture),
-            events=(EventSpec("button_press", step=6),),
-            observe=(
-                Observe("first_irq_in_er", key="isr inside ER"),
-                Observe("final_signal", key="final EXEC", args=("EXEC",)),
-                Observe("accepted", key="proof accepted"),
-            ),
-            expect={"proof accepted": expect_accept},
-            meta={"scenario": label, "architecture": architecture},
-        )
+        Scenario(label, functools.partial(body, architecture, authorized),
+                 expect={"proof accepted": expect_accept},
+                 meta={"scenario": label, "architecture": architecture})
         for label, architecture, authorized, expect_accept in matrix
     ]
 
@@ -138,9 +144,20 @@ def run_fig5_waveforms(campaign: Optional[CampaignRunner] = None) -> ExperimentR
 # E4-E5: Fig. 6 hardware overhead
 # --------------------------------------------------------------------------
 
-def fig6_scenarios() -> List[ScenarioSpec]:
-    """The Fig. 6 cost comparison as a one-job campaign."""
-    return [ScenarioSpec(name="fig6-overhead", kind="job", job="figure6")]
+def fig6_scenarios() -> List[Scenario]:
+    """The Fig. 6 cost comparison as a one-scenario campaign."""
+
+    def body():
+        from repro.hwcost.report import figure6_comparison
+
+        comparison = figure6_comparison()
+        return {
+            "rows": comparison.rows(),
+            "lut_delta": comparison.lut_delta,
+            "register_delta": comparison.register_delta,
+        }
+
+    return [Scenario("fig6-overhead", body)]
 
 
 def run_fig6_overhead(campaign: Optional[CampaignRunner] = None) -> ExperimentResult:
@@ -172,18 +189,35 @@ def run_fig6_overhead(campaign: Optional[CampaignRunner] = None) -> ExperimentRe
 # E6: verification cost
 # --------------------------------------------------------------------------
 
-def verification_scenarios() -> List[ScenarioSpec]:
-    """The 21-property ASAP verification suite as a campaign."""
-    from repro.ltl.properties import asap_property_suite
+def verification_scenarios() -> List[Scenario]:
+    """The 21-property ASAP verification suite as a campaign.
+
+    The list's scenarios share one model per name, built by the first
+    property that checks it.  The builder is looked up in
+    ``MODEL_BUILDERS`` at that call, not here, so a wrapper installed
+    on an entry in between (``perfbench``'s ``ltl.build``) sees it.
+    """
+    from repro.ltl.model_checker import ModelChecker
+    from repro.ltl.properties import MODEL_BUILDERS, asap_property_suite
+
+    models = {}
+
+    def body(prop):
+        model = models.get(prop.model)
+        if model is None:
+            model = models[prop.model] = MODEL_BUILDERS[prop.model]()
+        result = ModelChecker(model).check(prop.formula, name=prop.name)
+        return {
+            "property": prop.name,
+            "origin": prop.origin,
+            "holds": result.holds,
+            "states": result.states_explored,
+        }
 
     return [
-        ScenarioSpec(
-            name="ltl-%s" % spec.name,
-            kind="ltl",
-            ltl_property=spec.name,
-            expect={"holds": True},
-        )
-        for spec in asap_property_suite()
+        Scenario("ltl-%s" % prop.name, functools.partial(body, prop),
+                 expect={"holds": True})
+        for prop in asap_property_suite()
     ]
 
 
@@ -208,21 +242,22 @@ def run_verification_cost(campaign: Optional[CampaignRunner] = None) -> Experime
 # E7: runtime overhead
 # --------------------------------------------------------------------------
 
-def runtime_scenarios() -> List[ScenarioSpec]:
+def runtime_scenarios() -> List[Scenario]:
     """The proved task under the APEX and ASAP monitors."""
-    from repro.firmware.syringe_pump import PumpParameters
-    from repro.firmware.testbench import TestbenchConfig
+    from repro.firmware.syringe_pump import PumpParameters, busy_wait_pump_firmware
+    from repro.firmware.testbench import PoxTestbench, TestbenchConfig
+
+    def body(architecture):
+        bench = PoxTestbench(
+            busy_wait_pump_firmware(params=PumpParameters(dosage_cycles=200)),
+            TestbenchConfig(architecture=architecture))
+        bench.run_execution_only()
+        return {"cycles": bench.device.total_cycles}
 
     return [
-        ScenarioSpec(
-            name="runtime-%s" % architecture,
-            firmware=FirmwareRef.of(
-                "busy_wait_pump", params=PumpParameters(dosage_cycles=200)),
-            config=TestbenchConfig(architecture=architecture),
-            mode="execution_only",
-            observe=(Observe("total_cycles", key="cycles"),),
-            meta={"configuration": architecture.upper()},
-        )
+        Scenario("runtime-%s" % architecture,
+                 functools.partial(body, architecture),
+                 meta={"configuration": architecture.upper()})
         for architecture in ("apex", "asap")
     ]
 
@@ -259,42 +294,45 @@ def run_runtime_overhead(campaign: Optional[CampaignRunner] = None) -> Experimen
 # E8: busy-wait ablation
 # --------------------------------------------------------------------------
 
-def busywait_scenarios(dosage_cycles=400, abort_step=30) -> List[ScenarioSpec]:
+def busywait_scenarios(dosage_cycles=400, abort_step=30) -> List[Scenario]:
     """Interrupt-driven vs. busy-wait pump, plus the mid-dose abort."""
-    from repro.firmware.syringe_pump import PUMP_OUTPUT_LAYOUT, PumpParameters
-    from repro.firmware.testbench import TestbenchConfig
+    from repro.firmware.syringe_pump import (
+        PUMP_OUTPUT_LAYOUT,
+        PumpParameters,
+        busy_wait_pump_firmware,
+        syringe_pump_firmware,
+    )
+    from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 
     pump = PumpParameters(dosage_cycles=dosage_cycles)
-    step_counters = (Observe("active_steps", key="active steps"),
-                     Observe("sleep_steps", key="sleep steps"))
+
+    def step_counts(firmware, architecture):
+        bench = PoxTestbench(firmware(params=pump),
+                             TestbenchConfig(architecture=architecture))
+        bench.run_execution_only()
+        entries = bench.trace_entries()
+        sleep = sum(1 for entry in entries if entry.instruction == "(sleep)")
+        return {"active steps": len(entries) - sleep, "sleep steps": sleep}
+
+    def abort_mid_dose():
+        bench = PoxTestbench(syringe_pump_firmware(params=pump))
+        result = bench.run_pox(
+            setup=lambda device: device.schedule_button_press(abort_step))
+        return {
+            "accepted": result.accepted,
+            "delivered": bench.output_word(PUMP_OUTPUT_LAYOUT["delivered"]),
+        }
+
     return [
-        ScenarioSpec(
-            name="pump-interrupt-driven",
-            firmware=FirmwareRef.of("syringe_pump", params=pump),
-            mode="execution_only",
-            observe=step_counters,
-            meta={"variant": "interrupt-driven (ASAP)"},
-        ),
-        ScenarioSpec(
-            name="pump-busy-wait",
-            firmware=FirmwareRef.of("busy_wait_pump", params=pump),
-            config=TestbenchConfig(architecture="apex"),
-            mode="execution_only",
-            observe=step_counters,
-            meta={"variant": "busy-wait (APEX workaround)"},
-        ),
-        ScenarioSpec(
-            name="pump-abort-mid-dose",
-            firmware=FirmwareRef.of("syringe_pump", params=pump),
-            events=(EventSpec("button_press", step=abort_step),),
-            observe=(
-                Observe("accepted"),
-                Observe("output_word", key="delivered",
-                        args=(PUMP_OUTPUT_LAYOUT["delivered"],)),
-            ),
-            expect={"accepted": True},
-            meta={"abort_step": abort_step, "dosage_cycles": dosage_cycles},
-        ),
+        Scenario("pump-interrupt-driven",
+                 functools.partial(step_counts, syringe_pump_firmware, "asap"),
+                 meta={"variant": "interrupt-driven (ASAP)"}),
+        Scenario("pump-busy-wait",
+                 functools.partial(step_counts, busy_wait_pump_firmware, "apex"),
+                 meta={"variant": "busy-wait (APEX workaround)"}),
+        Scenario("pump-abort-mid-dose", abort_mid_dose,
+                 expect={"accepted": True},
+                 meta={"abort_step": abort_step, "dosage_cycles": dosage_cycles}),
     ]
 
 
@@ -345,18 +383,18 @@ def run_busywait_ablation(campaign: Optional[CampaignRunner] = None,
 # E9: security scenarios
 # --------------------------------------------------------------------------
 
-def security_scenarios() -> List[ScenarioSpec]:
-    """The adversarial attack gallery as a campaign (one spec per attack)."""
+def security_scenarios() -> List[Scenario]:
+    """The adversarial attack gallery as a campaign (one scenario per
+    attack)."""
     from repro.firmware.attacks import attack_suite
 
+    def body(attack):
+        return attack.run().as_row()
+
     return [
-        ScenarioSpec(
-            name=scenario.name,
-            kind="attack",
-            attack=scenario.name,
-            expect={"detected": True},
-        )
-        for scenario in attack_suite()
+        Scenario(attack.name, functools.partial(body, attack),
+                 expect={"detected": True})
+        for attack in attack_suite()
     ]
 
 

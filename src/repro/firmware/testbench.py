@@ -82,13 +82,8 @@ class TestbenchConfig:
     enable_uart_rx_interrupts: bool = False
     trace_enabled: bool = True
     #: Forwarded to :class:`~repro.device.mcu.DeviceConfig`: the decoded-
-    #: instruction cache (on by default) and the optional trace bound.
+    #: instruction cache (on by default).
     decode_cache_enabled: bool = True
-    trace_limit: Optional[int] = None
-    #: Reuse linked firmware images across testbenches built from the
-    #: same source/ISRs/ER base (per-process cache; the image is
-    #: read-only after linking).  Disable to force a fresh link.
-    link_cache_enabled: bool = True
 
     def __post_init__(self):
         if self.architecture not in ("asap", "apex"):
@@ -114,7 +109,6 @@ class PoxTestbench:
         self.device = Device(DeviceConfig(
             trace_enabled=self.config.trace_enabled,
             decode_cache_enabled=self.config.decode_cache_enabled,
-            trace_limit=self.config.trace_limit,
         ))
         self.linker = ErLinker(layout=self.device.layout, er_base=self.config.er_base)
         self.firmware = self._linked_firmware(firmware)
@@ -146,30 +140,13 @@ class PoxTestbench:
         self._enable_configured_interrupt_sources()
         self.protocol.provision()
 
-    @classmethod
-    def from_spec(cls, spec) -> "PoxTestbench":
-        """Build a testbench from a :class:`~repro.sim.scenario.ScenarioSpec`.
-
-        The spec is fully declarative -- a registered firmware-builder
-        name plus configuration overrides, no closures or live objects;
-        the device, the monitor and the protocol are constructed here.
-        """
-        if spec.firmware is None:
-            raise ValueError("scenario %r carries no firmware reference"
-                             % spec.name)
-        return cls(spec.firmware.build(), spec.testbench_config())
-
     # ------------------------------------------------------------ setup
 
     def _linked_firmware(self, firmware: FirmwareSpec):
-        """Link *firmware* (through the per-process cache when enabled)."""
-        if not self.config.link_cache_enabled:
-            return self._link(firmware)
+        """Link *firmware*, through the per-process cache."""
         key = _link_cache_key(firmware, self.config.er_base)
         linked = _LINK_CACHE.get(key)
         if linked is None:
-            # setdefault so a race between threads builds at most one
-            # extra image and every caller still sees a single winner.
             linked = _LINK_CACHE.setdefault(key, self._link(firmware))
         return linked
 

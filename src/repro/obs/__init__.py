@@ -1,7 +1,7 @@
 """repro.obs -- the dependency-free telemetry spine.
 
 One :class:`MetricsRegistry` (Counter/Gauge/Histogram, labels,
-snapshot/merge, snapshot-time collectors), one :class:`Tracer`
+snapshots, snapshot-time collectors), one :class:`Tracer`
 (contextvar-propagated spans), and exporters (JSON-lines sink,
 in-memory sink, ``export_telemetry``).
 

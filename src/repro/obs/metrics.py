@@ -15,9 +15,7 @@ so reading telemetry costs nothing until someone asks for it
 (snapshot-on-read; the ``compare_bench.py --profile sim`` gate pins that
 the hot path pays no per-step telemetry cost).
 
-``snapshot()`` exports everything as one plain JSON-representable dict;
-``merge()`` folds another registry's snapshot in (counters add, gauges
-overwrite, histograms merge buckets and sample windows).
+``snapshot()`` exports everything as one plain JSON-representable dict.
 
 Dependency-free by design: this module imports only the stdlib, so every
 layer of the stack -- from the CPU engine to the cluster control plane --
@@ -27,7 +25,7 @@ can publish into it without import cycles.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: Default histogram bucket upper bounds, in seconds -- latency-shaped
 #: (the spine's histograms overwhelmingly record exchange/scenario wall
@@ -67,10 +65,6 @@ class Counter:
     def export(self):
         return self.value
 
-    def merge_export(self, exported):
-        with self._lock:
-            self.value += exported
-
 
 class Gauge:
     """A point-in-time value (set, or nudged up and down)."""
@@ -96,12 +90,6 @@ class Gauge:
     def export(self):
         return self.value
 
-    def merge_export(self, exported):
-        # A merged snapshot is newer information than whatever this
-        # gauge held; last write wins (counters are the additive kind).
-        with self._lock:
-            self.value = exported
-
 
 class Histogram:
     """Fixed-bucket histogram plus a bounded window for percentiles.
@@ -111,8 +99,7 @@ class Histogram:
     rolling window of the most recent ``window`` samples, so long soak
     runs get rolling p50/p95/p99 instead of unbounded memory growth --
     this is the spine's replacement for the old cluster
-    ``LatencyRecorder``, same percentile semantics, plus buckets and
-    mergeable exports.
+    ``LatencyRecorder``, same percentile semantics, plus buckets.
     """
 
     kind = "histogram"
@@ -194,19 +181,6 @@ class Histogram:
                     max(0, round(fraction * (len(ordered) - 1))))
         return ordered[index]
 
-    def merge_export(self, exported):
-        with self._lock:
-            self.count += exported["count"]
-            self.sum += exported["sum"]
-            counts = exported["bucket_counts"]
-            if list(exported["bounds"]) != list(self.bounds):
-                raise ValueError(
-                    "cannot merge histograms with different bounds")
-            for index, count in enumerate(counts):
-                self.bucket_counts[index] += count
-            self._samples.extend(exported["samples"])
-            if len(self._samples) > self.window:
-                del self._samples[: len(self._samples) - self.window]
 
 
 #: Collectors run for *every* registry snapshot (unless the registry
@@ -248,8 +222,7 @@ class MetricsRegistry:
 
     ``collect=False`` builds a registry that ignores the global
     collectors -- snapshots then contain exactly what was explicitly
-    recorded, which is what the merge-identity tests (and any caller
-    wanting a hermetic registry) need.
+    recorded, which is what a caller wanting a hermetic registry needs.
     """
 
     def __init__(self, collect: bool = True):
@@ -331,28 +304,6 @@ class MetricsRegistry:
         for key, metric in items:
             out[metric.kind + "s"][key] = metric.export()
         return out
-
-    def merge(self, snapshot: Dict[str, Dict[str, object]]):
-        """Fold a :meth:`snapshot` (typically from a child process) in.
-
-        Counters add, gauges take the snapshot's value, histograms merge
-        bucket counts, count/sum and sample windows.  Merging a snapshot
-        into a fresh hermetic registry and snapshotting again reproduces
-        it exactly (the round-trip the tests pin).
-        """
-        for key, value in snapshot.get("counters", {}).items():
-            self._merge_one(Counter, key, value)
-        for key, value in snapshot.get("gauges", {}).items():
-            self._merge_one(Gauge, key, value)
-        for key, value in snapshot.get("histograms", {}).items():
-            self._instrument(
-                Histogram, key, None,
-                factory=lambda value=value: Histogram(
-                    buckets=value["bounds"], window=value["window"]),
-            ).merge_export(value)
-
-    def _merge_one(self, cls, key, value):
-        self._instrument(cls, key, None).merge_export(value)
 
     def reset(self):
         """Drop every instrument (collectors stay registered)."""

@@ -1,13 +1,16 @@
-"""Scenario execution and the campaign runner.
+"""Named scenarios and the campaign runner.
 
-:func:`run_scenario` executes one :class:`~repro.sim.scenario.ScenarioSpec`
-in complete isolation -- it builds a fresh testbench (or model, or attack
-body) from the declarative spec, runs it, extracts the requested
-observations and folds any exception into the returned
+A :class:`Scenario` is one run of a paper experiment: a name, a
+``body()`` that calls the workload directly (a testbench exchange, an
+attack, a model check, a cost report) and returns the observations in
+row order, the values some of them must take, and constant row columns.
+
+:func:`run_scenario` runs one scenario in isolation: it times the body,
+checks the expectations and folds any exception into the returned
 :class:`ScenarioResult` instead of letting it escape.
 
-:class:`CampaignRunner` runs a list of specs in-process, one after
-another, and returns their results in spec order.  Its ``on_result``
+:class:`CampaignRunner` runs a list of scenarios in-process, one after
+another, and returns their results in list order.  Its ``on_result``
 hook sees each result as it finishes (the CLI's ``--stream``), and
 ``fail_fast=True`` stops the campaign at the first failing scenario
 (``--fail-fast``).
@@ -20,34 +23,31 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro._lru import LruDict
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.sim.scenario import (
-    Observe,
-    ScenarioContext,
-    ScenarioSpec,
-    OBSERVERS,
-)
-
-#: Default observations for ``kind="pox"`` scenarios that do not name
-#: any: verdict-shaped for modes that end in an attestation, run-shaped
-#: (step count + crash flag) for modes that never produce a protocol
-#: result.
-DEFAULT_POX_OBSERVE = (Observe("accepted"), Observe("exec_flag"))
-DEFAULT_RUN_OBSERVE = (Observe("steps"), Observe("crashed"))
 
 
-# --------------------------------------------------------------------------
-# Results
-# --------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Scenario:
+    """One named run: ``body()`` returns its observations in row order.
+
+    ``expect`` maps observation keys to required values; a scenario is
+    ``ok`` when its body returned and every expectation matched.
+    ``meta`` contributes constant row columns (labels, sweep
+    coordinates) ahead of the observations.
+    """
+
+    name: str
+    body: Callable[[], Dict[str, object]]
+    expect: Dict[str, object] = field(default_factory=dict)
+    meta: Dict[str, object] = field(default_factory=dict)
+
 
 @dataclass
 class ScenarioResult:
     """Outcome of one scenario: observations, verdict and provenance."""
 
     name: str
-    kind: str
     observations: Dict[str, object] = field(default_factory=dict)
     meta: Dict[str, object] = field(default_factory=dict)
     expected: Dict[str, object] = field(default_factory=dict)
@@ -79,8 +79,8 @@ class ScenarioResult:
 
 @dataclass
 class CampaignResult:
-    """Outcome of a campaign: one :class:`ScenarioResult` per spec, in
-    spec order."""
+    """Outcome of a campaign: one :class:`ScenarioResult` per scenario,
+    in list order."""
 
     results: List[ScenarioResult]
     elapsed_seconds: float = 0.0
@@ -98,7 +98,7 @@ class CampaignResult:
         return self.results[index]
 
     def rows(self) -> List[Dict[str, object]]:
-        """All result rows, in spec order."""
+        """All result rows, in list order."""
         return [result.row for result in self.results]
 
     def all_ok(self) -> bool:
@@ -110,162 +110,17 @@ class CampaignResult:
         return [result for result in self.results if not result.ok]
 
 
-# --------------------------------------------------------------------------
-# Single-scenario execution
-# --------------------------------------------------------------------------
+def run_scenario(scenario: Scenario) -> ScenarioResult:
+    """Run one scenario in isolation; never raises.
 
-def _run_pox_spec(spec: ScenarioSpec) -> Dict[str, object]:
-    """Execute a testbench scenario and return its observations."""
-    from repro.firmware.testbench import PoxTestbench
-
-    bench = PoxTestbench.from_spec(spec)
-    context = ScenarioContext(bench=bench)
-    if spec.mode == "pox":
-        context.pox_result = bench.run_pox(setup=spec.apply_events,
-                                           max_steps=spec.max_steps)
-    elif spec.mode == "execution_only":
-        bench.run_execution_only(setup=spec.apply_events,
-                                 max_steps=spec.max_steps)
-    elif spec.mode == "execution_attest":
-        bench.run_execution_only(setup=spec.apply_events,
-                                 max_steps=spec.max_steps)
-        if spec.post_steps:
-            bench.device.run_steps(spec.post_steps)
-        context.pox_result = bench.attest_and_verify()
-    elif spec.mode == "run":
-        spec.apply_events(bench.device)
-        if spec.stop is not None and spec.stop.kind == "pc":
-            bench.device.run_until_pc(spec.stop.value, max_steps=spec.max_steps)
-        else:
-            count = spec.stop.value if spec.stop is not None else spec.max_steps
-            bench.device.run_steps(count)
-    else:  # pragma: no cover - rejected by ScenarioSpec.__post_init__
-        raise ValueError("unknown mode %r" % spec.mode)
-
-    if spec.observe:
-        observe_list = spec.observe
-    elif spec.mode in ("pox", "execution_attest"):
-        observe_list = DEFAULT_POX_OBSERVE
-    else:
-        observe_list = DEFAULT_RUN_OBSERVE
-    observations: Dict[str, object] = {}
-    for observe in observe_list:
-        try:
-            observer = OBSERVERS[observe.name]
-        except KeyError:
-            raise KeyError(
-                "unknown observer %r (registered: %s)"
-                % (observe.name, ", ".join(sorted(OBSERVERS)))
-            ) from None
-        observations[observe.row_key] = observer(context, observe)
-    return observations
-
-
-def _run_attack_spec(spec: ScenarioSpec) -> Dict[str, object]:
-    """Run one named scenario from the attack gallery."""
-    from repro.firmware.attacks import attack_suite
-
-    name = spec.attack if spec.attack is not None else spec.name
-    for scenario in attack_suite():
-        if scenario.name == name:
-            outcome = scenario.run()
-            observations = outcome.as_row()
-            return observations
-    raise KeyError("unknown attack scenario %r" % name)
-
-
-#: Per-process cache of built LTL monitor models (a handful of models
-#: back the 21-property suite; rebuilding them per property is
-#: wasteful).  LRU-bounded: a generated-scenario corpus registering its
-#: own model builders must not grow this without limit.
-_MODEL_CACHE_CAP = 8
-_MODEL_CACHE = LruDict(_MODEL_CACHE_CAP)
-_PROPERTY_INDEX: Dict[str, object] = {}
-
-
-def _run_ltl_spec(spec: ScenarioSpec) -> Dict[str, object]:
-    """Model-check one property of the ASAP verification suite."""
-    from repro.ltl.model_checker import ModelChecker
-    from repro.ltl.properties import MODEL_BUILDERS, asap_property_suite
-
-    if not _PROPERTY_INDEX:
-        _PROPERTY_INDEX.update(
-            (prop.name, prop) for prop in asap_property_suite()
-        )
-    name = spec.ltl_property if spec.ltl_property is not None else spec.name
-    try:
-        prop = _PROPERTY_INDEX[name]
-    except KeyError:
-        raise KeyError("unknown LTL property %r" % name) from None
-    model = _MODEL_CACHE.get(prop.model)
-    if model is None:
-        model = _MODEL_CACHE.setdefault(prop.model, MODEL_BUILDERS[prop.model]())
-    result = ModelChecker(model).check(prop.formula, name=prop.name)
-    return {
-        "property": prop.name,
-        "origin": prop.origin,
-        "holds": result.holds,
-        "states": result.states_explored,
-    }
-
-
-def _figure6_job() -> Dict[str, object]:
-    from repro.hwcost.report import figure6_comparison
-
-    comparison = figure6_comparison()
-    return {
-        "rows": comparison.rows(),
-        "lut_delta": comparison.lut_delta,
-        "register_delta": comparison.register_delta,
-    }
-
-
-#: Registered report jobs for ``kind="job"`` specs.
-JOBS: Dict[str, Callable[[], Dict[str, object]]] = {
-    "figure6": _figure6_job,
-}
-
-
-def register_job(name, function):
-    """Register a report job callable returning an observation dict."""
-    JOBS[name] = function
-    return function
-
-
-def _run_job_spec(spec: ScenarioSpec) -> Dict[str, object]:
-    name = spec.job if spec.job is not None else spec.name
-    try:
-        job = JOBS[name]
-    except KeyError:
-        raise KeyError("unknown job %r (registered: %s)"
-                       % (name, ", ".join(sorted(JOBS)))) from None
-    return job()
-
-
-_KIND_RUNNERS = {
-    "pox": _run_pox_spec,
-    "attack": _run_attack_spec,
-    "ltl": _run_ltl_spec,
-    "job": _run_job_spec,
-}
-
-
-def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    """Execute one scenario in isolation; never raises.
-
-    Any exception from the scenario body is captured into
-    ``result.error`` (full traceback) so one broken scenario cannot take
-    down a sweep.
+    Any exception from the body is captured into ``result.error`` (full
+    traceback) so one broken scenario cannot take down a sweep.
     """
     started = time.perf_counter()
-    result = ScenarioResult(
-        name=spec.name,
-        kind=spec.kind,
-        meta=spec.metadata(),
-        expected=spec.expectations(),
-    )
+    result = ScenarioResult(name=scenario.name, meta=dict(scenario.meta),
+                            expected=dict(scenario.expect))
     try:
-        result.observations = _KIND_RUNNERS[spec.kind](spec)
+        result.observations = scenario.body()
         result.ok = all(
             result.observations.get(key) == value
             for key, value in result.expected.items()
@@ -277,12 +132,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     return result
 
 
-# --------------------------------------------------------------------------
-# The campaign runner
-# --------------------------------------------------------------------------
-
 class CampaignRunner:
-    """Run a list of :class:`ScenarioSpec` in-process, in spec order.
+    """Run a list of :class:`Scenario` in-process, in list order.
 
     ``on_result`` is called with each :class:`ScenarioResult` as it
     finishes -- the streaming hook the CLI's ``--stream`` uses.
@@ -297,26 +148,26 @@ class CampaignRunner:
         self.on_result = on_result
         self.fail_fast = fail_fast
 
-    def run(self, specs: Sequence[ScenarioSpec]) -> CampaignResult:
-        """Execute every spec; return a :class:`CampaignResult`.
+    def run(self, scenarios: Sequence[Scenario]) -> CampaignResult:
+        """Run every scenario; return a :class:`CampaignResult`.
 
         Publishes ``campaign.*`` metrics and one ``campaign.run`` span
         with a ``campaign.scenario`` child per scenario.
         """
-        specs = list(specs)
+        scenarios = list(scenarios)
         started = time.perf_counter()
         registry = get_registry()
         tracer = get_tracer()
         results: List[ScenarioResult] = []
         aborted = False
         with tracer.span("campaign.run",
-                         attributes={"scenarios": len(specs)}) as campaign_span:
-            for spec in specs:
+                         attributes={"scenarios": len(scenarios)}) as campaign_span:
+            for scenario in scenarios:
                 # Looked up in the module on every call, so a wrapper
                 # installed on ``repro.sim.runner.run_scenario`` (a
                 # profiler, perfbench's ``sim.scenario`` layer) sees
                 # every scenario.
-                result = run_scenario(spec)
+                result = run_scenario(scenario)
                 results.append(result)
                 registry.counter("campaign.scenarios").inc()
                 if not result.ok:
@@ -324,8 +175,7 @@ class CampaignRunner:
                 registry.histogram("campaign.scenario_seconds").record(
                     result.elapsed_seconds)
                 tracer.add("campaign.scenario", result.elapsed_seconds,
-                           attributes={"scenario": result.name,
-                                       "kind": result.kind, "ok": result.ok})
+                           attributes={"scenario": result.name, "ok": result.ok})
                 if self.on_result is not None:
                     self.on_result(result)
                 if self.fail_fast and not result.ok:

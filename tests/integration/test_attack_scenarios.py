@@ -66,3 +66,17 @@ class TestSpecificDetectionMechanisms:
     def test_outcome_row_format(self):
         row = SCENARIOS["benign-baseline"].run().as_row()
         assert set(row) == {"scenario", "accepted", "EXEC", "detected", "reason"}
+
+    def test_write_word_event_is_observed_by_monitor(self):
+        # Rewriting an IVT entry mid-execution must clear EXEC: a
+        # scheduled write_word_as_cpu is observed by the ASAP monitor
+        # like a MOV executed by malware.
+        from repro.firmware.syringe_pump import syringe_pump_firmware
+        from repro.firmware.testbench import PoxTestbench
+        from repro.memory.ivt import IVT_BASE
+
+        bench = PoxTestbench(syringe_pump_firmware())
+        result = bench.run_pox(setup=lambda device: device.schedule(
+            20, lambda d: d.write_word_as_cpu(IVT_BASE + 4, 0xE004)))
+        assert not result.accepted
+        assert bench.exec_flag == 0

@@ -257,15 +257,6 @@ class TestRunAllExperiments:
         with pytest.raises(TypeError, match=keyword):
             run_all_experiments(skip=list(ALL_IDS), **{keyword: value})
 
-    def test_scenario_lists_are_plain_data(self):
-        import pickle
-
-        for scenarios in (runners.fig5_scenarios(), runners.runtime_scenarios(),
-                          runners.busywait_scenarios(), runners.security_scenarios(),
-                          runners.verification_scenarios(), runners.fig6_scenarios()):
-            clone = pickle.loads(pickle.dumps(scenarios))
-            assert clone == scenarios
-
 
 class TestExperimentAlone:
     """Each experiment, run alone in a fresh interpreter, exports exactly

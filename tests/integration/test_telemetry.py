@@ -4,7 +4,7 @@ The satellites pinned here:
 
 * a campaign's spans form one tree: each ``campaign.scenario`` span is
   a child of its ``campaign.run`` span, and each paper experiment
-  traces one campaign of exactly its own specs;
+  traces one campaign of exactly its own scenarios;
 * turning ``--telemetry`` on changes nothing about the science: the
   exported campaign rows are byte-identical with and without it;
 * the acceptance snapshot: after campaign traffic and a 2-shard cluster
@@ -13,6 +13,7 @@ The satellites pinned here:
   names.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -28,16 +29,14 @@ from repro.obs import (
     span_tree,
     use_registry,
 )
-from repro.sim import CampaignRunner, ScenarioSpec
+from repro.sim import CampaignRunner
 
 
-def ltl_specs(count):
-    return [
-        ScenarioSpec(name="ltl-%d" % index, kind="ltl",
-                     ltl_property="vrased-key-no-dma",
-                     expect={"holds": True})
-        for index in range(count)
-    ]
+def ltl_scenarios(count):
+    check = next(scenario for scenario in runners.verification_scenarios()
+                 if scenario.name == "ltl-vrased-key-no-dma")
+    return [dataclasses.replace(check, name="ltl-%d" % index)
+            for index in range(count)]
 
 
 class TestCampaignSpans:
@@ -46,8 +45,8 @@ class TestCampaignSpans:
         previous = set_tracer(tracer)
         try:
             with use_registry(MetricsRegistry()):
-                first = CampaignRunner().run(ltl_specs(3))
-                second = CampaignRunner().run(ltl_specs(2))
+                first = CampaignRunner().run(ltl_scenarios(3))
+                second = CampaignRunner().run(ltl_scenarios(2))
         finally:
             set_tracer(previous)
         assert first.all_ok() and second.all_ok()
@@ -85,7 +84,7 @@ class TestCampaignSpans:
         finally:
             set_tracer(previous)
         assert result.succeeded
-        names = [spec.name for spec in scenarios()]
+        names = [scenario.name for scenario in scenarios()]
         tree = span_tree(tracer.drain())
         campaigns = [span for span in tree.get(None, [])
                      if span.name == "campaign.run"]
@@ -124,7 +123,7 @@ class TestTelemetryDifferential:
 class TestAcceptanceSnapshot:
     def test_one_snapshot_spans_every_layer(self):
         with use_registry(MetricsRegistry()):
-            CampaignRunner().run(ltl_specs(4))
+            CampaignRunner().run(ltl_scenarios(4))
             # A 2-shard cluster run: engine, cache and service gauges
             # all publish through their collectors.
             fleet = ClusterFleet(2, shards=2)

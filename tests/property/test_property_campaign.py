@@ -1,11 +1,11 @@
 """Property-based tests for the serial campaign runner.
 
-For any sequence drawn from a pool of passing, mismatching and
-erroring specs (repeats included):
+For any sequence drawn from a pool of passing, mismatching and raising
+scenarios (repeats included):
 
-* **Order and isolation**: results come back in spec order, and each
-  equals what its spec produces run alone -- whatever ran before it in
-  the same process.
+* **Order and isolation**: results come back in list order, and each
+  equals what its scenario produces run alone -- whatever ran before it
+  in the same process.
 * **Fail-fast is a prefix**: a ``fail_fast`` campaign returns the plain
   campaign's results up to and including the first failure, and
   ``on_result`` sees exactly those.
@@ -13,25 +13,34 @@ erroring specs (repeats included):
   failure and every abort.
 """
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments import runners
+from repro.firmware.blinker import blinker_firmware
+from repro.firmware.testbench import PoxTestbench, TestbenchConfig
+from repro.ltl.properties import MODEL_BUILDERS
 from repro.obs import MetricsRegistry, use_registry
-from repro.sim import CampaignRunner, FirmwareRef, ScenarioSpec, run_scenario
+from repro.sim import CampaignRunner, Scenario, run_scenario
 
-#: Cheap specs of every outcome: passing pox, job and ltl scenarios, an
-#: expectation mismatch, and two that raise inside the scenario body.
+_VERIFICATION = runners.verification_scenarios()
+_KEY_NO_DMA = next(scenario for scenario in _VERIFICATION
+                   if scenario.name == "ltl-vrased-key-no-dma")
+
+#: Cheap scenarios of every outcome: passing testbench, cost-report and
+#: model-check scenarios, an expectation mismatch, and two bodies that
+#: raise inside their workload.
 POOL = (
     list(runners.fig5_scenarios())
     + list(runners.fig6_scenarios())
-    + list(runners.verification_scenarios())[:3]
+    + _VERIFICATION[:3]
     + [
-        ScenarioSpec(name="ltl-mismatch", kind="ltl",
-                     ltl_property="vrased-key-no-dma", expect={"holds": False}),
-        ScenarioSpec(name="broken-firmware",
-                     firmware=FirmwareRef.of("no-such-firmware")),
-        ScenarioSpec(name="unknown-property", kind="ltl",
-                     ltl_property="no-such-property"),
+        dataclasses.replace(_KEY_NO_DMA, name="ltl-mismatch",
+                            expect={"holds": False}),
+        Scenario("bad-architecture", lambda: PoxTestbench(
+            blinker_firmware(), TestbenchConfig(architecture="riscv"))),
+        Scenario("unknown-model", lambda: MODEL_BUILDERS["no-such-model"]()),
     ]
 )
 
@@ -42,36 +51,36 @@ def outcome_of(result):
             result.error is None)
 
 
-#: Each pool spec's outcome when run on its own.
-ALONE = {spec.name: outcome_of(run_scenario(spec)) for spec in POOL}
+#: Each pool scenario's outcome when run on its own.
+ALONE = {scenario.name: outcome_of(run_scenario(scenario)) for scenario in POOL}
 FAILING = {name for name, outcome in ALONE.items() if not outcome[3]}
 
 campaigns = st.lists(st.sampled_from(POOL), max_size=8)
 
 
 def test_pool_holds_passing_and_failing_specs():
-    assert FAILING == {"ltl-mismatch", "broken-firmware", "unknown-property"}
+    assert FAILING == {"ltl-mismatch", "bad-architecture", "unknown-model"}
     assert len(ALONE) == len(POOL)
 
 
 @settings(max_examples=40, deadline=None)
 @given(campaigns)
-def test_results_follow_spec_order_and_match_each_spec_alone(specs):
-    outcome = CampaignRunner().run(specs)
+def test_results_follow_spec_order_and_match_each_spec_alone(scenarios):
+    outcome = CampaignRunner().run(scenarios)
     assert [outcome_of(result) for result in outcome] == \
-        [ALONE[spec.name] for spec in specs]
+        [ALONE[scenario.name] for scenario in scenarios]
     assert not outcome.aborted
     assert [result.name for result in outcome.failures()] == \
-        [spec.name for spec in specs if spec.name in FAILING]
+        [scenario.name for scenario in scenarios if scenario.name in FAILING]
     assert outcome.all_ok() == (not outcome.failures())
 
 
 @settings(max_examples=40, deadline=None)
 @given(campaigns)
-def test_fail_fast_returns_the_prefix_through_the_first_failure(specs):
+def test_fail_fast_returns_the_prefix_through_the_first_failure(scenarios):
     seen = []
-    stopped = CampaignRunner(fail_fast=True, on_result=seen.append).run(specs)
-    names = [spec.name for spec in specs]
+    stopped = CampaignRunner(fail_fast=True, on_result=seen.append).run(scenarios)
+    names = [scenario.name for scenario in scenarios]
     failing = [index for index, name in enumerate(names) if name in FAILING]
     end = failing[0] + 1 if failing else len(names)
     assert [result.name for result in stopped] == names[:end]
@@ -83,9 +92,9 @@ def test_fail_fast_returns_the_prefix_through_the_first_failure(specs):
 
 @settings(max_examples=40, deadline=None)
 @given(campaigns, st.booleans())
-def test_campaign_metrics_account_for_every_result(specs, fail_fast):
+def test_campaign_metrics_account_for_every_result(scenarios, fail_fast):
     with use_registry(MetricsRegistry()) as registry:
-        outcome = CampaignRunner(fail_fast=fail_fast).run(specs)
+        outcome = CampaignRunner(fail_fast=fail_fast).run(scenarios)
         snapshot = registry.snapshot()
     counters = snapshot["counters"]
     failures = len(outcome.failures())

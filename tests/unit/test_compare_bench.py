@@ -1,15 +1,14 @@
 """Unit tests for ``benchmarks/compare_bench.py`` (the CI perf gate)."""
 
-import importlib.util
 import json
+import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 _SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "compare_bench.py"
-_spec = importlib.util.spec_from_file_location("compare_bench", _SCRIPT)
-compare_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_bench)
+compare_bench = SimpleNamespace(**runpy.run_path(str(_SCRIPT)))
 
 
 def _payload(idle, memloop):

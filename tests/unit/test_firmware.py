@@ -37,13 +37,6 @@ class TestLinkCache:
         assert base.firmware is not other_base.firmware
         assert other_base.firmware.executable.region.start == 0xE100
 
-    def test_cache_can_be_disabled(self):
-        clear_link_cache()
-        cached = PoxTestbench(blinker_firmware(authorized=True))
-        fresh = PoxTestbench(blinker_firmware(authorized=True),
-                             TestbenchConfig(link_cache_enabled=False))
-        assert cached.firmware is not fresh.firmware
-
     def test_devices_stay_isolated_despite_shared_image(self):
         # Corrupting one device's ER must not leak through the shared
         # LinkedFirmware into a later testbench (the image is read-only;
@@ -128,6 +121,23 @@ class TestTestbenchConstruction:
         )
         assert bench.pox_config.output.region.start == 0x0700
         assert bench.pox_config.metadata.region.start == 0x0500
+
+    def test_config_forwards_device_knobs(self):
+        bench = PoxTestbench(
+            blinker_firmware(),
+            TestbenchConfig(trace_enabled=False, decode_cache_enabled=False),
+        )
+        assert bench.device.config.trace_enabled is False
+        assert bench.device.config.decode_cache_enabled is False
+        assert bench.device.decode_cache is None
+
+    def test_testbench_trace_is_unbounded(self, pump_bench):
+        # Experiment bodies count steps over the whole trace, so the
+        # testbench never bounds it.
+        assert pump_bench.device.config.trace_limit is None
+        pump_bench.run_execution_only()
+        assert pump_bench.device.trace.dropped == 0
+        assert len(pump_bench.trace_entries()) == pump_bench.device.cpu.step_count
 
 
 class TestBlinkerExecution:

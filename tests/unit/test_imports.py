@@ -130,12 +130,12 @@ PUBLIC_NAMES = {
     "repro": """
         ApexMonitor AsapMonitor AsapPoxProtocol AsapPoxVerifier AssembledImage Assembler
         AttestationProtocol CampaignResult CampaignRunner ClusterFleet ClusterReport
-        Device DeviceConfig DeviceKey ErLinker EventSpec ExecutableRegion FirmwareRef
+        Device DeviceConfig DeviceKey ErLinker ExecutableRegion
         Fleet FleetReport HashRing Hmac HmacKey InterruptVectorTable IvtGuard KeyStore
         KripkeStructure LinkConditions LinkedFirmware Memory MemoryLayout MemoryRegion
-        MetadataRegion MetricsRegistry ModelChecker Observe OutputRegion PoxConfig
+        MetadataRegion MetricsRegistry ModelChecker OutputRegion PoxConfig
         PoxProtocol PoxResult PoxTestbench PoxVerifier ProverEndpoint
-        RetryPolicy ScenarioResult ScenarioSpec ShardedVerifierCluster StopSpec SwAtt
+        RetryPolicy Scenario ScenarioResult ShardedVerifierCluster SwAtt
         TestbenchConfig TraceRecorder Tracer Verifier VerifierService VrasedConfig
         VrasedMonitor Waveform WorkerRegistry __version__ apex_property_suite
         asap_property_suite attack_suite blinker_firmware busy_wait_pump_firmware
@@ -208,9 +208,7 @@ PUBLIC_NAMES = {
         DmaController GpioPort InterruptController InterruptSource Peripheral
         PeripheralRegisters TimerA Uart Watchdog""",
     "repro.sim": """
-        CampaignResult CampaignRunner EventSpec FirmwareRef Observe ScenarioContext
-        ScenarioResult ScenarioSpec StopSpec register_event_kind
-        register_firmware_builder register_job register_observer run_scenario""",
+        CampaignResult CampaignRunner Scenario ScenarioResult run_scenario""",
     "repro.vrased": """
         AttestationProtocol AttestationReport AttestationRequest AttestationResult
         ProverStub SwAtt Verifier Violation VrasedConfig VrasedMonitor""",

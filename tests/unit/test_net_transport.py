@@ -130,16 +130,8 @@ class TestLoopbackTransport:
 
 def _scenario_values():
     from repro.sim.runner import ScenarioResult
-    from repro.sim.scenario import EventSpec, FirmwareRef, Observe, ScenarioSpec, StopSpec
 
-    return {
-        "ScenarioSpec": ScenarioSpec(name="s", firmware=FirmwareRef.of("blinker")),
-        "ScenarioResult": ScenarioResult(name="s", kind="pox"),
-        "EventSpec": EventSpec("uart_rx", step=5, args=(0x41,)),
-        "FirmwareRef": FirmwareRef.of("blinker", authorized=True),
-        "Observe": Observe("steps"),
-        "StopSpec": StopSpec("steps", 10),
-    }
+    return {"ScenarioResult": ScenarioResult(name="s", observations={"steps": 10})}
 
 
 def _firmware_values():
@@ -168,11 +160,10 @@ def _collection_values():
     }
 
 
-#: Types that no longer cross a socket: scenario specs and results stay
-#: in the process that runs them, firmware is built on the prover's
-#: side, and no fleet or shard frame carries a ``collections`` type.
-REFUSED_NAMES = ("ScenarioSpec", "ScenarioResult", "EventSpec", "FirmwareRef",
-                 "Observe", "StopSpec", "BlinkerParameters", "SensorParameters",
+#: Types that no longer cross a socket: scenario results stay in the
+#: process that runs them, firmware is built on the prover's side, and
+#: no fleet or shard frame carries a ``collections`` type.
+REFUSED_NAMES = ("ScenarioResult", "BlinkerParameters", "SensorParameters",
                  "PumpParameters", "FirmwareSpec", "TestbenchConfig",
                  "Counter", "OrderedDict", "defaultdict", "deque")
 
@@ -224,14 +215,15 @@ class TestRestrictedDecoding:
     def test_only_fleet_and_shard_payloads_decode(self):
         # The allowlist holds the classes fleet and shard frames carry:
         # enrollments (with their PoX geometry and IVT region) and
-        # attestation reports.  Scenario specs no longer cross a socket.
+        # attestation reports.  Scenario results and testbench
+        # configurations no longer cross a socket.
         import pickle
 
         from repro.firmware.blinker import blinker_firmware
         from repro.firmware.testbench import PoxTestbench, TestbenchConfig
         from repro.net.service import provision_enrollment
         from repro.net.transport import decode_payload, encode_frame
-        from repro.sim import FirmwareRef, ScenarioSpec
+        from repro.sim import ScenarioResult
         from repro.vrased.swatt import AttestationReport
 
         bench = PoxTestbench(blinker_firmware(authorized=True),
@@ -248,10 +240,13 @@ class TestRestrictedDecoding:
         ):
             assert decode_payload(encode_frame(message)[4:]) == message
 
-        spec = ScenarioSpec(name="ok", firmware=FirmwareRef.of("blinker"))
-        frame = encode_frame({"kind": "scenario", "spec": spec})
-        with pytest.raises(pickle.UnpicklingError, match="disallowed"):
-            decode_payload(frame[4:])
+        for message in (
+            {"kind": "scenario", "result": ScenarioResult(name="ok")},
+            {"kind": "testbench", "config": TestbenchConfig()},
+        ):
+            frame = encode_frame(message)
+            with pytest.raises(pickle.UnpicklingError, match="disallowed"):
+                decode_payload(frame[4:])
 
     def test_allow_frame_type_extends_the_allowlist(self):
         import pickle

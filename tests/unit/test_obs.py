@@ -4,12 +4,8 @@ What is pinned here:
 
 * instruments are get-or-create, label-keyed, and survive a
   many-threads-many-counters torture without losing increments;
-* ``merge()`` of a snapshot into a fresh hermetic registry reproduces
-  the snapshot exactly (the child-process reporting contract -- the
-  real process boundary is exercised in the telemetry integration
-  tests);
 * the histogram keeps the old ``LatencyRecorder`` percentile semantics
-  (nearest rank over a bounded window) while adding mergeable buckets;
+  (nearest rank over a bounded window) while adding buckets;
 * spans nest through the contextvar, survive the wire encoding, and
   reassemble into one parent->children tree;
 * the sinks write the exact record shapes ``--telemetry`` consumers
@@ -75,13 +71,6 @@ class TestInstruments:
         with pytest.raises(ValueError, match="window"):
             Histogram(window=0)
 
-    def test_histogram_merge_requires_matching_bounds(self):
-        ours = Histogram(buckets=(1.0, 2.0))
-        theirs = Histogram(buckets=(1.0, 3.0))
-        theirs.record(0.5)
-        with pytest.raises(ValueError, match="bounds"):
-            ours.merge_export(theirs.export())
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
@@ -133,38 +122,6 @@ class TestRegistry:
             assert snapshot["counters"][name] == per_name
             assert snapshot["gauges"]["g." + name] == per_name
             assert snapshot["histograms"]["h." + name]["count"] == per_name
-
-    def test_merge_identity_round_trip(self):
-        # The child-process reporting contract: merging a snapshot into
-        # a fresh hermetic registry and snapshotting again reproduces
-        # it exactly.
-        child = MetricsRegistry(collect=False)
-        child.counter("campaign.scenarios").inc(5)
-        child.gauge("service.instances").set(2)
-        histogram = child.histogram("campaign.scenario_seconds",
-                                    buckets=(0.1, 1.0), window=16)
-        for value in (0.05, 0.5, 3.0):
-            histogram.record(value)
-        exported = child.snapshot()
-
-        parent = MetricsRegistry(collect=False)
-        parent.merge(exported)
-        assert parent.snapshot() == exported
-
-    def test_merge_accumulates_counters_and_histograms(self):
-        parent = MetricsRegistry(collect=False)
-        parent.counter("store.hits").inc(2)
-        parent.histogram("lat", buckets=(1.0,)).record(0.5)
-        child = MetricsRegistry(collect=False)
-        child.counter("store.hits").inc(3)
-        child.gauge("g").set(9)
-        child.histogram("lat", buckets=(1.0,)).record(2.0)
-        parent.merge(child.snapshot())
-        snapshot = parent.snapshot()
-        assert snapshot["counters"]["store.hits"] == 5
-        assert snapshot["gauges"]["g"] == 9
-        assert snapshot["histograms"]["lat"]["count"] == 2
-        assert snapshot["histograms"]["lat"]["bucket_counts"] == [1, 1]
 
     def test_instance_collectors_run_at_snapshot_time(self):
         registry = MetricsRegistry(collect=False)

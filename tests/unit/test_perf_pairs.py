@@ -1,17 +1,12 @@
 """Unit tests for the summary of ``benchmarks/perf_pairs.py``."""
 
-import importlib.util
+import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 _SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "perf_pairs.py"
-_spec = importlib.util.spec_from_file_location("perf_pairs", _SCRIPT)
-perf_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(perf_pairs)
-
-_CLI_SCRIPT = _SCRIPT.with_name("cli_pairs.py")
-_cli_spec = importlib.util.spec_from_file_location("cli_pairs", _CLI_SCRIPT)
-cli_pairs = importlib.util.module_from_spec(_cli_spec)
-_cli_spec.loader.exec_module(cli_pairs)
+perf_pairs = SimpleNamespace(**runpy.run_path(str(_SCRIPT)))
+cli_pairs = SimpleNamespace(**runpy.run_path(str(_SCRIPT.with_name("cli_pairs.py"))))
 
 END_TO_END = [
     {"name": "op_ms", "unit": "ms", "better": "lower", "bound": 0.25},

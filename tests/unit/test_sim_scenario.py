@@ -1,213 +1,269 @@
-"""Unit tests for the declarative scenario layer (``repro.sim``)."""
+"""Unit tests for named scenarios and :func:`repro.sim.run_scenario`."""
 
+import dataclasses
 import pickle
+import time
+from collections import Counter
 
 import pytest
 
-from repro.firmware.blinker import blinker_firmware
-from repro.firmware.testbench import PoxTestbench, TestbenchConfig
-from repro.sim import (
-    EventSpec,
-    FirmwareRef,
-    Observe,
-    ScenarioSpec,
-    StopSpec,
-    register_firmware_builder,
-    run_scenario,
-)
-from repro.sim.scenario import FIRMWARE_BUILDERS
+from repro.experiments import runners
+from repro.sim import Scenario, run_scenario
 
 
-def fig5a_spec(**overrides):
-    """The Fig. 5(a) scenario as a spec (the canonical test subject)."""
-    fields = dict(
-        name="fig5a",
-        firmware=FirmwareRef.of("blinker", authorized=True),
-        config=TestbenchConfig(architecture="asap"),
-        events=(EventSpec("button_press", step=6),),
-        observe=(Observe("accepted", key="proof accepted"),
-                 Observe("exec_flag"),
-                 Observe("first_irq_in_er")),
-        expect={"proof accepted": True},
-        meta={"scenario": "fig5a"},
-    )
-    fields.update(overrides)
-    return ScenarioSpec(**fields)
+def named(scenarios, name):
+    """The scenario called *name* in a ``*_scenarios()`` list."""
+    return next(scenario for scenario in scenarios if scenario.name == name)
 
 
-class TestFirmwareRef:
-    def test_builds_registered_firmware(self):
-        firmware = FirmwareRef.of("blinker", authorized=False).build()
-        assert firmware.name.startswith("blinker")
-
-    def test_unknown_builder_reports_registered_names(self):
-        with pytest.raises(KeyError, match="blinker"):
-            FirmwareRef.of("no-such-firmware").build()
-
-    def test_registration_extends_vocabulary(self):
-        register_firmware_builder("blinker-alias", blinker_firmware)
-        try:
-            firmware = FirmwareRef.of("blinker-alias", authorized=True).build()
-            assert firmware.trusted_isrs
-        finally:
-            del FIRMWARE_BUILDERS["blinker-alias"]
-
-    def test_registration_before_first_use_wins_over_the_built_in(self, monkeypatch):
-        # A fresh registry is what a new process starts with: no built-in
-        # has been resolved yet.
-        import repro.sim.scenario as scenario
-
-        monkeypatch.setattr(scenario, "FIRMWARE_BUILDERS", {})
-
-        def custom(**kwargs):
-            return ("custom", kwargs)
-
-        register_firmware_builder("blinker", custom)
-        assert FirmwareRef.of("blinker", authorized=True).build() == (
-            "custom", {"authorized": True})
-        assert scenario.FIRMWARE_BUILDERS["blinker"] is custom
-        # Built-ins nobody registered over still resolve on first use.
-        assert FirmwareRef.of("sensor_logger").build().name.startswith("sensor")
-        assert scenario.FIRMWARE_BUILDERS["sensor_logger"] is not custom
-
-    def test_kwargs_are_ordered_pairs(self):
-        ref = FirmwareRef.of("blinker", authorized=True)
-        assert ref.kwargs == (("authorized", True),)
+def fig5a():
+    """The Fig. 5(a) scenario (the canonical test subject)."""
+    return named(runners.fig5_scenarios(), "Fig. 5(a)")
 
 
-class TestScenarioSpec:
-    def test_spec_is_picklable_and_round_trips(self):
-        spec = fig5a_spec()
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
+def broken_body():
+    raise LookupError("broken scenario body")
 
-    def test_dict_fields_normalise_to_pairs(self):
-        spec = fig5a_spec()
-        assert spec.expect == (("proof accepted", True),)
-        assert spec.meta == (("scenario", "fig5a"),)
-        assert spec.expectations() == {"proof accepted": True}
-        assert spec.metadata() == {"scenario": "fig5a"}
 
-    def test_invalid_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            ScenarioSpec(name="bad", kind="nope")
+class TestScenario:
+    def test_scenario_is_frozen(self):
+        scenario = Scenario("frozen", lambda: {})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.name = "renamed"
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            fig5a_spec(mode="sideways")
-
-    def test_invalid_stop_kind_rejected(self):
-        with pytest.raises(ValueError, match="stop kind"):
-            StopSpec(kind="eventually")
-
-    def test_stop_spec_values_validated(self):
-        with pytest.raises(ValueError, match="positive step count"):
-            StopSpec("steps")  # the default value of 0 would run nothing
-        with pytest.raises(ValueError, match="16-bit address"):
-            StopSpec("pc", 0x10000)
-
-    def test_config_overrides_apply_on_top_of_base(self):
-        spec = fig5a_spec(config_overrides={"trace_limit": 64,
-                                            "architecture": "apex"})
-        config = spec.testbench_config()
-        assert config.architecture == "apex"
-        assert config.trace_limit == 64
-        # the base config object is not mutated
-        assert spec.config.architecture == "asap"
-
-    def test_from_spec_equals_manual_construction(self):
-        spec = fig5a_spec()
-        from_spec = PoxTestbench.from_spec(spec)
-        manual = PoxTestbench(blinker_firmware(authorized=True),
-                              TestbenchConfig(architecture="asap"))
-        from_spec.device.run_steps(50)
-        manual.device.run_steps(50)
-        assert from_spec.trace_entries() == manual.trace_entries()
-
-    def test_from_spec_requires_firmware(self):
-        with pytest.raises(ValueError, match="firmware"):
-            PoxTestbench.from_spec(fig5a_spec(firmware=None))
+    def test_expect_and_meta_default_to_fresh_dicts(self):
+        first = Scenario("first", lambda: {})
+        second = Scenario("second", lambda: {})
+        assert first.expect == first.meta == {}
+        assert first.expect is not second.expect
+        assert first.meta is not second.meta
 
 
 class TestRunScenario:
-    def test_pox_scenario_produces_expected_row(self):
-        result = run_scenario(fig5a_spec())
+    def test_row_is_meta_then_observations_in_body_order(self):
+        scenario = Scenario("ordered", lambda: {"b": 2, "a": 1},
+                            meta={"z": 0, "y": -1})
+        result = run_scenario(scenario)
         assert result.ok and result.error is None
-        assert result.row == {"scenario": "fig5a", "proof accepted": True,
-                              "exec_flag": 1, "first_irq_in_er": True}
+        assert list(result.row.items()) == [("z", 0), ("y", -1), ("b", 2), ("a", 1)]
 
-    def test_event_schedule_is_applied(self):
-        # Without the button press the blinker never services an IRQ.
-        result = run_scenario(fig5a_spec(events=(),
-                                         expect={"proof accepted": True}))
-        assert result.observations["first_irq_in_er"] is None
+    def test_pox_scenario_produces_expected_row(self):
+        result = run_scenario(fig5a())
+        assert result.ok and result.error is None
+        assert result.row == {"scenario": "Fig. 5(a)", "architecture": "asap",
+                              "isr inside ER": True, "final EXEC": 1,
+                              "proof accepted": True}
 
     def test_expectation_mismatch_flags_not_ok(self):
-        result = run_scenario(fig5a_spec(expect={"proof accepted": False}))
+        result = run_scenario(dataclasses.replace(
+            fig5a(), expect={"proof accepted": False}))
         assert not result.ok and result.error is None
         assert "expectation failed" in result.failure_summary()
 
     def test_error_is_captured_not_raised(self):
-        result = run_scenario(fig5a_spec(
-            firmware=FirmwareRef.of("no-such-firmware")))
+        result = run_scenario(Scenario("broken", broken_body,
+                                       expect={"accepted": True}))
         assert not result.ok
-        assert "no-such-firmware" in result.error
+        assert "broken scenario body" in result.error
         assert "raised" in result.failure_summary()
+        assert result.observations == {}
 
-    def test_unknown_observer_is_an_isolated_error(self):
-        result = run_scenario(fig5a_spec(observe=(Observe("bogus"),)))
-        assert not result.ok and "bogus" in result.error
+    def test_result_copies_meta_and_expect(self):
+        # A caller editing one result's row must not change what the
+        # scenario produces next time.
+        scenario = Scenario("copied", lambda: {"a": 1},
+                            expect={"a": 1}, meta={"label": "x"})
+        first = run_scenario(scenario)
+        first.meta["label"] = "edited"
+        first.expected["a"] = 2
+        assert scenario.meta == {"label": "x"}
+        assert scenario.expect == {"a": 1}
+        assert run_scenario(scenario).row == {"label": "x", "a": 1}
 
-    def test_default_observations_for_pox_mode(self):
-        result = run_scenario(fig5a_spec(observe=(), expect={}))
-        assert result.ok, result.error
-        assert set(result.observations) == {"accepted", "exec_flag"}
+    def test_body_runs_once_per_call(self):
+        calls = []
 
-    def test_default_observations_for_non_attesting_modes(self):
-        # Modes that never attest have no protocol result; the default
-        # observations must not demand one.
-        for mode in ("execution_only", "run"):
-            result = run_scenario(fig5a_spec(
-                mode=mode, stop=StopSpec("steps", 30),
-                observe=(), expect={"crashed": False}))
-            assert result.ok, (mode, result.error)
-            assert result.observations["steps"] > 0
+        def body():
+            calls.append(None)
+            return {"calls": len(calls)}
 
-    def test_run_mode_with_step_stop(self):
-        spec = fig5a_spec(mode="run", stop=StopSpec("steps", 40),
-                          observe=(Observe("steps"),), expect={"steps": 40})
-        result = run_scenario(spec)
-        assert result.ok, result.error
+        scenario = Scenario("counted", body)
+        assert run_scenario(scenario).observations == {"calls": 1}
+        assert run_scenario(scenario).observations == {"calls": 2}
 
-    def test_run_mode_with_pc_stop(self):
-        bench = PoxTestbench.from_spec(fig5a_spec())
-        target = bench.executable.er_min
-        spec = fig5a_spec(mode="run", stop=StopSpec("pc", target),
-                          observe=(Observe("crashed"),),
-                          expect={"crashed": False})
-        result = run_scenario(spec)
-        assert result.ok, result.error
+    def test_missing_expected_key_is_a_mismatch(self):
+        result = run_scenario(Scenario("silent", lambda: {"other": 1},
+                                       expect={"holds": True}))
+        assert not result.ok and result.error is None
+        assert result.failure_summary() == \
+            "silent expectation failed: holds=None (expected True)"
 
-    def test_attack_kind_runs_gallery_scenario(self):
-        result = run_scenario(ScenarioSpec(
-            name="benign-baseline", kind="attack",
-            expect={"detected": True}))
+    def test_failure_summary_names_only_the_mismatching_keys(self):
+        result = run_scenario(Scenario("partial", lambda: {"a": 1, "b": 2},
+                                       expect={"a": 1, "b": 3}))
+        assert not result.ok
+        assert result.failure_summary() == \
+            "partial expectation failed: b=2 (expected 3)"
+
+    def test_ok_result_has_no_failure_summary(self):
+        result = run_scenario(Scenario("fine", lambda: {"a": 1},
+                                       expect={"a": 1}))
+        assert result.ok
+        assert result.failure_summary() is None
+
+    def test_error_summary_is_the_exception_line(self):
+        result = run_scenario(Scenario("broken", broken_body))
+        assert result.failure_summary() == \
+            "broken raised: LookupError: broken scenario body"
+
+    def test_elapsed_time_is_recorded_for_errors_too(self):
+        def slow_then_broken():
+            time.sleep(0.002)
+            broken_body()
+
+        result = run_scenario(Scenario("slow", slow_then_broken))
+        assert not result.ok
+        assert result.elapsed_seconds >= 0.002
+
+    def test_keyboard_interrupt_is_not_captured(self):
+        # Only ``Exception`` is folded into the result, so Ctrl-C still
+        # stops a sweep.
+        def interrupted():
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(Scenario("interrupted", interrupted))
+
+    def test_attack_scenario_runs_gallery_attack(self):
+        result = run_scenario(named(runners.security_scenarios(),
+                                    "benign-baseline"))
         assert result.ok, result.error
         assert result.observations["accepted"] is True
 
-    def test_ltl_kind_checks_named_property(self):
-        result = run_scenario(ScenarioSpec(
-            name="ltl-smoke", kind="ltl",
-            ltl_property="vrased-key-access-control",
-            expect={"holds": True}))
+    def test_ltl_scenario_checks_named_property(self):
+        result = run_scenario(named(runners.verification_scenarios(),
+                                    "ltl-vrased-key-access-control"))
         assert result.ok, result.error
         assert result.observations["states"] > 0
 
-    def test_ltl_kind_unknown_property_is_isolated(self):
-        result = run_scenario(ScenarioSpec(name="nope", kind="ltl"))
-        assert not result.ok and "unknown LTL property" in result.error
-
     def test_results_are_picklable(self):
-        result = run_scenario(fig5a_spec())
+        result = run_scenario(fig5a())
         clone = pickle.loads(pickle.dumps(result))
         assert clone.row == result.row
+
+
+class TestScenarioBodies:
+    def test_each_body_runs_the_workload_it_is_named_after(self):
+        # Bodies built in a loop must each bind their own attack and
+        # property, not the loop's last one.
+        for scenario in runners.security_scenarios():
+            assert run_scenario(scenario).observations["scenario"] == scenario.name
+        for scenario in runners.verification_scenarios():
+            observed = run_scenario(scenario).observations["property"]
+            assert "ltl-" + observed == scenario.name
+
+    def test_verification_list_builds_each_model_once_at_call_time(self, monkeypatch):
+        from repro.ltl.properties import MODEL_BUILDERS, asap_property_suite
+
+        scenarios = runners.verification_scenarios()
+        # Installed after the list was built: the bodies must look the
+        # builders up when they run (perfbench wraps them this way).
+        builds = []
+        for model, builder in list(MODEL_BUILDERS.items()):
+            def counting(model=model, builder=builder):
+                builds.append(model)
+                return builder()
+            monkeypatch.setitem(MODEL_BUILDERS, model, counting)
+        for scenario in scenarios:
+            assert run_scenario(scenario).ok
+        used = sorted({prop.model for prop in asap_property_suite()})
+        assert sorted(builds) == used
+        # A second pass over the same list reuses its models.
+        for scenario in scenarios:
+            run_scenario(scenario)
+        assert sorted(builds) == used
+
+    def test_each_list_builds_its_own_models(self, monkeypatch):
+        # Models are shared within one list, never across lists, so each
+        # pass over the suite builds (and reports) the same models.
+        from repro.ltl.properties import MODEL_BUILDERS, asap_property_suite
+
+        builds = []
+        for model, builder in list(MODEL_BUILDERS.items()):
+            def counting(model=model, builder=builder):
+                builds.append(model)
+                return builder()
+            monkeypatch.setitem(MODEL_BUILDERS, model, counting)
+        for _ in range(2):
+            for scenario in runners.verification_scenarios():
+                run_scenario(scenario)
+        used = {prop.model for prop in asap_property_suite()}
+        assert Counter(builds) == {model: 2 for model in used}
+
+    def test_model_build_error_is_isolated_to_its_properties(self, monkeypatch):
+        from repro.ltl.properties import MODEL_BUILDERS, asap_property_suite
+
+        def broken_build():
+            raise RuntimeError("ivt_guard model unavailable")
+
+        monkeypatch.setitem(MODEL_BUILDERS, "ivt_guard", broken_build)
+        models = {"ltl-" + prop.name: prop.model
+                  for prop in asap_property_suite()}
+        for scenario in runners.verification_scenarios():
+            result = run_scenario(scenario)
+            if models[scenario.name] == "ivt_guard":
+                assert not result.ok
+                assert "ivt_guard model unavailable" in result.error
+            else:
+                assert result.ok, result.failure_summary()
+
+    def test_fig5_rows_are_meta_then_observations_in_column_order(self):
+        for scenario in runners.fig5_scenarios():
+            assert list(run_scenario(scenario).row) == [
+                "scenario", "architecture",
+                "isr inside ER", "final EXEC", "proof accepted"]
+
+    def test_execution_only_bodies_report_counts_not_proofs(self):
+        # E7 and E8's step counts run the task without an attestation
+        # exchange: their rows carry counts only.
+        for scenario in runners.runtime_scenarios():
+            assert list(run_scenario(scenario).row) == ["configuration", "cycles"]
+        interrupt, busy, _ = runners.busywait_scenarios()
+        for scenario in (interrupt, busy):
+            assert list(run_scenario(scenario).row) == [
+                "variant", "active steps", "sleep steps"]
+
+    def test_busywait_parameters_reach_the_abort_scenario(self):
+        *_, abort = runners.busywait_scenarios(dosage_cycles=50, abort_step=10)
+        result = run_scenario(abort)
+        assert result.ok, result.failure_summary()
+        assert result.meta == {"abort_step": 10, "dosage_cycles": 50}
+        assert 0 < result.observations["delivered"] < 50
+
+
+#: Each experiment's scenario list and the number of runs the paper
+#: reports for it: three Fig. 5 waveforms, the Fig. 6 cost table, 21
+#: LTL properties, two E7 monitors, three E8 pump runs and ten attacks.
+PAPER_LISTS = (
+    ("fig5_scenarios", 3),
+    ("fig6_scenarios", 1),
+    ("verification_scenarios", 21),
+    ("runtime_scenarios", 2),
+    ("busywait_scenarios", 3),
+    ("security_scenarios", 10),
+)
+
+
+class TestPaperLists:
+    @pytest.mark.parametrize("function, count", PAPER_LISTS,
+                             ids=[function for function, _ in PAPER_LISTS])
+    def test_list_runs_clean_and_expects_only_observed_keys(self, function, count):
+        scenarios = getattr(runners, function)()
+        assert len(scenarios) == count
+        assert len({scenario.name for scenario in scenarios}) == count
+        for scenario in scenarios:
+            result = run_scenario(scenario)
+            assert result.ok, result.failure_summary()
+            # An expectation on a key the body never returns could only
+            # ever fail.
+            assert set(scenario.expect) <= set(result.observations)
