@@ -19,19 +19,25 @@ protection conditions of Section 2.3:
 :class:`PoxMonitorBase` carries everything shared with ASAP;
 :class:`ApexMonitor` adds the LTL 3 interrupt rule.
 
-The hardware checks every rule each cycle at no cost; here the monitor
-observes every simulated step, so it decides the common step cheaply.
-It reads the ER bounds and entry/exit points from the frozen
-:class:`~repro.apex.regions.PoxConfig` once, as plain ints, and tests
-the PC and next PC against them once per step.  Right after those two
-tests it settles a *quiet* step -- no CPU or DMA write, ``dma_en`` low,
-no irq, PC and next PC on the same side of ER, PC not ``ER_min`` -- by
-storing its PC-in-ER bit and returning: no rule can fire on such a step
-and EXEC cannot change.  (A step at ``ER_max`` that stays in ER changes
+The hardware checks every rule each cycle at no cost.  Here most steps
+never reach the monitor: a step is *quiet* -- no CPU or DMA write,
+``dma_en`` low, no irq, PC and next PC on the same side of ER, PC not
+``ER_min`` -- when no rule can fire on it and EXEC cannot change, and
+the monitor declares that test as data, :attr:`PoxMonitorBase.quiet_test`
+(ER's bounds and ``ER_min`` as ints, read once from the frozen
+:class:`~repro.apex.regions.PoxConfig`).  With tracing off and this
+monitor alone attached, the device hands the test to
+:meth:`~repro.cpu.core.CPU.step`, which settles such a step without
+building a bundle, and calls :meth:`PoxMonitorBase.observe_quiet` where
+a stretch of them ends: the monitor's ``observe`` sees 17 of a ``pox``
+exchange's 2,525 steps.  (A step at ``ER_max`` that stays in ER changes
 nothing either, and one that leaves ER is not same-side, so no
-``ER_max`` test is needed.)  That is 2,514 of a ``pox`` exchange's
-2,525 steps.  Every other step runs all the rules.  The four memory
-rules (``er-modified``, ``or-modified``, ``or-dma``,
+``ER_max`` test is needed.)
+
+``observe`` keeps the same test for the bundles it is shown: right
+after its two PC tests it settles a quiet step by storing its PC-in-ER
+bit and returning.  Every other step runs all the rules.  The four
+memory rules (``er-modified``, ``or-modified``, ``or-dma``,
 ``metadata-modified``) only run on a step that carries a CPU or DMA
 write, since no other step can break them; they compare each write's
 byte span with the region bounds
@@ -69,6 +75,11 @@ class PoxMonitorBase:
         self._er_end = executable.region.end
         self._er_min = executable.er_min
         self._er_max = executable.er_max
+        #: ``(er_start, er_end, er_min)``: a step on the quiet branch of
+        #: the device's loop (no DMA, no irq) that writes no memory, keeps
+        #: its PC and next PC on one side of ``[er_start, er_end]`` and has
+        #: its PC off ``er_min`` is one this monitor settles as quiet.
+        self.quiet_test = (self._er_start, self._er_end, self._er_min)
         self.exec_flag = False
         self.violations: List[ExecViolation] = []
         self.execution_started = False
@@ -148,6 +159,23 @@ class PoxMonitorBase:
             self.execution_completed = True
 
         self._last_pc_in_er = pc_in_er
+
+    def observe_quiet(self, pc):
+        """Settle a stretch of quiet steps that no bundle was built for.
+
+        Every step of the stretch ran with its PC on the side of ER that
+        *pc* lies on, so this stores what ``observe`` would have stored.
+        """
+        self._last_pc_in_er = self._er_start <= (pc & 0xFFFF) <= self._er_end
+
+    def finished(self, _bundle, _device):
+        """Stop condition of an ER run: ER completed through ``ER_max``.
+
+        It reads no bundle field and a quiet step cannot change its
+        answer, so the device tests it only after the steps it builds a
+        bundle for.
+        """
+        return self.execution_completed
 
     # ------------------------------------------------------------ rules
 

@@ -246,11 +246,7 @@ class PoxProtocol:
         cpu.sp = (cpu.sp - 2) & 0xFFFF
         self.device.memory.load_word(cpu.sp, return_address)
         cpu.pc = self.config.executable.er_min
-
-        def finished(_bundle, _device):
-            return self.monitor.execution_completed
-
-        return self.device.run(max_steps=max_steps, stop_condition=finished)
+        return self.device.run(max_steps=max_steps, stop_condition=self.monitor.finished)
 
     def attest(self):
         """Step 3: compute the PoX report over META || ER || OR (+EXEC)."""

@@ -11,7 +11,9 @@ registers, byte mode, masks, flag update and bus reporting are fixed at
 decode time.  A fetch yields ``(execute, size, text, cycles)`` -- the
 decode-cache entry -- and :meth:`CPU.step` calls ``execute()`` and
 builds the bundle from what it returns.  Without a decode cache every
-fetch decodes and compiles afresh.
+fetch decodes and compiles afresh.  Given a monitor's quiet test, a
+step that monitor would settle without reading its bundle returns its
+cycle count instead, and no bundle is built.
 
 Fidelity notes
 --------------
@@ -144,7 +146,7 @@ class CPU:
 
     # ------------------------------------------------------------ stepping
 
-    def step(self, pending_interrupt=None):
+    def step(self, pending_interrupt=None, quiet=None):
         """Execute one step and return its :class:`SignalBundle`.
 
         *pending_interrupt* is the IVT index of the highest-priority
@@ -154,6 +156,14 @@ class CPU:
         ``GIE`` clear stays asleep (as on the real device, where such a
         configuration would hang -- firmware is expected to sleep with
         interrupts enabled).
+
+        *quiet* is a monitor's quiet test ``(er_start, er_end, er_min)``
+        (:attr:`~repro.apex.hwmod.PoxMonitorBase.quiet_test`), given only
+        for a step with no DMA activity and no pending interrupt.  An
+        instruction step that then writes no memory, keeps its PC and
+        next PC on the same side of ``[er_start, er_end]`` and has its
+        PC off ``er_min`` returns its cycle count (an ``int``) instead of
+        a bundle.
         """
         registers = self.registers
         start_pc = registers[PC]
@@ -183,6 +193,11 @@ class CPU:
         reads, writes = execute()
         self.cycle_count += cycles
         count = self.step_count = self.step_count + 1
+        if quiet is not None and not writes:
+            er_start, er_end, er_min = quiet
+            if ((er_start <= start_pc <= er_end) is (er_start <= registers[PC] <= er_end)
+                    and start_pc != er_min):
+                return cycles
         # Every field, in declaration order: a keyword call costs about
         # three times as much as a positional one.
         return SignalBundle(count, start_pc, registers[PC], False, None, gie_before,

@@ -4,8 +4,8 @@
 by the paper's prototype: CPU core, 64 KiB memory with the IVT in its
 last 32 bytes, GPIO/timer/UART/DMA/watchdog peripherals, an interrupt
 controller, and a set of attached *hardware monitors* (the VRASED, APEX
-and ASAP modules) that observe every step's signal bundle exactly the
-way the Verilog modules observe the MCU buses.
+and ASAP modules) that observe the steps' signal bundles the way the
+Verilog modules observe the MCU buses.
 
 ``Device._run`` is the simulator's one step loop.  Each step fires its
 due events, found with one compare of the step number against
@@ -16,10 +16,14 @@ a serviced interrupt; while none is (every peripheral quiescent, no
 interrupt pending), the quiet branch runs the CPU step alone, since
 only a tick moves DMA data or hands the CPU an interrupt.  Either way
 the bundle goes to the attached monitors and into the trace (with
-tracing off the step only counts its cycles).  The monitors' ``observe``
-is looked up once per run call: one monitor's is called directly,
-several are called in attach order, and with none attached nothing is
-called.  :meth:`Device.step` is one iteration of the loop;
+tracing off the step only counts its cycles).  With tracing off and one
+attached monitor that declares a quiet test (the APEX and ASAP
+monitors), the quiet branch hands that test to the CPU, and a step the
+monitor would settle as quiet builds no bundle at all: the monitor is
+shown the other steps only.  The monitors' ``observe`` is looked up
+once per run call: one monitor's is called directly, several are
+called in attach order, and with none attached nothing is called.
+:meth:`Device.step` is one iteration of the loop;
 :meth:`Device.run`, :meth:`Device.run_until_pc` and
 :meth:`Device.run_steps` call it.  Bundles the loop does not produce --
 a software write, a crashed device's synthetic steps -- go through
@@ -277,14 +281,14 @@ class Device:
     def _run(self, max_steps, stop_condition=None):
         """The simulator's step loop: run up to *max_steps* steps.
 
-        Returns ``(executed, bundle)``: the steps run and the last one's
-        bundle (``None`` when none ran).  The loop stops after a step
+        Returns ``(executed, bundle)``: the steps run and the last bundle
+        built (``None`` when none ran).  The loop stops after a step
         that crashed the device, or once *stop_condition(bundle,
         device)* is true; a crash step is not shown to the condition.
 
         The monitors' ``observe`` methods are looked up here, per call
         and never at attach time (:meth:`_observer`), so a wrapper put on
-        a monitor class after it was attached still sees every step.
+        a monitor class after it was attached sees every step it is shown.
 
         A step takes the quiet branch while ``_periph_dirty`` is clear:
         every peripheral is quiescent and no interrupt is pending, so it
@@ -292,6 +296,18 @@ class Device:
         activity to attach nor an interrupt to acknowledge -- only
         ``_tick_peripherals`` fills the DMA's step lists or hands the CPU
         an interrupt.
+
+        With tracing off and one monitor attached that declares a
+        ``quiet_test`` (:meth:`_quiet_monitor`), the quiet branch hands
+        that test to the CPU from the call's second step on, so a step
+        the monitor would settle returns its cycle count and builds no
+        bundle: the monitor is not called, nor the stop condition, which
+        is then the monitor's own ``finished``.  No quiet step crosses
+        ER's boundary, so every step of a stretch of them ran on the
+        side of the last bundle's next PC; where a stretch ends -- at a
+        due event, a crash or the call's end -- the monitor's
+        ``observe_quiet`` gets that PC.  A step after a due event takes
+        the dirty branch, which always builds the bundle.
         """
         if self.crashed:
             if max_steps < 1:
@@ -305,16 +321,25 @@ class Device:
         trace = self.trace
         record = trace.record if trace.enabled else None
         exporters = self._signal_exporters
+        quiet_monitor = self._quiet_monitor(stop_condition) if record is None else None
+        quiet = quiet_monitor.quiet_test if quiet_monitor is not None else None
+        # The quiet test the CPU gets: none on the call's first step.
+        settle = None
         executed = 0
-        bundle = None
+        # The last bundle built, and the last step's outcome: its bundle,
+        # or its cycle count when the CPU settled it as quiet.
+        bundle = outcome = None
         for executed in range(1, max_steps + 1):
             step_number = self.step_number = self.step_number + 1
             if step_number >= self._next_event_step:
+                if outcome.__class__ is int:
+                    quiet_monitor.observe_quiet(bundle.next_pc)
+                    outcome = bundle
                 self._fire_events()
             if self._periph_dirty:
                 pending = self._tick_peripherals()
                 try:
-                    bundle = cpu_step(pending)
+                    outcome = bundle = cpu_step(pending)
                 except CPUError as error:
                     self._latch_crash(error)
                     return executed, self._crash_bundle()
@@ -327,10 +352,19 @@ class Device:
                     self._periph_dirty = True
             else:
                 try:
-                    bundle = cpu_step(None)
+                    outcome = cpu_step(None, settle)
                 except CPUError as error:
+                    if outcome.__class__ is int:
+                        quiet_monitor.observe_quiet(bundle.next_pc)
                     self._latch_crash(error)
                     return executed, self._crash_bundle()
+                if outcome.__class__ is int:
+                    # Settled as quiet: nothing to observe, record or
+                    # stop on; only its cycles are counted.
+                    self._last_step_cycles = outcome
+                    trace._total_cycles += outcome
+                    continue
+                bundle = outcome
             cycles = self._last_step_cycles = bundle.cycles_consumed
             if observe is not None:
                 observe(bundle)
@@ -346,7 +380,24 @@ class Device:
                 record(bundle)
             if stop_condition is not None and stop_condition(bundle, self):
                 break
+            settle = quiet
+        if outcome.__class__ is int:
+            quiet_monitor.observe_quiet(bundle.next_pc)
         return executed, bundle
+
+    def _quiet_monitor(self, stop_condition):
+        """The monitor whose quiet test the step loop may apply, or
+        ``None``: the one attached monitor, if it declares a
+        ``quiet_test`` and *stop_condition* is ``None`` or its own
+        ``finished``.  Any other stop condition is shown every step."""
+        if len(self.monitors) != 1:
+            return None
+        monitor = self.monitors[0]
+        if getattr(monitor, "quiet_test", None) is None:
+            return None
+        if stop_condition is not None and stop_condition != monitor.finished:
+            return None
+        return monitor
 
     def _observer(self):
         """The attached monitors' ``observe`` as one callable, looked up

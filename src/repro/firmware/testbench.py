@@ -10,10 +10,10 @@ and benches stay short and consistent.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro._lru import LruDict
 from repro.apex.hwmod import ApexMonitor
 from repro.apex.pox import PoxProtocol, PoxVerifier
 from repro.apex.regions import MetadataRegion, OutputRegion, PoxConfig
@@ -45,9 +45,11 @@ class FirmwareSpec:
 #: the other way around), and the cache key covers everything that
 #: influences the link.  LRU-bounded: a generated-firmware corpus
 #: makes every image unique, and an unbounded dict would leak a full
-#: linked image per scenario.
+#: linked image per scenario.  A hit moves its entry to the end; a link
+#: beyond the cap drops the first entry, the least recently used.  No
+#: lock: testbenches are built on one thread.
 _LINK_CACHE_CAP = 64
-_LINK_CACHE = LruDict(_LINK_CACHE_CAP)
+_LINK_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 
 
 def _link_cache_key(firmware: FirmwareSpec, er_base: int) -> tuple:
@@ -146,8 +148,12 @@ class PoxTestbench:
         """Link *firmware*, through the per-process cache."""
         key = _link_cache_key(firmware, self.config.er_base)
         linked = _LINK_CACHE.get(key)
-        if linked is None:
-            linked = _LINK_CACHE.setdefault(key, self._link(firmware))
+        if linked is not None:
+            _LINK_CACHE.move_to_end(key)
+            return linked
+        linked = _LINK_CACHE[key] = self._link(firmware)
+        if len(_LINK_CACHE) > _LINK_CACHE_CAP:
+            _LINK_CACHE.popitem(last=False)
         return linked
 
     def _link(self, firmware: FirmwareSpec):

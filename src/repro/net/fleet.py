@@ -53,8 +53,10 @@ def build_prover_bench(firmware, architecture, device_id,
 
     The device records no trace, as a deployed prover keeps none:
     nothing on the fleet path reads one.  Its recorder still counts
-    cycles (``device.trace.total_cycles``), and every monitor still
-    observes every step.
+    cycles (``device.trace.total_cycles``), and its monitor is shown
+    every step it cannot settle as quiet; the CPU settles the others
+    without building their bundles (4 of a blinker PoX run's 128 steps
+    reach the monitor).
     """
     config = TestbenchConfig(architecture=architecture, device_id=device_id,
                              trace_enabled=False)

@@ -140,12 +140,7 @@ class Histogram:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1], got %r" % (fraction,))
         with self._lock:
-            if not self._samples:
-                return 0.0
-            ordered = sorted(self._samples)
-        index = min(len(ordered) - 1,
-                    max(0, round(fraction * (len(ordered) - 1))))
-        return ordered[index]
+            return self._percentile_locked(fraction)
 
     @property
     def p50(self) -> float:

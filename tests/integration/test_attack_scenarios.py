@@ -1,8 +1,19 @@
-"""Integration tests: the adversarial scenario suite (experiment E9)."""
+"""Integration tests: the adversarial scenario suite (experiment E9).
+
+E9 builds its testbenches with tracing on, as its rows are recorded
+from traced runs.  Each scenario also runs with the attack module's
+``TestbenchConfig`` patched to trace nothing, so the attacks reach the
+step loop's tracing-off path, where the CPU settles the steps the ASAP
+monitor would settle as quiet; the rows must not change.
+"""
+
+import functools
 
 import pytest
 
+from repro.firmware import attacks
 from repro.firmware.attacks import attack_suite
+from repro.firmware.testbench import TestbenchConfig
 
 
 SCENARIOS = {scenario.name: scenario for scenario in attack_suite()}
@@ -45,6 +56,17 @@ def test_scenario_outcome_matches_security_argument(name):
         assert not outcome.accepted
     else:
         assert outcome.accepted and outcome.exec_flag == 1
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_untraced_scenario_gives_the_traced_row(name, monkeypatch):
+    scenario = SCENARIOS[name]
+    traced = scenario.run()
+    monkeypatch.setattr(attacks, "TestbenchConfig",
+                        functools.partial(TestbenchConfig, trace_enabled=False))
+    untraced = scenario.run()
+    assert untraced.detected
+    assert untraced.as_row() == traced.as_row()
 
 
 class TestSpecificDetectionMechanisms:

@@ -18,8 +18,9 @@ call they must agree on:
   step of every event that fired in between;
 * every field of every bundle the stop condition was shown;
 * every trace entry, with its monitor signals;
-* the ASAP monitor's violations, EXEC, started/completed flags,
-  exported signals and IVT-guard state and events (when attached);
+* the PoX monitor's violations, EXEC, started/completed flags and
+  exported signals, and the ASAP monitor's IVT-guard state and events
+  (when attached);
 * the step, CPU-step and cycle counters (the trace's included), the
   registers, the crash latch and the watchdog resets;
 * the serviced (acknowledged) interrupts, the ``fired`` latch of every
@@ -29,18 +30,29 @@ call they must agree on:
 Programs: the random and memory-heavy generators of
 ``test_property_decode_cache`` (interrupt vectors aimed at a ``RETI``
 outside ER), optionally opened by a quiet stretch and a CPU write to
-``DMA0CTL`` that starts a DMA transfer, and the sensor logger under
-ASAP with its trusted UART ISR and an untrusted PORT5 ISR.  Events:
-UART bytes, GPIO presses on both ports, a DMA transfer into plain data,
-OR, metadata, ER or the IVT, a watchdog armed to expire, a crash (an
-illegal word stored at the PC), a device reset, and an event that
-schedules another one, due on the current step or later.
+``DMA0CTL`` that starts a DMA transfer; register-only stretches inside
+ER or after its legal exit, each ended by a CPU store into ER, the
+IVT, metadata, OR or plain data or by a crashing instruction; and the
+sensor logger under ASAP with its trusted UART ISR and an untrusted
+PORT5 ISR.  Events: UART bytes, GPIO presses on both ports, a DMA
+transfer into plain data, OR, metadata, ER or the IVT, a watchdog
+armed to expire, a crash (an illegal word stored at the PC), a device
+reset, an event that schedules another one, due on the current step or
+later, and one that samples the PoX monitor's exported signals into
+the log.
 
 Monitors: a random program runs with or without the ASAP monitor, and
 each device gets 0, 1 or 2 *recorders* -- monitors that append what
 they observe to one log per device -- so the loop's three ways of
 calling ``observe`` (none, one, a fan-out in attach order) are all
 compared.  The first recorder may schedule an event from ``observe``.
+With one PoX monitor alone and tracing off, the fused loop lets the CPU
+settle the steps the monitor would settle as quiet, builds no bundle
+for them and brings the monitor's PC-in-ER bit up to date where a
+stretch of them ends.  The stretch programs (under the ASAP or the APEX
+monitor), the ``"finished"`` stop (the monitor's own stop condition,
+which the loop tests only after the steps it builds a bundle for) and
+the signal samples draw that path.
 """
 
 from unittest import mock
@@ -56,6 +68,7 @@ from test_property_decode_cache import (
 )
 from test_property_isa import instructions
 
+from repro.apex.hwmod import ApexMonitor
 from repro.apex.regions import ExecutableRegion, MetadataRegion, OutputRegion, PoxConfig
 from repro.core.hwmod import AsapMonitor
 from repro.cpu.signals import MemoryWrite
@@ -72,9 +85,10 @@ from repro.peripherals.registers import (
     WatchdogBits,
 )
 
-#: ER, OR and metadata of the random programs (which start at ``BASE``).
+#: ER, OR and metadata of the random programs (which start at ``BASE``);
+#: ER's last word is its legal exit.
 RANDOM_POX = PoxConfig(
-    executable=ExecutableRegion.spanning(BASE, BASE + 0x3F),
+    executable=ExecutableRegion.spanning(BASE, BASE + 0x3F, exit=BASE + 0x3E),
     output=OutputRegion.spanning(0x0240, 0x027F),
     metadata=MetadataRegion.at(0x0300),
 )
@@ -86,7 +100,7 @@ ILLEGAL = 0x0000
 DMA_SOURCE = 0x0200
 INTERRUPT_SOURCES = (InterruptVectors.PORT1, InterruptVectors.PORT5,
                      InterruptVectors.UART_RX, InterruptVectors.DMA)
-STOP_KINDS = (None, "irq", "bus", "every-third")
+STOP_KINDS = (None, "irq", "bus", "every-third", "finished")
 #: Where DMA transfers and software writes land (addresses per program).
 PLACES = ("data", "or", "meta", "er", "ivt")
 #: Names of the recorders a device gets, in attach order.
@@ -159,6 +173,10 @@ class Side:
     def stop_condition(self, kind):
         if kind is None:
             return None
+        if kind == "finished":
+            # The monitor's own bound method, which the fused loop
+            # recognises; without the monitor, no stop condition.
+            return self.monitor.finished if self.monitor is not None else None
         shown = self.shown
 
         def stop(bundle, _device):
@@ -214,8 +232,9 @@ class Side:
                 "started": monitor.execution_started,
                 "completed": monitor.execution_completed,
                 "signals": monitor.signal_values(),
-                "guard": (monitor.ivt_guard.state, list(monitor.ivt_guard.events)),
             })
+        if isinstance(monitor, AsapMonitor):
+            state["guard"] = (monitor.ivt_guard.state, list(monitor.ivt_guard.events))
         return state
 
     def forget_call(self):
@@ -253,6 +272,10 @@ def _schedule(side, event, places):
                       lambda target: target.memory.load_word(target.cpu.pc, ILLEGAL))
     elif kind == "reset":
         side.schedule(step, "reset", lambda target: target.reset())
+    elif kind == "sample":
+        monitor = side.monitor
+        side.schedule(step, "sample", lambda target: side.log.append(
+            ("signals", None if monitor is None else monitor.signal_values())))
     elif kind == "chain":
         delay = event[2]
         side.schedule(step, "chain", lambda target: side.schedule(
@@ -313,6 +336,7 @@ def event_lists(max_step):
         "watchdog": maybe(st.integers(min_value=8, max_value=120)),
         "crash": maybe(),
         "reset": maybe(),
+        "sample": maybe(),
         "chain": maybe(DELAYS),
         "observe": maybe(DELAYS),
     }).map(lambda drawn: [(kind,) + args for kind, args in drawn.items()
@@ -359,7 +383,8 @@ KICKS = st.none() | st.tuples(st.integers(min_value=1, max_value=8),
 
 # ---------------------------------------------------------------- random programs
 
-def _program_side(device_class, program, register_values, trace, gie, monitors, kick):
+def _program_side(device_class, program, register_values, trace, gie, monitors,
+                  kick=None, monitor_class=AsapMonitor):
     device = device_class(DeviceConfig(trace_enabled=trace))
     device.memory.load_bytes(BASE, program)
     device.memory.load_word(HANDLER, RETI)
@@ -377,7 +402,7 @@ def _program_side(device_class, program, register_values, trace, gie, monitors, 
     if kick is not None:
         device.dma.configure(DMA_SOURCE, RANDOM_PLACES[kick[1]], kick[2])
     asap, recorders = monitors
-    monitor = device.attach_monitor(AsapMonitor(RANDOM_POX)) if asap else None
+    monitor = device.attach_monitor(monitor_class(RANDOM_POX)) if asap else None
     return Side(device, monitor, recorders)
 
 
@@ -446,6 +471,120 @@ class TestRandomProgramsMatchTheReferenceLoop:
         assert kick.writes[0].address == PeripheralRegisters.DMA0CTL
         assert device._periph_dirty
         assert device.step().dma_writes == [MemoryWrite(RANDOM_PLACES["data"], 0, 2)]
+
+
+# ---------------------------------------------------------------- quiet stretches
+
+#: Register-only steps from the first one after the watchdog stop (the
+#: programs' prologue, 3 words) to ER's last word: the last of them
+#: leaves ER through its legal exit.
+TO_ER_EXIT = [QUIET] * ((RANDOM_POX.executable.er_max - (BASE + 6)) // 2 + 1)
+#: What ends a quiet stretch: a CPU store of R4 into one of the places
+#: (``MOV R4, &place``), a jump into unprogrammed memory (the next step
+#: crashes), or a write-back to an immediate operand, which crashes after
+#: the PC has moved on.
+ACTIONS = PLACES + ("jump-away", "write-back")
+JUMP_AWAY = Instruction(Opcode.JMP, jump_offset=0x100)
+WRITE_BACK = Instruction(Opcode.RRA, src=Operand.imm(0x1234))
+
+
+def _action(action):
+    if action == "jump-away":
+        return JUMP_AWAY
+    if action == "write-back":
+        return WRITE_BACK
+    return Instruction(Opcode.MOV, src=Operand.reg(4),
+                       dst=Operand.absolute(RANDOM_PLACES[action]))
+
+
+def _stretch_body(outside, segments):
+    """Quiet stretches, each ended by an action: *segments* lists
+    ``(quiet steps, action)``.  They run inside ER, or, with *outside*,
+    after the body has left ER through its legal exit."""
+    body = list(TO_ER_EXIT) if outside else []
+    for quiet, action in segments:
+        body += [QUIET] * quiet + [_action(action)]
+    return body
+
+
+#: Any number of resets, crashes and signal samples, in schedule order
+#: (which is their firing order on a shared step).
+STRETCH_EVENTS = st.lists(st.tuples(st.sampled_from(("reset", "crash", "sample")),
+                                    st.integers(min_value=1, max_value=60)),
+                          max_size=3)
+#: Stores into every place, from inside ER (OR excepted: ER may write
+#: it) and after the exit.
+STORES_INSIDE = [(2, "er"), (0, "ivt"), (1, "meta"), (1, "data")]
+STORES_OUTSIDE = [(2, "er"), (0, "ivt"), (1, "meta"), (1, "or")]
+#: The exit is step 30 (after the watchdog stop and 28 quiet steps): the
+#: first run ends two steps after it, the second two steps later, both
+#: on a settled step.
+AFTER_EXIT = [("run_steps", 32), ("run", 2, None)]
+#: A store, one quiet step and a write-back to an immediate that starts
+#: at ``ER_max - 2``, so its crash leaves the PC outside ER.
+CRASH_AT_ER_END = [(24, "data"), (1, "write-back")]
+
+
+class TestQuietStretchesMatchTheReferenceLoop:
+    @given(
+        outside=st.booleans(),
+        segments=st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                                    st.sampled_from(ACTIONS)), max_size=4),
+        register_values=register_files,
+        events=STRETCH_EVENTS,
+        calls=call_lists(RANDOM_TARGETS),
+        monitor_class=st.sampled_from((AsapMonitor, ApexMonitor)),
+    )
+    @example(outside=False, segments=STORES_INSIDE, register_values=[0x5A5A] * 12,
+             events=[], calls=[("run_steps", 16), ("run", 30, None)],
+             monitor_class=AsapMonitor)
+    @example(outside=True, segments=STORES_OUTSIDE, register_values=[0x5A5A] * 12,
+             events=[], calls=[("run", 30, "finished"), ("run_steps", 30)],
+             monitor_class=AsapMonitor)
+    @example(outside=True, segments=[], register_values=[0] * 12, events=[],
+             calls=AFTER_EXIT, monitor_class=AsapMonitor)
+    @example(outside=True, segments=[], register_values=[0] * 12,
+             events=[("sample", 33), ("crash", 33)], calls=[("run", 60, None)],
+             monitor_class=AsapMonitor)
+    @example(outside=True, segments=[], register_values=[0] * 12,
+             events=[("sample", 33), ("reset", 33), ("crash", 33)],
+             calls=[("run_steps", 40)], monitor_class=AsapMonitor)
+    @example(outside=False, segments=[(6, "data")], register_values=[0] * 12,
+             events=[("reset", 7), ("crash", 7)], calls=[("run_steps", 12)],
+             monitor_class=AsapMonitor)
+    @example(outside=True, segments=[(3, "jump-away")], register_values=[0] * 12,
+             events=[], calls=[("run", 60, None)], monitor_class=AsapMonitor)
+    @example(outside=False, segments=CRASH_AT_ER_END, register_values=[0] * 12,
+             events=[], calls=[("run", 60, None)], monitor_class=AsapMonitor)
+    @example(outside=True, segments=STORES_OUTSIDE, register_values=[0x5A5A] * 12,
+             events=[("sample", 40)], calls=[("run", 60, "finished"), ("run", 60, None)],
+             monitor_class=ApexMonitor)
+    @settings(max_examples=60, deadline=None, phases=PHASES)
+    def test_stretches_under_one_pox_monitor(self, outside, segments, register_values,
+                                             events, calls, monitor_class):
+        program = _program_bytes(_stretch_body(outside, segments))
+        pair = [_program_side(device_class, program, register_values, False, False,
+                              (True, 0), monitor_class=monitor_class)
+                for device_class in (Device, ReferenceDevice)]
+        _drive(pair, events, calls, RANDOM_PLACES)
+
+    def test_the_stores_run_after_a_settled_stretch(self):
+        side = _program_side(Device, _program_bytes(_stretch_body(True, [(1, "or")])),
+                             [0] * 12, False, False, (True, 0))
+        observed = []
+        monitor = side.monitor
+        observe = monitor.observe
+        monitor.observe = lambda bundle: observed.append(bundle) or observe(bundle)
+        assert side.device.run(40) == 40
+        exit_step, store = observed[-2:]
+        # Left at ER_max, with the stretch before the exit settled.
+        assert exit_step.pc == RANDOM_POX.executable.er_max
+        assert exit_step.cycle == 30 and len(observed) == 4
+        assert monitor.execution_completed
+        # The store came two steps later, after a settled one.
+        assert store.cycle == 32 and store.writes
+        assert [violation.rule for violation in monitor.violations] == ["or-modified"]
+        assert monitor.signal_values()["PC_in_ER"] == 0
 
 
 # ---------------------------------------------------------------- sensor logger

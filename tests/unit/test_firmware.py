@@ -58,6 +58,30 @@ class TestLinkCache:
         result = bench.run_pox(setup=lambda d: d.schedule_button_press(6))
         assert result.accepted
 
+    def test_linking_one_firmware_past_the_cap_evicts_the_oldest(self):
+        clear_link_cache()
+        linked = [PoxTestbench(_numbered_blinker(number)).firmware
+                  for number in range(65)]
+        assert PoxTestbench(_numbered_blinker(64)).firmware is linked[64]
+        assert PoxTestbench(_numbered_blinker(1)).firmware is linked[1]
+        assert PoxTestbench(_numbered_blinker(0)).firmware is not linked[0]
+
+    def test_a_hit_makes_its_firmware_the_most_recently_used(self):
+        clear_link_cache()
+        first = PoxTestbench(_numbered_blinker(0)).firmware
+        second = PoxTestbench(_numbered_blinker(1)).firmware
+        for number in range(2, 64):
+            PoxTestbench(_numbered_blinker(number))
+        assert PoxTestbench(_numbered_blinker(0)).firmware is first
+        PoxTestbench(_numbered_blinker(64))  # evicts number 1, not number 0
+        assert PoxTestbench(_numbered_blinker(0)).firmware is first
+        assert PoxTestbench(_numbered_blinker(1)).firmware is not second
+
+
+def _numbered_blinker(number):
+    """Blinker firmwares that differ in source, one per *number*."""
+    return blinker_firmware(BlinkerParameters(loop_iterations=number + 1))
+
 
 class TestFirmwareSpecs:
     def test_pump_declares_trusted_isrs(self):

@@ -2,12 +2,17 @@
 
 ``Device._run`` looks each monitor's ``observe`` up once per run call,
 never at attach time, so a wrapper put on a monitor class after the
-testbench was built (as a profiler or a benchmark does) still sees every
-step.  ``PoxMonitorBase.observe`` settles a quiet step -- no CPU or DMA
-write, ``dma_en`` low, no irq, PC and next PC on the same side of ER,
-PC not ``ER_min`` -- right after its PC tests; a step that differs from
-a quiet one in any single one of those signals must still run the
-rules.
+testbench was built (as a profiler or a benchmark does) sees every step
+it is shown: with tracing on, every step.  ``PoxMonitorBase.observe``
+settles a quiet step -- no CPU or DMA write, ``dma_en`` low, no irq, PC
+and next PC on the same side of ER, PC not ``ER_min`` -- right after
+its PC tests; a step that differs from a quiet one in any single one of
+those signals must still run the rules.
+
+With tracing off and the ASAP monitor alone, the CPU settles those steps
+itself on the loop's quiet branch and no bundle is built for them, so
+``observe`` is shown the others only; ``device.step()`` and a generic
+stop condition still get a bundle for every step.
 """
 
 import pytest
@@ -15,6 +20,9 @@ import pytest
 from repro.apex.hwmod import ApexMonitor
 from repro.core.hwmod import AsapMonitor
 from repro.cpu.signals import MemoryWrite, SignalBundle
+from repro.firmware.sensor_logger import SensorParameters, sensor_logger_firmware
+from repro.firmware.testbench import PoxTestbench, TestbenchConfig
+from repro.peripherals.registers import InterruptVectors
 
 ER_MIN = 0xE000
 ER_INSIDE = 0xE010
@@ -36,6 +44,105 @@ class TestObserveStaysWrappable:
         assert blinker_bench.monitor.execution_completed
         assert steps > 0
         assert len(calls) == steps
+
+
+def _sensor_bench(trace):
+    """A sensor-logger prover booted to its idle loop, as ``pox`` runs it."""
+    bench = PoxTestbench(
+        sensor_logger_firmware(SensorParameters(samples=10)),
+        TestbenchConfig(trace_enabled=trace, enable_port1_interrupts=False,
+                        enable_uart_rx_interrupts=True),
+    )
+    assert bench.device.run_until_pc(bench.firmware.symbol("idle"), 64)
+    return bench
+
+
+def _settled(monitor, bundle):
+    """The monitor's quiet test, applied to a bundle."""
+    er_start, er_end, er_min = monitor.quiet_test
+    return ((er_start <= bundle.pc <= er_end) == (er_start <= bundle.next_pc <= er_end)
+            and bundle.pc != er_min
+            and not (bundle.writes or bundle.dma_writes or bundle.dma_en or bundle.irq))
+
+
+def _monitor_state(monitor):
+    return (list(monitor.violations), monitor.exec_flag, monitor.execution_started,
+            monitor.execution_completed, monitor.signal_values(),
+            monitor.ivt_guard.state, list(monitor.ivt_guard.events))
+
+
+def _observing(monkeypatch):
+    """Wrap ``AsapMonitor.observe``; return the ``(monitor, bundle)`` log."""
+    seen = []
+    observe = AsapMonitor.observe
+
+    def logging_observe(monitor, bundle):
+        seen.append((monitor, bundle))
+        return observe(monitor, bundle)
+
+    monkeypatch.setattr(AsapMonitor, "observe", logging_observe)
+    return seen
+
+
+class TestTracingOff:
+    def test_a_wrapper_sees_the_steps_the_monitor_cannot_settle(self, monkeypatch):
+        traced, untraced = _sensor_bench(True), _sensor_bench(False)
+        # The steps of the dirty branch (an event fired, or an interrupt
+        # was just taken) build their bundle whatever the monitor says.
+        ticked = []
+        tick = untraced.device._tick_peripherals
+
+        def logging_tick():
+            ticked.append(untraced.device.cpu.step_count + 1)
+            return tick()
+
+        untraced.device._tick_peripherals = logging_tick
+        seen = _observing(monkeypatch)
+
+        def command(device):
+            device.schedule_uart_rx(device.step_number + 30, b"\x07")
+
+        steps = []
+        for bench in (traced, untraced):
+            bench.protocol.deliver_challenge()
+            steps.append(bench.protocol.call_executable(setup=command))
+            assert bench.monitor.execution_completed
+        assert steps[0] == steps[1]
+        assert traced.device.interrupt_controller.serviced == {
+            InterruptVectors.UART_RX: 1}
+        every = [bundle for monitor, bundle in seen if monitor is traced.monitor]
+        shown = [bundle for monitor, bundle in seen if monitor is untraced.monitor]
+        assert len(every) == steps[0]
+        assert shown == [bundle for bundle in every
+                         if not _settled(traced.monitor, bundle) or bundle.cycle in ticked]
+        assert len(shown) < steps[0] // 4
+        assert _monitor_state(untraced.monitor) == _monitor_state(traced.monitor)
+
+    def test_step_returns_the_bundle_of_a_quiet_step(self, monkeypatch):
+        bench = _sensor_bench(False)
+        device = bench.device
+        device.run_steps(4)
+        assert not device._periph_dirty
+        seen = _observing(monkeypatch)
+        bundle = device.step()
+        assert isinstance(bundle, SignalBundle)
+        assert _settled(bench.monitor, bundle)
+        assert seen == [(bench.monitor, bundle)]
+
+    def test_a_generic_stop_condition_is_shown_every_step(self, monkeypatch):
+        bench = _sensor_bench(False)
+        seen = _observing(monkeypatch)
+        shown = []
+
+        def never(bundle, _device):
+            shown.append(bundle)
+            return False
+
+        first = bench.device.cpu.step_count + 1
+        assert bench.device.run(50, never) == 50
+        assert [bundle.cycle for bundle in shown] == list(range(first, first + 50))
+        assert [bundle for _, bundle in seen] == shown
+        assert all(_settled(bench.monitor, bundle) for bundle in shown[1:])
 
 
 def _bundle(pc, next_pc, **signals):
