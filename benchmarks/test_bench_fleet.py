@@ -2,10 +2,9 @@
 
 Stands up one :class:`~repro.net.service.VerifierService` and drives
 sustained mixed RA/PoX traffic from fleets of simulated provers over
-the in-process loopback transport (plus one TCP row for the
-socket-pair path), then sweeps the sharded cluster control plane
-(1-shard vs 2-shard :class:`~repro.cluster.ClusterFleet`, shards in
-separate processes on the loopback interface).  Records aggregate
+the in-process loopback transport, then sweeps the sharded cluster
+control plane (1-shard vs 2-shard :class:`~repro.cluster.ClusterFleet`,
+shards inline on the same event loop).  Records aggregate
 exchanges/sec per row into ``BENCH_fleet.json`` alongside the other
 bench artifacts; every row carries a ``label`` so
 ``compare_bench.py --profile fleet`` can gate the scaling trajectory
@@ -42,17 +41,15 @@ CLUSTER_DEVICES = 32
 CLUSTER_EXCHANGES_PER_DEVICE = 2
 
 
-def _sweep(size, transport="loopback", conditions=None, deadline=None):
-    fleet = Fleet(size, architecture="asap", transport=transport,
-                  conditions=conditions, deadline=deadline)
+def _sweep(size):
+    fleet = Fleet(size, architecture="asap")
     return fleet.run(exchanges_per_device=EXCHANGES_PER_DEVICE)
 
 
-def _cluster_sweep(size, shards, placement="process",
-                   exchanges_per_device=CLUSTER_EXCHANGES_PER_DEVICE):
-    fleet = ClusterFleet(size, shards=shards, architecture="asap",
-                         placement=placement)
-    return fleet.run(exchanges_per_device=exchanges_per_device, mix=("ra",))
+def _cluster_sweep(size, shards):
+    fleet = ClusterFleet(size, shards=shards, architecture="asap")
+    return fleet.run(exchanges_per_device=CLUSTER_EXCHANGES_PER_DEVICE,
+                     mix=("ra",))
 
 
 def test_fleet_exchanges_per_second(benchmark, table_printer, bench_json):
@@ -83,25 +80,6 @@ def test_fleet_exchanges_per_second(benchmark, table_printer, bench_json):
             "pending_challenges_after": report.pending_challenges_after,
         })
 
-    tcp_report = _sweep(8, transport="tcp")
-    rows.append({
-        "fleet": 8,
-        "transport": "tcp",
-        "exchanges": tcp_report.exchanges,
-        "accepted": tcp_report.accepted,
-        "exchanges/sec": "%.0f" % tcp_report.exchanges_per_second,
-        "pending after": tcp_report.pending_challenges_after,
-    })
-    payload_rows.append({
-        "label": "tcp-8",
-        "fleet_size": 8,
-        "transport": "tcp",
-        "exchanges": tcp_report.exchanges,
-        "accepted": tcp_report.accepted,
-        "timed_out": tcp_report.timed_out,
-        "exchanges_per_sec": tcp_report.exchanges_per_second,
-        "pending_challenges_after": tcp_report.pending_challenges_after,
-    })
     table_printer("Fleet service throughput (mixed RA/PoX)", rows)
 
     # ---- cluster control plane: 1-shard vs 2-shard scaling rows ------
@@ -120,7 +98,7 @@ def test_fleet_exchanges_per_second(benchmark, table_printer, bench_json):
         payload_rows.append({
             "label": "cluster-%d" % shard_count,
             "fleet_size": CLUSTER_DEVICES,
-            "transport": "process-shards",
+            "transport": "inline-shards",
             "shards": shard_count,
             "exchanges": report.exchanges,
             "accepted": report.accepted,
@@ -148,13 +126,12 @@ def test_fleet_exchanges_per_second(benchmark, table_printer, bench_json):
     # challenge was consumed by a terminal verdict.
     assert big.pending_challenges_after == 0
     assert big.service_counters["challenges"] == big.exchanges
-    # All transports drain the table too.
-    assert tcp_report.pending_challenges_after == 0
 
     # Sharding never costs verdicts, whatever it does for throughput.
-    # Throughput is not asserted: prover simulation in this client
-    # process bounds the rate, so a 2-shard/1-shard ratio would measure
-    # the load generator, not the shards.
+    # Throughput is not asserted: inline shards share one event loop
+    # with the provers, whose simulation bounds the rate, so a
+    # 2-shard/1-shard ratio would measure the load generator, not the
+    # shards.
     for shard_count, report in cluster_reports.items():
         assert report.exchanges == CLUSTER_DEVICES * CLUSTER_EXCHANGES_PER_DEVICE
         assert report.all_accepted(), (shard_count, report)
@@ -200,8 +177,7 @@ def test_cluster_soak_1k_devices(benchmark, table_printer):
         pytest.skip("set REPRO_SOAK=1 to run the 1000-device soak")
 
     def soak():
-        fleet = ClusterFleet(1000, shards=4, architecture="asap",
-                             placement="inline")
+        fleet = ClusterFleet(1000, shards=4, architecture="asap")
         return fleet.run(exchanges_per_device=1, mix=("ra",))
 
     report = benchmark.pedantic(soak, rounds=1)

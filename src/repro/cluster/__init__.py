@@ -10,7 +10,7 @@ multiplex a fleet of provers; this package is the layer that makes a
 * :class:`~repro.cluster.hashring.HashRing` +
   :class:`~repro.cluster.shards.ShardedVerifierCluster` -- N
   independent verifier services behind consistent hashing on device
-  id, with enrollment shipping, rebalance and heartbeat eviction;
+  id, with per-device enrollment, rebalance and heartbeat eviction;
 * :class:`~repro.net.rpc.RetryPolicy` (re-exported) -- bounded
   retransmission inside per-exchange deadlines, so impaired links
   degrade throughput instead of burning whole exchanges;
@@ -22,7 +22,9 @@ multiplex a fleet of provers; this package is the layer that makes a
 
 :class:`~repro.cluster.fleet.ClusterFleet` ties it together:
 ``ClusterFleet(32, shards=2).run()`` drives the same simulated fleet
-as :class:`~repro.net.fleet.Fleet`, routed and supervised.
+as :class:`~repro.net.fleet.Fleet`, routed and supervised.  Every shard
+is a service on the caller's event loop, reached over loopback pairs,
+so a cluster runs in one process like the single-service fleet.
 """
 
 from repro._lazy import lazy_exports

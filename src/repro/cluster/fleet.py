@@ -16,14 +16,18 @@ subsequent traffic completes on the new owners.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.metrics import ClusterReport
 from repro.cluster.shards import ShardedVerifierCluster, VerifierShard
 from repro.firmware.blinker import blinker_firmware
-from repro.net.fleet import DEFAULT_MIX, build_prover_bench
+from repro.net.fleet import (
+    DEFAULT_MIX,
+    build_prover_bench,
+    check_loss_bounded,
+    link_conditions,
+)
 from repro.net.prover import ExchangeResult, ProverEndpoint
 from repro.net.rpc import RetryPolicy
 from repro.net.service import provision_enrollment
@@ -34,7 +38,7 @@ class ClusterFleet:
     """Drives a device fleet through a sharded verifier cluster."""
 
     def __init__(self, size: int, shards: int = 2, architecture: str = "asap",
-                 firmware=None, placement: str = "inline",
+                 firmware=None,
                  conditions: Optional[LinkConditions] = None,
                  deadline: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -45,14 +49,7 @@ class ClusterFleet:
                  cluster: Optional[ShardedVerifierCluster] = None):
         if size < 1:
             raise ValueError("fleet size must be >= 1, got %r" % (size,))
-        if (conditions is not None and (conditions.loss or conditions.reorder)
-                and deadline is None
-                and (retry is None or not retry.bounded)):
-            # Same rule as Fleet: loss needs a bound -- a deadline or a
-            # bounded retry schedule -- or an unlucky drop hangs the run.
-            raise ValueError(
-                "lossy/reordering link conditions require a per-exchange "
-                "deadline or a bounded retry policy")
+        check_loss_bounded(conditions, deadline, retry)
         self.size = size
         self.architecture = architecture
         self.firmware = firmware
@@ -60,8 +57,8 @@ class ClusterFleet:
         self.deadline = deadline
         self.retry = retry
         self.cluster = cluster or ShardedVerifierCluster(
-            shards=shards, placement=placement,
-            heartbeat=heartbeat, heartbeat_timeout=heartbeat_timeout,
+            shards=shards, heartbeat=heartbeat,
+            heartbeat_timeout=heartbeat_timeout,
             max_inflight=max_inflight, backpressure=backpressure,
         )
         self.benches = []
@@ -90,13 +87,6 @@ class ClusterFleet:
             self._device_index[device_id] = index
             self.benches.append(bench)
 
-    def _link_conditions(self, device_id):
-        if self.conditions is None:
-            return None
-        return dataclasses.replace(
-            self.conditions,
-            seed=self.conditions.seed + 1000 * self._device_index[device_id])
-
     async def _endpoint_for(self, bench) -> Tuple[ProverEndpoint, VerifierShard]:
         """The device's endpoint on its *current* shard.
 
@@ -115,7 +105,8 @@ class ClusterFleet:
                 return endpoint, shard
             await endpoint.close()
             del self._endpoints[device_id]
-        transport = await shard.connect(self._link_conditions(device_id))
+        transport = await shard.connect(
+            link_conditions(self.conditions, self._device_index[device_id]))
         endpoint = ProverEndpoint(
             device_id, bench.device, bench.protocol.device_key,
             transport, protocol=bench.protocol, retry=self.retry,
@@ -170,7 +161,7 @@ class ClusterFleet:
         self._progress = asyncio.Event()
         await self.cluster.start()
         for bench in self.benches:
-            await self.cluster.enroll_device(provision_enrollment(bench))
+            self.cluster.enroll_device(provision_enrollment(bench))
         killer = None
         if kill_shard is not None:
             if kill_after_exchanges is None:
@@ -187,7 +178,7 @@ class ClusterFleet:
             elapsed = time.perf_counter() - started
             # Folded before teardown: shard stats and liveness must
             # reflect the run, not the shutdown.
-            report = await self._fold_report(outcomes, elapsed)
+            report = self._fold_report(outcomes, elapsed)
         finally:
             if killer is not None:
                 killer.cancel()
@@ -256,7 +247,7 @@ class ClusterFleet:
 
     # ------------------------------------------------------------ report
 
-    async def _fold_report(self, outcomes, elapsed) -> ClusterReport:
+    def _fold_report(self, outcomes, elapsed) -> ClusterReport:
         report = ClusterReport(
             fleet_size=self.size,
             shard_count=len(self.cluster.ring),
@@ -290,7 +281,7 @@ class ClusterFleet:
         report.delayed = sum(
             shard.gate.delayed for shard in self.cluster.shards.values()
             if shard.gate is not None)
-        report.shards = await self.cluster.shard_stats()
+        report.shards = self.cluster.shard_stats()
         for stats in report.shards:
             tally = tallies.get(stats.shard)
             if tally is None:

@@ -10,7 +10,7 @@ is trivially testable with an injected clock and imposes no asyncio
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 #: A peer is dead after this many seconds without a heartbeat, unless
@@ -26,8 +26,6 @@ class WorkerRecord:
     joined_at: float
     last_beat: float
     beats: int = 0
-    #: Arbitrary caller data (shard address, placement, ...).
-    meta: Dict = field(default_factory=dict)
 
     def age(self, now: float) -> float:
         """Seconds since the last sign of life."""
@@ -40,7 +38,7 @@ class WorkerRegistry:
     Any message from a peer counts as a beat; :meth:`dead` names the
     peers past the timeout and :meth:`evict` removes one, counting it
     -- the *caller* then feeds the eviction into its rebalance path,
-    because what eviction means (close a socket, move ring ownership)
+    because what eviction means (close connections, move ring ownership)
     is layer-specific.
     """
 
@@ -58,11 +56,10 @@ class WorkerRegistry:
 
     # ------------------------------------------------------------ membership
 
-    def join(self, name: str, meta: Optional[Dict] = None) -> WorkerRecord:
+    def join(self, name: str) -> WorkerRecord:
         """Register *name* (re-joining resets its liveness clock)."""
         now = self._clock()
-        record = WorkerRecord(name=name, joined_at=now, last_beat=now,
-                              meta=dict(meta or {}))
+        record = WorkerRecord(name=name, joined_at=now, last_beat=now)
         self._workers[name] = record
         self.counters["joins"] += 1
         return record

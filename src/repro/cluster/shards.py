@@ -3,27 +3,20 @@
 The control plane over :mod:`repro.net`'s data plane.  Each
 :class:`VerifierShard` is one independent
 :class:`~repro.net.service.VerifierService` -- its own key store, its
-own bounded challenge table -- in one of two placements:
-
-``inline``   the service lives on the caller's event loop and provers
-             connect over loopback pairs.  Zero setup cost, perfect
-             determinism; the placement tier-1 tests use.  (No
-             parallelism: everything shares one loop.)
-``process``  the service runs in a child process behind a TCP listener
-             (spawn context -- forking a live event loop is undefined
-             behaviour).  Verifier-side HMAC work then leaves the
-             prover process, which is where sharding actually buys
-             throughput on multi-core hosts.
+own bounded challenge table -- living on the caller's event loop;
+provers connect to it over loopback pairs.  Zero setup cost and
+perfect determinism, but no parallelism: everything shares one loop.
 
 :class:`ShardedVerifierCluster` owns the membership: a consistent-hash
 ring routes ``device_id -> shard`` (per-device key derivation means
 shards share no state), a :class:`~repro.cluster.registry.WorkerRegistry`
-tracks liveness from ``ping``/``pong`` heartbeats, and eviction --
-heartbeat timeout or explicit -- removes the shard from the ring and
-re-enrolls its devices on the survivors from the cluster's enrollment
-directory.  In-flight exchanges against the dead shard fail closed:
-its challenge table died with it, and challenges are single-use, so
-nothing it issued can ever be replayed elsewhere.
+tracks liveness from ``ping``/``pong`` heartbeats over each shard's
+control channel, and eviction -- heartbeat timeout or explicit --
+removes the shard from the ring and re-enrolls its devices on the
+survivors from the cluster's enrollment directory.  In-flight exchanges
+against the dead shard fail closed: its challenge table died with it,
+and challenges are single-use, so nothing it issued can ever be
+replayed elsewhere.
 """
 
 from __future__ import annotations
@@ -42,49 +35,16 @@ from repro.net.transport import (
     LinkConditions,
     MessageTransport,
     loopback_pair,
-    open_tcp_transport,
 )
-
-#: Shard placements the cluster can stand up.
-PLACEMENTS = ("inline", "process")
-
-
-def _shard_server_main(channel):
-    """Child-process entry point: one shard service on a TCP listener.
-
-    Runs until terminated; posts its bound ``(host, port)`` through
-    *channel* once listening.  ``allow_enroll=True`` because the only
-    party that can reach this loopback listener is the cluster that
-    spawned it.
-    """
-    service = VerifierService(allow_enroll=True)
-
-    async def main():
-        server = await service.listen_tcp(host="127.0.0.1", port=0)
-        channel.put(server.sockets[0].getsockname()[:2])
-        await asyncio.get_running_loop().create_future()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        pass
 
 
 class VerifierShard:
-    """One verifier service plus the plumbing of its placement."""
+    """One verifier service plus its connections on the caller's loop."""
 
-    def __init__(self, name: str, placement: str = "inline"):
-        if placement not in PLACEMENTS:
-            raise ValueError("placement must be one of %s, got %r"
-                             % (", ".join(PLACEMENTS), placement))
+    def __init__(self, name: str):
         self.name = name
-        self.placement = placement
-        #: The service object (inline placement only; a process shard's
-        #: service lives in the child).
-        self.service: Optional[VerifierService] = None
-        self.process = None
-        self.address = None
-        #: Control channel for ping/enroll/stats round trips.
+        self.service = VerifierService()
+        #: Control channel for the heartbeat's ping round trips.
         self.control: Optional[RpcChannel] = None
         #: Exchange-latency samples (telemetry-spine histogram: fixed
         #: buckets plus a rolling percentile window).
@@ -96,18 +56,6 @@ class VerifierShard:
     # ------------------------------------------------------------ lifecycle
 
     async def start(self):
-        if self.placement == "inline":
-            self.service = VerifierService(allow_enroll=True)
-        else:
-            import multiprocessing
-
-            context = multiprocessing.get_context("spawn")
-            channel = context.Queue()
-            self.process = context.Process(
-                target=_shard_server_main, args=(channel,), daemon=True)
-            self.process.start()
-            # Blocking get: start-up only, before traffic flows.
-            self.address = channel.get(timeout=120)
         self.alive = True
         self.control = RpcChannel(await self.connect())
 
@@ -116,13 +64,10 @@ class VerifierShard:
         """Open a fresh data-plane transport to this shard."""
         if not self.alive:
             raise ClosedTransportError("shard %s is down" % self.name)
-        if self.placement == "inline":
-            client, server_side = loopback_pair(conditions)
-            task = asyncio.ensure_future(self.service.serve(server_side))
-            self._serve_tasks.append((task, server_side))
-            return client
-        host, port = self.address
-        return await open_tcp_transport(host, port, conditions=conditions)
+        client, server_side = loopback_pair(conditions)
+        task = asyncio.ensure_future(self.service.serve(server_side))
+        self._serve_tasks.append((task, server_side))
+        return client
 
     async def kill(self):
         """Abrupt failure (for testing degradation) -- no goodbyes.
@@ -132,14 +77,10 @@ class VerifierShard:
         as it would for a real crash.
         """
         self.alive = False
-        if self.placement == "inline":
-            for task, server_side in self._serve_tasks:
-                task.cancel()
-                await server_side.close()
-            self._serve_tasks = []
-        elif self.process is not None:
-            self.process.terminate()
-            self.process.join(timeout=10)
+        for task, server_side in self._serve_tasks:
+            task.cancel()
+            await server_side.close()
+        self._serve_tasks = []
 
     async def stop(self):
         """Graceful teardown at end of run."""
@@ -149,7 +90,7 @@ class VerifierShard:
         if self.alive:
             await self.kill()
 
-    # ------------------------------------------------------------ control rpc
+    # ------------------------------------------------------------ control
 
     async def ping(self, timeout: float = 0.25) -> bool:
         """One liveness round trip; ``False`` on any failure."""
@@ -162,39 +103,20 @@ class VerifierShard:
         except (asyncio.TimeoutError, ClosedTransportError, ConnectionError):
             return False
 
-    async def enroll(self, enrollment: DeviceEnrollment):
+    def enroll(self, enrollment: DeviceEnrollment):
         """Provision one device into this shard's verifier."""
-        if self.placement == "inline":
-            self.service.apply_enrollment(enrollment)
-            return
-        reply = await self.control.call(
-            {"kind": "enroll", "enrollment": enrollment})
-        if reply.get("kind") != "enrolled":
-            raise RuntimeError("shard %s refused enrollment for %s: %s"
-                               % (self.name, enrollment.device_id,
-                                  reply.get("reason", "unknown error")))
+        self.service.apply_enrollment(enrollment)
 
-    async def stats(self, timeout: float = 2.0) -> dict:
-        """The shard service's counters (empty when unreachable)."""
-        if self.placement == "inline" and self.service is not None:
-            # Readable even after a kill: the state is in-process.
-            return {"pending_challenges": self.service.pending_challenges,
-                    **self.service.counters}
-        if not self.alive or self.control is None:
-            return {}
-        try:
-            reply = await asyncio.wait_for(
-                self.control.call({"kind": "stats"}), timeout=timeout)
-        except (asyncio.TimeoutError, ClosedTransportError, ConnectionError):
-            return {}
-        return {key: value for key, value in reply.items()
-                if key not in ("kind", "seq")}
+    def stats(self) -> dict:
+        """The shard service's counters (readable even after a kill)."""
+        return {"pending_challenges": self.service.pending_challenges,
+                **self.service.counters}
 
 
 class ShardedVerifierCluster:
     """Hash-ring membership + heartbeats over N verifier shards."""
 
-    def __init__(self, shards: int = 2, placement: str = "inline",
+    def __init__(self, shards: int = 2,
                  replicas: int = DEFAULT_REPLICAS,
                  heartbeat: Optional[float] = None,
                  heartbeat_timeout: Optional[float] = None,
@@ -213,7 +135,6 @@ class ShardedVerifierCluster:
         if heartbeat_timeout is None and heartbeat is not None:
             heartbeat_timeout = 3 * heartbeat
         self.initial_shards = shards
-        self.placement = placement
         self.heartbeat = heartbeat
         self.heartbeat_timeout = heartbeat_timeout
         self.max_inflight = max_inflight
@@ -268,15 +189,14 @@ class ShardedVerifierCluster:
             self._next_index += 1
         if name in self.shards and self.shards[name].alive:
             raise ValueError("shard %r is already running" % (name,))
-        shard = VerifierShard(name, placement=self.placement)
+        shard = VerifierShard(name)
         await shard.start()
         shard.gate = BackpressureGate(self.max_inflight, self.backpressure)
         self.shards[name] = shard
         self.ring.add(name)
-        self.registry.join(name, meta={"placement": self.placement,
-                                       "address": shard.address})
+        self.registry.join(name)
         self.generation += 1
-        await self._rebalance()
+        self._rebalance()
         return shard
 
     async def evict_shard(self, name: str) -> bool:
@@ -297,7 +217,7 @@ class ShardedVerifierCluster:
         shard = self.shards.get(name)
         if shard is not None and shard.alive:
             await shard.kill()
-        await self._rebalance()
+        self._rebalance()
         return True
 
     async def kill_shard(self, name: str):
@@ -308,14 +228,14 @@ class ShardedVerifierCluster:
         """
         await self.shards[name].kill()
 
-    async def _rebalance(self):
+    def _rebalance(self):
         """Re-enroll every device whose ring owner changed."""
         moved = 0
         for device_id, enrollment in self.enrollments.items():
             owner = self.ring.lookup(device_id)
             if owner is None or owner == self._placements.get(device_id):
                 continue
-            await self.shards[owner].enroll(enrollment)
+            self.shards[owner].enroll(enrollment)
             previously_placed = device_id in self._placements
             self._placements[device_id] = owner
             if previously_placed:
@@ -324,14 +244,14 @@ class ShardedVerifierCluster:
 
     # ------------------------------------------------------------ devices
 
-    async def enroll_device(self, enrollment: DeviceEnrollment) -> str:
+    def enroll_device(self, enrollment: DeviceEnrollment) -> str:
         """Record *enrollment* and provision it on its owning shard."""
         self.enrollments[enrollment.device_id] = enrollment
         owner = self.ring.lookup(enrollment.device_id)
         if owner is None:
             raise RuntimeError("cannot enroll %r: no live shards"
                                % (enrollment.device_id,))
-        await self.shards[owner].enroll(enrollment)
+        self.shards[owner].enroll(enrollment)
         self._placements[enrollment.device_id] = owner
         return owner
 
@@ -363,11 +283,11 @@ class ShardedVerifierCluster:
 
     # ------------------------------------------------------------ metrics
 
-    async def shard_stats(self) -> List[ShardStats]:
+    def shard_stats(self) -> List[ShardStats]:
         """A :class:`ShardStats` per shard ever started (dead included)."""
         out = []
         for name, shard in self.shards.items():
-            counters = await shard.stats()
+            counters = shard.stats()
             out.append(ShardStats(
                 shard=name,
                 pending_challenges=counters.pop("pending_challenges", 0),

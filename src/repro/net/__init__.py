@@ -2,13 +2,12 @@
 
 ``repro.net`` scales the one-exchange-at-a-time protocol objects into a
 service: an asyncio :class:`VerifierService` multiplexes concurrent RA
-and PoX exchanges from any number of provers over a pluggable message
-transport (in-process loopback or TCP, both with injectable
-loss/latency/reorder via :class:`LinkConditions`), a
-:class:`ProverEndpoint` wraps one simulated device, and a
+and PoX exchanges from any number of provers over in-process loopback
+pairs (with injectable loss/latency/reorder via :class:`LinkConditions`),
+a :class:`ProverEndpoint` wraps one simulated device, and a
 :class:`Fleet` stands up N devices and drives sustained mixed traffic
-with per-exchange deadlines.  See ``README.md`` ("Fleet service") for
-a worked example.
+with per-exchange deadlines, all in one process on one event loop.
+See ``README.md`` ("Fleet service") for a worked example.
 """
 
 from repro._lazy import lazy_exports
@@ -17,7 +16,6 @@ _EXPORTS = {
     "ClosedTransportError": "repro.net.transport",
     "DeviceEnrollment": "repro.net.service",
     "ExchangeResult": "repro.net.prover",
-    "allow_frame_type": "repro.net.transport",
     "build_prover_bench": "repro.net.fleet",
     "Fleet": "repro.net.fleet",
     "FleetReport": "repro.net.fleet",
@@ -28,11 +26,8 @@ _EXPORTS = {
     "RetryPolicy": "repro.net.rpc",
     "RpcChannel": "repro.net.rpc",
     "RpcTimeout": "repro.net.rpc",
-    "StreamTransport": "repro.net.transport",
     "VerifierService": "repro.net.service",
     "loopback_pair": "repro.net.transport",
-    "open_tcp_listener": "repro.net.transport",
-    "open_tcp_transport": "repro.net.transport",
     "provision_enrollment": "repro.net.service",
 }
 

@@ -4,11 +4,11 @@
 builds *size* simulated devices (each a full
 :class:`~repro.firmware.testbench.PoxTestbench` device with its own
 monitor, provisioned into the service's shared verifier), connects a
-:class:`~repro.net.prover.ProverEndpoint` per device over the chosen
-transport -- in-process loopback or a real TCP socket pair, both
-optionally impaired with :class:`~repro.net.transport.LinkConditions`
--- and drives sustained mixed RA/PoX traffic with per-exchange
-deadlines.  ``Fleet(32).run()`` is the "thousands of provers, one
+:class:`~repro.net.prover.ProverEndpoint` per device over an
+in-process loopback pair, optionally impaired with
+:class:`~repro.net.transport.LinkConditions`, and drives sustained
+mixed RA/PoX traffic with per-exchange deadlines, all on the caller's
+event loop.  ``Fleet(32).run()`` is the "thousands of provers, one
 verifier" shape of the paper's deployment story scaled to a unit test;
 ``benchmarks/test_bench_fleet.py`` sweeps the fleet size and records
 exchanges/sec into ``BENCH_fleet.json``.
@@ -27,18 +27,45 @@ from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.net.prover import ExchangeResult, ProverEndpoint
 from repro.net.rpc import RetryPolicy
 from repro.net.service import VerifierService
-from repro.net.transport import (
-    LinkConditions,
-    loopback_pair,
-    open_tcp_transport,
-)
+from repro.net.transport import LinkConditions, loopback_pair
 from repro.obs.metrics import get_registry
-
-#: Transport flavours :class:`Fleet` can stand up.
-TRANSPORTS = ("loopback", "tcp")
 
 #: Default exchange mix: alternate plain RA with proofs of execution.
 DEFAULT_MIX = ("ra", "pox")
+
+
+def check_loss_bounded(conditions: Optional[LinkConditions],
+                       deadline: Optional[float],
+                       retry: Optional[RetryPolicy]):
+    """Refuse lossy or reordering links that no bound covers.
+
+    A dropped (or indefinitely held) message would leave its prover
+    awaiting a reply forever.  Either bound: a per-exchange deadline
+    turns loss into a clean timeout, a bounded retry schedule exhausts
+    into one -- but with neither (or an unlimited retry schedule and no
+    deadline) a run could hang, so the configuration is refused up
+    front.  :class:`Fleet` and the cluster fleet both apply it.
+    """
+    if (conditions is not None and (conditions.loss or conditions.reorder)
+            and deadline is None
+            and (retry is None or not retry.bounded)):
+        raise ValueError(
+            "lossy/reordering link conditions require a per-exchange "
+            "deadline or a bounded retry policy (got conditions=%r "
+            "with deadline=None, retry=%r)" % (conditions, retry))
+
+
+def link_conditions(conditions: Optional[LinkConditions],
+                    index: int) -> Optional[LinkConditions]:
+    """Prover *index*'s impairments: same parameters, own draws.
+
+    Every link gets its own seed (``seed + 1000 * index``); correlated
+    randomness would make one unlucky loss pattern strike the whole
+    fleet in lockstep.
+    """
+    if conditions is None:
+        return None
+    return dataclasses.replace(conditions, seed=conditions.seed + 1000 * index)
 
 
 def build_prover_bench(firmware, architecture, device_id,
@@ -114,33 +141,17 @@ class Fleet:
     """Builds and drives a fleet of provers against one service."""
 
     def __init__(self, size: int, architecture: str = "asap",
-                 firmware=None, transport: str = "loopback",
+                 firmware=None,
                  conditions: Optional[LinkConditions] = None,
                  deadline: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None,
                  service: Optional[VerifierService] = None):
         if size < 1:
             raise ValueError("fleet size must be >= 1, got %r" % size)
-        if transport not in TRANSPORTS:
-            raise ValueError("transport must be one of %s, got %r"
-                             % (", ".join(TRANSPORTS), transport))
-        if (conditions is not None and (conditions.loss or conditions.reorder)
-                and deadline is None
-                and (retry is None or not retry.bounded)):
-            # A dropped (or indefinitely held) message would leave that
-            # prover awaiting a reply forever.  Either bound: a
-            # per-exchange deadline turns loss into a clean timeout, a
-            # bounded retry schedule exhausts into one -- but with
-            # neither (or an unlimited retry schedule and no deadline)
-            # a run could hang, so refuse the configuration up front.
-            raise ValueError(
-                "lossy/reordering link conditions require a per-exchange "
-                "deadline or a bounded retry policy (got conditions=%r "
-                "with deadline=None, retry=%r)" % (conditions, retry))
+        check_loss_bounded(conditions, deadline, retry)
         self.size = size
         self.architecture = architecture
         self.firmware = firmware
-        self.transport = transport
         self.conditions = conditions
         self.deadline = deadline
         self.retry = retry
@@ -173,27 +184,11 @@ class Fleet:
             ])
             self.benches.append(bench)
 
-    def _link_conditions(self, index):
-        """Per-prover impairments: same parameters, independent draws.
-
-        Every link gets its own seed; correlated randomness would make
-        one unlucky loss pattern strike the whole fleet in lockstep.
-        """
-        if self.conditions is None:
-            return None
-        return dataclasses.replace(self.conditions,
-                                   seed=self.conditions.seed + 1000 * index)
-
-    async def _connect(self, bench, index) -> ProverEndpoint:
-        conditions = self._link_conditions(index)
-        if self.transport == "tcp":
-            host, port = self._server.sockets[0].getsockname()[:2]
-            client = await open_tcp_transport(host, port,
-                                              conditions=conditions)
-        else:
-            client, server_side = loopback_pair(conditions)
-            task = asyncio.ensure_future(self.service.serve(server_side))
-            self._serve_tasks.append((task, server_side))
+    def _connect(self, bench, index) -> ProverEndpoint:
+        client, server_side = loopback_pair(
+            link_conditions(self.conditions, index))
+        task = asyncio.ensure_future(self.service.serve(server_side))
+        self._serve_tasks.append((task, server_side))
         return ProverEndpoint(
             bench.config.device_id, bench.device, bench.protocol.device_key,
             client, protocol=bench.protocol, retry=self.retry,
@@ -215,11 +210,7 @@ class Fleet:
                         max_steps: int = 20000) -> FleetReport:
         self._build_benches()
         self._serve_tasks = []
-        self._server = None
-        if self.transport == "tcp":
-            self._server = await self.service.listen_tcp(
-                conditions=self.conditions)
-        provers = [await self._connect(bench, index)
+        provers = [self._connect(bench, index)
                    for index, bench in enumerate(self.benches)]
         try:
             started = time.perf_counter()
@@ -240,9 +231,6 @@ class Fleet:
                     *(task for task, _ in self._serve_tasks),
                     return_exceptions=True,
                 )
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
 
         report = FleetReport(fleet_size=self.size, elapsed_seconds=elapsed,
                              retransmits=retransmits)

@@ -20,7 +20,7 @@ the verifier's TTL'd challenge table absorbs the abandoned challenge.
 
 Exchanges can additionally carry a :class:`~repro.net.rpc.RetryPolicy`:
 each request is then retransmitted with exponentially growing reply
-windows *inside* the deadline, so one dropped frame costs one attempt
+windows *inside* the deadline, so one dropped message costs one attempt
 timeout instead of the whole exchange.  The service deduplicates
 retransmits by ``seq``, so retried requests are executed at most once.
 """

@@ -11,7 +11,7 @@ callers that want pipelining open more channels.
 :class:`RetryPolicy` turns a lossy link from a per-exchange death
 sentence into a bounded retransmit schedule: each attempt waits
 ``base_timeout * multiplier**i`` (capped at ``max_timeout``) for the
-reply, then retransmits the *same* frame -- same ``seq``, so the
+reply, then retransmits the *same* message -- same ``seq``, so the
 service's per-connection reply cache recognises the duplicate and
 re-sends the original reply instead of executing the request twice.
 That dedup is what keeps retransmits from double-consuming a challenge
@@ -22,8 +22,8 @@ The growing attempt timeout *is* the exponential backoff (TCP-RTO
 style): waiting longer before each retransmit is both the politeness
 and the pacing, with no idle sleep on top.  The whole schedule runs
 inside the caller's per-exchange deadline -- ``asyncio.wait_for``
-around the exchange cancels the channel mid-attempt, and the
-transports are cancellation-safe at frame boundaries.
+around the exchange cancels the channel mid-attempt, and a cancelled
+loopback ``recv`` leaves its message queued for the next one.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ ASAP PoX verifier layered over it, and serves attestation traffic over
 any number of :class:`~repro.net.transport.MessageTransport`
 connections concurrently: every incoming message is handled in its own
 task, so thousands of provers can have exchanges in flight against one
-verifier at once.  The wire protocol is three message kinds:
+verifier at once.  The wire protocol is four message kinds:
 
 ``attest``   ``{"kind": "attest", "seq": n, "device_id": id}``
              -> ``{"kind": "challenge", "seq": n, "challenge": ...,
@@ -19,12 +19,11 @@ verifier at once.  The wire protocol is three message kinds:
              and the current issued-challenge table size.
 ``ping``     -> ``{"kind": "pong", "seq": n}`` -- the liveness probe the
              cluster control plane's heartbeat monitor sends.
-``enroll``   ``{"kind": "enroll", "enrollment": DeviceEnrollment}`` ->
-             ``{"kind": "enrolled", "device_id": id}``.  Refused unless
-             the service was built with ``allow_enroll=True``: remote
-             enrollment hands out device keys, so only services that
-             are themselves spawned by a trusted control plane (the
-             cluster's shard servers) accept it.
+
+Any other kind gets an ``error`` reply.  Enrollment is not a message:
+it hands out device keys, so the cluster applies a
+:class:`DeviceEnrollment` to a shard's service in-process
+(:meth:`VerifierService.apply_enrollment`).
 
 ``seq`` is an opaque correlation id echoed verbatim, so a client may
 pipeline several requests over one connection (the bundled
@@ -34,7 +33,7 @@ exchanges).
 
 Requests are served **at most once per ``seq``**: :meth:`serve` keeps a
 bounded per-connection reply cache, so a retransmitted request (the
-retry layer in :mod:`repro.net.rpc` re-sends the same frame when a
+retry layer in :mod:`repro.net.rpc` re-sends the same message when a
 reply window closes) gets the *original* reply re-sent instead of being
 executed again.  Without this, a retransmitted ``attest`` would issue a
 second challenge and a retransmitted ``report`` would hit "unknown or
@@ -59,7 +58,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.apex.pox import PoxVerifier
 from repro.core.pox import AsapPoxVerifier
-from repro.net.transport import ClosedTransportError, MessageTransport, open_tcp_listener
+from repro.net.transport import ClosedTransportError, MessageTransport
 from repro.obs.metrics import register_global_collector
 from repro.vrased.protocol import Verifier
 
@@ -80,8 +79,6 @@ class DeviceEnrollment:
     keeps a directory of these records and (re-)enrolls a device on
     whichever shard the hash ring assigns it to -- at startup, after a
     rebalance, or when an eviction moves its devices to survivors.
-    Plain picklable data; registered with the restricted unpickler so
-    it can cross the framed transport to a process-placement shard.
     """
 
     device_id: str
@@ -136,7 +133,6 @@ class VerifierService:
     _live = weakref.WeakSet()
 
     def __init__(self, verifier: Optional[Verifier] = None,
-                 allow_enroll: bool = False,
                  reply_cache_size: int = REPLY_CACHE_SIZE):
         self.verifier = verifier or Verifier()
         #: Both PoX verifiers share ``self.verifier`` -- one key store,
@@ -144,8 +140,6 @@ class VerifierService:
         #: against the same bounded state.
         self.apex = PoxVerifier(self.verifier)
         self.asap = AsapPoxVerifier(self.verifier)
-        #: Whether ``enroll`` messages are honoured (shard servers only).
-        self.allow_enroll = allow_enroll
         self.reply_cache_size = reply_cache_size
         #: Service counters: challenges issued, verdicts by outcome,
         #: enrollments applied, and retransmitted requests deduplicated.
@@ -167,10 +161,9 @@ class VerifierService:
     def apply_enrollment(self, enrollment: DeviceEnrollment):
         """Provision one device into this service's verifier state.
 
-        Called directly by an in-process cluster, or via the ``enroll``
-        message on shard servers.  Idempotent: re-enrolling (after a
-        rebalance moves a device back) just overwrites the same
-        deterministic per-device state.
+        Called by the cluster for the shard that owns the device.
+        Idempotent: re-enrolling (after a rebalance moves a device
+        back) just overwrites the same deterministic per-device state.
         """
         self.verifier.key_store.provision(enrollment.device_id,
                                           enrollment.master_key)
@@ -237,14 +230,6 @@ class VerifierService:
                 }
             if kind == "ping":
                 return {"kind": "pong", "seq": seq}
-            if kind == "enroll":
-                if not self.allow_enroll:
-                    raise PermissionError(
-                        "enrollment is not enabled on this service")
-                enrollment = message["enrollment"]
-                self.apply_enrollment(enrollment)
-                return {"kind": "enrolled", "seq": seq,
-                        "device_id": enrollment.device_id}
             raise ValueError("unknown message kind %r" % kind)
         except Exception as error:  # noqa: BLE001 - folded into the reply
             # One malformed request must not take down the service (or
@@ -316,11 +301,6 @@ class VerifierService:
             # The prover went away mid-exchange; its challenge (if any)
             # ages out of the bounded table via the TTL.
             pass
-
-    async def listen_tcp(self, host="127.0.0.1", port=0, conditions=None):
-        """Serve over TCP; returns the ``asyncio.Server``."""
-        return await open_tcp_listener(self.serve, host=host, port=port,
-                                       conditions=conditions)
 
 
 @register_global_collector

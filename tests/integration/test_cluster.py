@@ -9,7 +9,9 @@ The acceptance bars pinned here:
   shard is evicted, its devices re-enroll on the survivor (in-flight
   exchanges complete there or fail closed) and the run still drains;
 * the backpressure gate sheds or delays visibly, never silently;
-* enrollment over the wire is refused unless the shard opted in.
+* no service accepts enrollment over the wire: an ``enroll`` message
+  gets an error reply, because enrollment hands out device keys and
+  the cluster applies it in-process.
 """
 
 import asyncio
@@ -20,8 +22,18 @@ from repro.cluster import (
     ClusterFleet,
     RetryPolicy,
     ShardedVerifierCluster,
+    VerifierShard,
 )
-from repro.net import Fleet, LinkConditions, VerifierService, loopback_pair
+from repro.firmware.blinker import blinker_firmware
+from repro.net import (
+    ClosedTransportError,
+    Fleet,
+    LinkConditions,
+    VerifierService,
+    build_prover_bench,
+    loopback_pair,
+    provision_enrollment,
+)
 
 #: The pinned lossy link: 20% loss, deterministic seed.
 LOSSY = LinkConditions(loss=0.2, seed=7)
@@ -147,6 +159,80 @@ class TestShardedCluster:
         assert set(placement.values()) == {"shard-0", "shard-late"}
 
 
+class TestShardLifecycle:
+    def test_shard_refuses_connections_unless_running(self):
+        async def body():
+            shard = VerifierShard("shard-x")
+            with pytest.raises(ClosedTransportError):
+                await shard.connect()
+            await shard.start()
+            transport = await shard.connect()
+            await transport.close()
+            await shard.kill()
+            with pytest.raises(ClosedTransportError):
+                await shard.connect()
+            await shard.stop()
+
+        run(body())
+
+    def test_killed_shard_fails_ping_but_keeps_its_stats(self):
+        bench = build_prover_bench(blinker_firmware(authorized=True),
+                                   "asap", "prover-0001")
+
+        async def body():
+            shard = VerifierShard("shard-x")
+            await shard.start()
+            shard.enroll(provision_enrollment(bench))
+            assert await shard.ping()
+            reply = await shard.control.call(
+                {"kind": "attest", "device_id": "prover-0001"})
+            assert reply["kind"] == "challenge"
+            await shard.kill()
+            alive_after_kill = await shard.ping()
+            await shard.stop()
+            return alive_after_kill, shard.stats()
+
+        alive_after_kill, stats = run(body())
+        assert not alive_after_kill
+        # Post-mortem: the dead shard's table still holds the challenge
+        # it issued, and its counters stay readable.
+        assert stats["pending_challenges"] == 1
+        assert stats["challenges"] == 1 and stats["enrollments"] == 1
+
+    def test_duplicate_live_shard_name_rejected(self):
+        async def body():
+            cluster = ShardedVerifierCluster(shards=1)
+            await cluster.start()
+            try:
+                with pytest.raises(ValueError, match="already running"):
+                    await cluster.add_shard("shard-0")
+                return list(cluster.ring.nodes)
+            finally:
+                await cluster.stop()
+
+        assert run(body()) == ["shard-0"]
+
+    def test_no_live_shard_left_to_enroll_on(self):
+        bench = build_prover_bench(blinker_firmware(authorized=True),
+                                   "asap", "prover-0001")
+
+        async def body():
+            cluster = ShardedVerifierCluster(shards=1)
+            await cluster.start()
+            try:
+                assert await cluster.evict_shard("shard-0")
+                assert not await cluster.evict_shard("shard-0")
+                with pytest.raises(RuntimeError, match="no live shards"):
+                    cluster.enroll_device(provision_enrollment(bench))
+                with pytest.raises(RuntimeError, match="no live shards"):
+                    cluster.shard_for("prover-0001")
+                return cluster.counters["evictions"]
+            finally:
+                await cluster.stop()
+
+        assert run(body()) == 1
+
+
 class TestBackpressure:
     def test_shed_mode_refuses_overload_visibly(self):
         fleet = ClusterFleet(6, shards=1, architecture="asap",
@@ -171,9 +257,9 @@ class TestBackpressure:
 
 
 class TestEnrollmentGating:
-    def test_wire_enrollment_refused_unless_opted_in(self):
+    def test_every_service_answers_wire_enrollment_with_an_error(self):
         async def body():
-            service = VerifierService()  # allow_enroll defaults False
+            service = VerifierService()
             client, server_side = loopback_pair()
             serve = asyncio.ensure_future(service.serve(server_side))
             await client.send({"kind": "enroll", "seq": 0,

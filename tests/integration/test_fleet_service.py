@@ -2,7 +2,7 @@
 
 The acceptance bar for the service layer: many provers multiplex RA
 and PoX exchanges through one asyncio :class:`VerifierService` over a
-pluggable transport, every failure path lands on the intended
+loopback transport, every failure path lands on the intended
 rejection reason, and the (fixed) issued-challenge table is empty once
 the traffic drains -- under load, after rejections, and after
 timeouts age out.
@@ -19,7 +19,9 @@ from repro.net import (
     LinkConditions,
     ProverEndpoint,
     VerifierService,
+    build_prover_bench,
     loopback_pair,
+    provision_enrollment,
 )
 from repro.vrased.swatt import AttestationReport
 
@@ -111,6 +113,81 @@ class TestVerifierService:
         assert stats["kind"] == "stats"
         assert stats["accepted"] == 1 and stats["challenges"] == 1
         assert stats["pending_challenges"] == 0
+
+
+class TestMessageKinds:
+    """``handle`` is pure: each wire kind checked without a transport."""
+
+    def test_ping_answers_pong_and_counts_nothing(self):
+        service = VerifierService()
+        before = dict(service.counters)
+        assert service.handle({"kind": "ping", "seq": 9}) == \
+            {"kind": "pong", "seq": 9}
+        assert service.counters == before
+
+    def test_unknown_kind_gets_error_reply(self):
+        service = VerifierService()
+        reply = service.handle({"kind": "frobnicate", "seq": 4})
+        assert reply["kind"] == "error" and reply["seq"] == 4
+        assert "frobnicate" in reply["reason"]
+        assert service.counters["errors"] == 1
+
+    def test_unknown_report_protocol_gets_error_reply(self):
+        service = VerifierService()
+        reply = service.handle({"kind": "report", "seq": 2,
+                                "protocol": "tpm", "report": None})
+        assert reply["kind"] == "error"
+        assert "tpm" in reply["reason"]
+        assert service.counters["errors"] == 1
+        assert service.counters["accepted"] == service.counters["rejected"] == 0
+
+    def test_enroll_message_provisions_nothing(self):
+        # Enrollment carries a device's master key, so it is never a
+        # wire message: the service answers with an error and the
+        # device stays unknown to its verifier.
+        bench = build_prover_bench(blinker_firmware(authorized=True),
+                                   "asap", "prover-0001")
+        service = VerifierService()
+        reply = service.handle({"kind": "enroll", "seq": 0,
+                                "enrollment": provision_enrollment(bench)})
+        assert reply["kind"] == "error"
+        assert service.counters["enrollments"] == 0
+        attest = service.handle({"kind": "attest", "seq": 1,
+                                 "device_id": "prover-0001"})
+        assert attest["kind"] == "error"
+        assert service.pending_challenges == 0
+
+
+class TestInProcessEnrollment:
+    @pytest.mark.parametrize("architecture", ["asap", "apex"])
+    def test_applied_enrollment_serves_ra_and_pox(self, architecture):
+        # The cluster's path: a bench provisioned against its own local
+        # verifier, lifted into a DeviceEnrollment and applied -- twice,
+        # as a rebalance would -- to a service that never saw it.
+        bench = build_prover_bench(blinker_firmware(authorized=True),
+                                   architecture, "prover-0001")
+        enrollment = provision_enrollment(bench)
+        service = VerifierService()
+        service.apply_enrollment(enrollment)
+        service.apply_enrollment(enrollment)
+
+        async def body():
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            prover = ProverEndpoint(
+                "prover-0001", bench.device, bench.protocol.device_key,
+                client, protocol=bench.protocol)
+            results = [await prover.run_attestation(), await prover.run_pox()]
+            await prover.close()
+            await serve
+            return results
+
+        ra, pox = run(body())
+        assert ra.accepted, ra.reason
+        assert pox.accepted, pox.reason
+        assert pox.kind == architecture
+        assert service.counters["enrollments"] == 2
+        assert service.pending_challenges == 0
 
 
 class TestProtocolFailurePaths:
@@ -276,12 +353,6 @@ class TestConcurrentExchanges:
             assert len(bench.device.trace) == 0
             assert bench.device.trace.total_cycles == bench.device.total_cycles > 0
 
-    def test_fleet_over_tcp_socket_pairs(self):
-        fleet = Fleet(3, architecture="apex", transport="tcp")
-        report = fleet.run(exchanges_per_device=2)
-        assert report.exchanges == 6 and report.all_accepted()
-        assert report.pending_challenges_after == 0
-
     def test_fleet_ra_only_mix(self):
         fleet = Fleet(2)
         report = fleet.run(exchanges_per_device=3, mix=("ra",))
@@ -291,12 +362,11 @@ class TestConcurrentExchanges:
     def test_invalid_fleet_parameters_rejected(self):
         with pytest.raises(ValueError, match="size"):
             Fleet(0)
-        with pytest.raises(ValueError, match="transport"):
-            Fleet(1, transport="carrier-pigeon")
 
     def test_lossy_conditions_without_deadline_rejected(self):
-        # No retry layer exists, so a lossy link with no per-exchange
-        # deadline would hang run() on the first dropped message.
+        # With neither a per-exchange deadline nor a bounded retry
+        # policy, a lossy link would hang run() on the first dropped
+        # message.
         with pytest.raises(ValueError, match="deadline"):
             Fleet(2, conditions=LinkConditions(loss=0.5))
         with pytest.raises(ValueError, match="deadline"):

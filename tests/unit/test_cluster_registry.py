@@ -86,6 +86,20 @@ class TestWorkerRegistry:
         registry.join("w1")
         assert registry.alive("w1")
 
+    def test_rejoin_resets_the_record(self):
+        registry, clock = self.make(timeout=1.0)
+        registry.join("w1")
+        clock.advance(0.5)
+        registry.beat("w1")
+        clock.advance(0.9)
+        record = registry.join("w1")
+        assert len(registry) == 1 and registry.get("w1") is record
+        assert record.joined_at == record.last_beat == clock.now
+        assert record.beats == 0
+        assert registry.counters["joins"] == 2
+        clock.advance(0.9)
+        assert registry.alive("w1")
+
     def test_leave_vs_evict_counters(self):
         registry, _clock = self.make()
         registry.join("w1")

@@ -65,14 +65,6 @@ bench = PoxTestbench(sensor_logger_firmware(), TestbenchConfig(architecture="asa
 assert bench.device.run_until_pc(bench.firmware.symbol("idle"), max_steps=64)
 """
 
-#: A verifier decoding a prover's report frame.
-_REPORT_FRAME = """
-from repro.net.transport import decode_payload, encode_frame
-from repro.vrased.swatt import AttestationReport
-report = AttestationReport(device_id="d", challenge=bytes(32), measurement=bytes(32))
-assert decode_payload(encode_frame({"report": report})[4:]) == {"report": report}
-"""
-
 #: What the E6 model checks leave unloaded.
 _E6_ABSENT = ("repro.device", "repro.firmware", "repro.hwcost", "repro.net", "repro.cluster",
               "asyncio", "multiprocessing")
@@ -97,12 +89,11 @@ FOOTPRINTS = {
     # leaves the model checker out as well.
     "cli-E4-E5": (_CLI % "E4-E5",
                   tuple(name for name in _E6_ABSENT if name != "repro.hwcost") + ("repro.ltl",)),
-    # The frame allowlist names protocol types only: decoding a frame
-    # builds no campaign or firmware machinery.
-    "report-frame-decode": (
-        _REPORT_FRAME,
-        ("repro.sim", "repro.firmware", "repro.experiments", "repro.ltl",
-         "repro.cluster", "multiprocessing")),
+    # FLEET runs its single service and its sharded cluster in this
+    # process over loopback: nothing is pickled, no process spawned.
+    # (asyncio itself imports socket.)
+    "cli-FLEET": (_CLI % "FLEET",
+                  ("pickle", "multiprocessing", "repro.ltl", "repro.hwcost")),
     "sensor-logger-prover": (
         _PROVER,
         ("repro.ltl", "repro.sim", "repro.hwcost", "repro.experiments", "repro.net",
@@ -195,8 +186,7 @@ PUBLIC_NAMES = {
     "repro.net": """
         ClosedTransportError DeviceEnrollment ExchangeResult Fleet FleetReport
         LinkConditions LoopbackTransport MessageTransport ProverEndpoint RetryPolicy
-        RpcChannel RpcTimeout StreamTransport VerifierService allow_frame_type
-        build_prover_bench loopback_pair open_tcp_listener open_tcp_transport
+        RpcChannel RpcTimeout VerifierService build_prover_bench loopback_pair
         provision_enrollment""",
     "repro.obs": """
         Counter DEFAULT_BUCKETS DEFAULT_WINDOW Gauge Histogram InMemorySink JsonlSink
