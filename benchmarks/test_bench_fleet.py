@@ -2,9 +2,9 @@
 
 Stands up one :class:`~repro.net.service.VerifierService` and drives
 sustained mixed RA/PoX traffic from fleets of simulated provers over
-the in-process loopback transport, then sweeps the sharded cluster
-control plane (1-shard vs 2-shard :class:`~repro.cluster.ClusterFleet`,
-shards inline on the same event loop).  Records aggregate
+the in-process loopback transport, then splits one fleet between one
+and two services (``Fleet(32, shards=1)`` vs ``Fleet(32, shards=2)``,
+every service on the same event loop).  Records aggregate
 exchanges/sec per row into ``BENCH_fleet.json`` alongside the other
 bench artifacts; every row carries a ``label`` so
 ``compare_bench.py --profile fleet`` can gate the scaling trajectory
@@ -17,15 +17,14 @@ issued-challenge table is empty -- zero growth, even though the sweep
 included thousands of challenge issuances.
 
 Run with ``pytest benchmarks/test_bench_fleet.py --benchmark-only -s``.
-Set ``REPRO_SOAK=1`` to also run the 1000-device cluster soak (minutes;
-excluded from tier-1 and CI).
+Set ``REPRO_SOAK=1`` to also run the 1000-device, 4-service soak
+(minutes; excluded from tier-1 and CI).
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.cluster import ClusterFleet
 from repro.net import Fleet, LinkConditions
 
 #: Fleet sizes swept over the loopback transport.
@@ -34,7 +33,7 @@ FLEET_SIZES = (1, 4, 16, 32)
 #: Exchanges per device per sweep (alternating RA and PoX).
 EXCHANGES_PER_DEVICE = 4
 
-#: Devices driven through the sharded cluster rows (RA-only mix).
+#: Devices split between the services of the cluster rows (RA-only mix).
 CLUSTER_DEVICES = 32
 
 #: RA exchanges per device for the cluster rows.
@@ -47,7 +46,7 @@ def _sweep(size):
 
 
 def _cluster_sweep(size, shards):
-    fleet = ClusterFleet(size, shards=shards, architecture="asap")
+    fleet = Fleet(size, shards=shards, architecture="asap")
     return fleet.run(exchanges_per_device=CLUSTER_EXCHANGES_PER_DEVICE,
                      mix=("ra",))
 
@@ -82,7 +81,7 @@ def test_fleet_exchanges_per_second(benchmark, table_printer, bench_json):
 
     table_printer("Fleet service throughput (mixed RA/PoX)", rows)
 
-    # ---- cluster control plane: 1-shard vs 2-shard scaling rows ------
+    # ---- one fleet split between 1 and 2 services --------------------
     cluster_rows = []
     cluster_reports = {}
     for shard_count in (1, 2):
@@ -105,7 +104,7 @@ def test_fleet_exchanges_per_second(benchmark, table_printer, bench_json):
             "timed_out": report.timed_out,
             "exchanges_per_sec": report.exchanges_per_second,
         })
-    table_printer("Cluster control plane scaling (RA-only)", cluster_rows)
+    table_printer("Sharded fleet scaling (RA-only)", cluster_rows)
 
     bench_json("BENCH_fleet.json", {
         "benchmark": "fleet_exchanges_per_second",
@@ -128,13 +127,14 @@ def test_fleet_exchanges_per_second(benchmark, table_printer, bench_json):
     assert big.service_counters["challenges"] == big.exchanges
 
     # Sharding never costs verdicts, whatever it does for throughput.
-    # Throughput is not asserted: inline shards share one event loop
+    # Throughput is not asserted: the services share one event loop
     # with the provers, whose simulation bounds the rate, so a
     # 2-shard/1-shard ratio would measure the load generator, not the
-    # shards.
+    # services.
     for shard_count, report in cluster_reports.items():
         assert report.exchanges == CLUSTER_DEVICES * CLUSTER_EXCHANGES_PER_DEVICE
         assert report.all_accepted(), (shard_count, report)
+        assert report.pending_challenges_after == 0
 
 
 def test_fleet_survives_impaired_links(benchmark, table_printer):
@@ -165,9 +165,9 @@ def test_fleet_survives_impaired_links(benchmark, table_printer):
 
 
 def test_cluster_soak_1k_devices(benchmark, table_printer):
-    """1000 devices, 4 inline shards, one RA exchange each.
+    """1000 devices split between 4 services, one RA exchange each.
 
-    A minutes-long memory/correctness soak of the control plane, not a
+    A minutes-long memory/correctness soak of a sharded fleet, not a
     throughput number: excluded from tier-1 and CI, run on demand with
     ``REPRO_SOAK=1 pytest benchmarks/test_bench_fleet.py -k soak -s``.
     """
@@ -177,11 +177,11 @@ def test_cluster_soak_1k_devices(benchmark, table_printer):
         pytest.skip("set REPRO_SOAK=1 to run the 1000-device soak")
 
     def soak():
-        fleet = ClusterFleet(1000, shards=4, architecture="asap")
+        fleet = Fleet(1000, shards=4, architecture="asap")
         return fleet.run(exchanges_per_device=1, mix=("ra",))
 
     report = benchmark.pedantic(soak, rounds=1)
-    table_printer("Cluster soak (1000 devices, 4 shards)", [{
+    table_printer("Sharded fleet soak (1000 devices, 4 services)", [{
         "exchanges": report.exchanges,
         "accepted": report.accepted,
         "exchanges/sec": "%.0f" % report.exchanges_per_second,
@@ -189,5 +189,5 @@ def test_cluster_soak_1k_devices(benchmark, table_printer):
     }])
     assert report.exchanges == 1000
     assert report.all_accepted()
-    # Every shard's challenge table drained.
-    assert all(stats.pending_challenges == 0 for stats in report.shards)
+    # Every service's challenge table drained.
+    assert report.pending_challenges_after == 0

@@ -57,32 +57,29 @@ def campaign_demo():
 
 
 def cluster_demo():
-    """Cluster control plane: a sharded fleet surviving a shard kill.
+    """A fleet split between two verifier services.
 
-    Eight devices enroll across two verifier shards behind a
-    consistent-hash router; halfway through the traffic one shard is
-    killed outright.  The heartbeat monitor evicts it, the ring
-    re-homes its devices onto the survivor, and the run drains with
-    graceful degradation instead of hanging -- the report shows the
-    eviction, the rebalanced devices and the per-shard verdict mix.
+    Eight devices, two services that share no state: device *i* is
+    provisioned into service ``i % 2`` and connects to that same
+    service, so each service holds four devices' keys and issues
+    challenges only for them.  Every exchange is accepted and both
+    challenge tables drain.
     """
-    from repro.cluster import ClusterFleet
+    from repro.net import Fleet
 
-    print("\n--- cluster control plane (2 shards, 8 devices) ---")
-    fleet = ClusterFleet(8, shards=2, architecture="asap",
-                         heartbeat=0.05, deadline=2.0)
-    report = fleet.run(exchanges_per_device=4, mix=("ra",),
-                       kill_shard="shard-0")
+    print("\n--- sharded fleet (2 services, 8 devices) ---")
+    fleet = Fleet(8, shards=2, architecture="asap")
+    report = fleet.run(exchanges_per_device=4, mix=("ra",))
     print("exchanges: %d  accepted: %d  rejected: %d  timed out: %d"
           % (report.exchanges, report.accepted, report.rejected,
              report.timed_out))
-    print("evictions: %d  devices rebalanced: %d  surviving shards: %d"
-          % (report.evictions, report.rebalanced_devices,
-             report.shard_count))
-    for stats in report.shards:
-        print("  %-8s alive=%-5s exchanges=%-3d accepted=%-3d p99=%.1fms"
-              % (stats.shard, stats.alive, stats.exchanges,
-                 stats.accepted, stats.p99_seconds * 1e3))
+    for number, service in enumerate(fleet.services):
+        print("  service-%d devices=%d challenges=%d accepted=%d pending=%d"
+              % (number, len(service.verifier.key_store.device_ids()),
+                 service.counters["challenges"], service.counters["accepted"],
+                 service.pending_challenges))
+    if not report.all_accepted() or report.pending_challenges_after:
+        raise SystemExit("unexpected: every exchange should be accepted")
 
 
 def telemetry_demo():

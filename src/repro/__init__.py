@@ -89,11 +89,6 @@ _EXPORTS = {
     "ProverEndpoint": "repro.net.prover",
     "RetryPolicy": "repro.net.rpc",
     "VerifierService": "repro.net.service",
-    "ClusterFleet": "repro.cluster.fleet",
-    "ClusterReport": "repro.cluster.metrics",
-    "HashRing": "repro.cluster.hashring",
-    "ShardedVerifierCluster": "repro.cluster.shards",
-    "WorkerRegistry": "repro.cluster.registry",
 }
 
 __version__ = "1.0.0"

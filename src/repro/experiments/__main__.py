@@ -9,7 +9,7 @@ Runs the experiment campaigns and prints the consolidated report::
     python -m repro.experiments --stream             # per-scenario progress
     python -m repro.experiments --fail-fast          # stop on first failure
     python -m repro.experiments --telemetry telem/   # metrics + spans export
-    python -m repro.experiments FLEET --shards 4     # cluster row over 4 shards
+    python -m repro.experiments FLEET --shards 4     # sharded row over 4 services
 
 Campaigns run in-process, one scenario after another.  Unknown flags
 are rejected with exit code 2 (argparse); a failing experiment exits 1.
@@ -50,14 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="verifier shard count for the FLEET experiment's cluster "
-             "row (default: 2)",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="shard heartbeat interval for the FLEET experiment's "
-             "cluster row: silent shards are evicted and their devices "
-             "re-homed (default: off)",
+        help="verifier services the FLEET experiment's sharded row "
+             "splits its devices between (default: 2)",
     )
     parser.add_argument(
         "--json", dest="json_path", metavar="PATH", default=None,
@@ -142,19 +136,13 @@ def _main(argv):
     if args.shards is not None and args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
-    if args.heartbeat is not None and args.heartbeat <= 0:
-        print("--heartbeat must be > 0", file=sys.stderr)
-        return 2
 
     campaign = CampaignRunner(on_result=_print_progress if args.stream else None,
                               fail_fast=args.fail_fast)
     overrides = None
-    if args.shards is not None or args.heartbeat is not None:
+    if args.shards is not None:
         overrides = {"FLEET": functools.partial(
-            runners.run_fleet_control,
-            shards=args.shards if args.shards is not None else 2,
-            heartbeat=args.heartbeat,
-        )}
+            runners.run_fleet_control, shards=args.shards)}
     results = runners.run_all_experiments(skip=skip, campaign=campaign,
                                           overrides=overrides)
     for result in results:

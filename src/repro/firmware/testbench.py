@@ -99,9 +99,9 @@ class PoxTestbench:
     def __init__(self, firmware: FirmwareSpec, config: Optional[TestbenchConfig] = None,
                  pox_verifier=None):
         """``pox_verifier`` (optional) supplies an existing verifier to
-        provision against instead of a private one -- the fleet service
-        (:mod:`repro.net.fleet`) enrolls every device of a fleet into
-        one shared verifier this way.  It must match the configured
+        provision against instead of a private one -- the fleet
+        (:mod:`repro.net.fleet`) provisions each device into its
+        service's verifier this way.  It must match the configured
         architecture (:class:`~repro.core.pox.AsapPoxVerifier` for
         ``"asap"``, :class:`~repro.apex.pox.PoxVerifier` for ``"apex"``).
         """

@@ -5,8 +5,9 @@ service: an asyncio :class:`VerifierService` multiplexes concurrent RA
 and PoX exchanges from any number of provers over in-process loopback
 pairs (with injectable loss/latency/reorder via :class:`LinkConditions`),
 a :class:`ProverEndpoint` wraps one simulated device, and a
-:class:`Fleet` stands up N devices and drives sustained mixed traffic
-with per-exchange deadlines, all in one process on one event loop.
+:class:`Fleet` stands up N devices, split between one or more services
+(``Fleet(N, shards=k)``), and drives sustained mixed traffic with
+per-exchange deadlines, all in one process on one event loop.
 See ``README.md`` ("Fleet service") for a worked example.
 """
 
@@ -14,7 +15,6 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "ClosedTransportError": "repro.net.transport",
-    "DeviceEnrollment": "repro.net.service",
     "ExchangeResult": "repro.net.prover",
     "build_prover_bench": "repro.net.fleet",
     "Fleet": "repro.net.fleet",
@@ -28,7 +28,6 @@ _EXPORTS = {
     "RpcTimeout": "repro.net.rpc",
     "VerifierService": "repro.net.service",
     "loopback_pair": "repro.net.transport",
-    "provision_enrollment": "repro.net.service",
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

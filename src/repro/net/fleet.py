@@ -1,15 +1,17 @@
-"""Fleet harness: N simulated devices against one verifier service.
+"""Fleet harness: N simulated devices against one or more verifier services.
 
-:class:`Fleet` stands up a :class:`~repro.net.service.VerifierService`,
-builds *size* simulated devices (each a full
+:class:`Fleet` stands up ``shards`` :class:`~repro.net.service.VerifierService`
+instances (one by default), builds *size* simulated devices (each a full
 :class:`~repro.firmware.testbench.PoxTestbench` device with its own
-monitor, provisioned into the service's shared verifier), connects a
-:class:`~repro.net.prover.ProverEndpoint` per device over an
-in-process loopback pair, optionally impaired with
+monitor), provisions device *i* into service ``i % shards``, connects a
+:class:`~repro.net.prover.ProverEndpoint` per device to that same
+service over an in-process loopback pair, optionally impaired with
 :class:`~repro.net.transport.LinkConditions`, and drives sustained
 mixed RA/PoX traffic with per-exchange deadlines, all on the caller's
 event loop.  ``Fleet(32).run()`` is the "thousands of provers, one
 verifier" shape of the paper's deployment story scaled to a unit test;
+``Fleet(32, shards=2)`` splits the same devices between two services
+that share no state (each has its own key store and challenge table).
 ``benchmarks/test_bench_fleet.py`` sweeps the fleet size and records
 exchanges/sec into ``BENCH_fleet.json``.
 """
@@ -33,6 +35,9 @@ from repro.obs.metrics import get_registry
 #: Default exchange mix: alternate plain RA with proofs of execution.
 DEFAULT_MIX = ("ra", "pox")
 
+#: Exchange kinds a mix may name.
+EXCHANGE_KINDS = ("ra", "pox")
+
 
 def check_loss_bounded(conditions: Optional[LinkConditions],
                        deadline: Optional[float],
@@ -44,7 +49,7 @@ def check_loss_bounded(conditions: Optional[LinkConditions],
     turns loss into a clean timeout, a bounded retry schedule exhausts
     into one -- but with neither (or an unlimited retry schedule and no
     deadline) a run could hang, so the configuration is refused up
-    front.  :class:`Fleet` and the cluster fleet both apply it.
+    front when the :class:`Fleet` is built.
     """
     if (conditions is not None and (conditions.loss or conditions.reorder)
             and deadline is None
@@ -72,11 +77,10 @@ def build_prover_bench(firmware, architecture, device_id,
                        pox_verifier=None) -> PoxTestbench:
     """One fleet device: a full testbench provisioned for *architecture*.
 
-    With ``pox_verifier`` the deployment registers into that shared
-    verifier (the single-service :class:`Fleet` path); without it the
-    bench provisions a private local verifier, which the cluster layer
-    then mines for a shippable
-    :class:`~repro.net.service.DeviceEnrollment`.
+    With ``pox_verifier`` the deployment registers into that verifier
+    (a service's ``asap`` or ``apex``, as :class:`Fleet` passes for each
+    device); without it the bench provisions a private local verifier,
+    as a standalone :class:`~repro.firmware.testbench.PoxTestbench` does.
 
     The device records no trace, as a deployed prover keeps none:
     nothing on the fleet path reads one.  Its recorder still counts
@@ -95,6 +99,8 @@ class FleetReport:
     """Aggregate outcome of one fleet traffic run."""
 
     fleet_size: int
+    #: Verifier services the devices were split between.
+    shard_count: int = 1
     exchanges: int = 0
     accepted: int = 0
     rejected: int = 0
@@ -104,9 +110,10 @@ class FleetReport:
     elapsed_seconds: float = 0.0
     #: Exchange counts per kind ("ra", "apex", "asap").
     per_kind: Dict[str, int] = field(default_factory=dict)
-    #: Issued-challenge table size once the traffic drained.
+    #: Issued-challenge table sizes once the traffic drained, summed
+    #: over the services.
     pending_challenges_after: int = 0
-    #: The service's own counters, for cross-checking.
+    #: The services' own counters, summed, for cross-checking.
     service_counters: Dict[str, int] = field(default_factory=dict)
     results: List[ExchangeResult] = field(default_factory=list)
 
@@ -118,13 +125,14 @@ class FleetReport:
         return self.exchanges / self.elapsed_seconds
 
     def all_accepted(self) -> bool:
-        """``True`` when every exchange completed and was accepted."""
-        return self.accepted == self.exchanges
+        """``True`` when the run had exchanges and every one was accepted."""
+        return self.exchanges > 0 and self.accepted == self.exchanges
 
     def publish(self, registry=None):
         """Project the report into ``fleet.*`` registry gauges."""
         registry = registry if registry is not None else get_registry()
         registry.gauge("fleet.size").set(self.fleet_size)
+        registry.gauge("fleet.shard_count").set(self.shard_count)
         registry.gauge("fleet.exchanges").set(self.exchanges)
         registry.gauge("fleet.accepted").set(self.accepted)
         registry.gauge("fleet.rejected").set(self.rejected)
@@ -138,16 +146,17 @@ class FleetReport:
 
 
 class Fleet:
-    """Builds and drives a fleet of provers against one service."""
+    """Builds and drives a fleet of provers against ``shards`` services."""
 
-    def __init__(self, size: int, architecture: str = "asap",
+    def __init__(self, size: int, shards: int = 1, architecture: str = "asap",
                  firmware=None,
                  conditions: Optional[LinkConditions] = None,
                  deadline: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 service: Optional[VerifierService] = None):
+                 retry: Optional[RetryPolicy] = None):
         if size < 1:
             raise ValueError("fleet size must be >= 1, got %r" % size)
+        if shards < 1:
+            raise ValueError("shards must be >= 1, got %r" % shards)
         check_loss_bounded(conditions, deadline, retry)
         self.size = size
         self.architecture = architecture
@@ -155,30 +164,32 @@ class Fleet:
         self.conditions = conditions
         self.deadline = deadline
         self.retry = retry
-        self.service = service or VerifierService()
+        self.services = [VerifierService() for _ in range(shards)]
         self.benches: List[PoxTestbench] = []
+
+    def _service_for(self, index) -> VerifierService:
+        """The service device *index* is provisioned into and served by."""
+        return self.services[index % len(self.services)]
 
     # ------------------------------------------------------------ setup
 
     def _build_benches(self):
-        """Construct one testbench per device, provisioned into the
-        shared service (PoX deployment *and* plain-RA reference)."""
+        """Construct one testbench per device, provisioned into its
+        service (PoX deployment *and* plain-RA reference)."""
         if self.benches:
             return
         firmware = self.firmware if self.firmware is not None else \
             blinker_firmware(authorized=True)
-        shared = (self.service.asap if self.architecture == "asap"
-                  else self.service.apex)
-        verifier = self.service.verifier
         for index in range(self.size):
+            service = self._service_for(index)
             bench = build_prover_bench(
                 firmware, self.architecture, "prover-%04d" % index,
-                pox_verifier=shared)
-            config = bench.config
+                pox_verifier=(service.asap if self.architecture == "asap"
+                              else service.apex))
             device = bench.device
             # Plain RA attests program memory; the verifier learned the
             # deployed image at provisioning time (snapshot after flash).
-            verifier.set_reference(config.device_id, [
+            service.verifier.set_reference(bench.config.device_id, [
                 (device.layout.program,
                  device.memory.dump_region(device.layout.program)),
             ])
@@ -187,7 +198,8 @@ class Fleet:
     def _connect(self, bench, index) -> ProverEndpoint:
         client, server_side = loopback_pair(
             link_conditions(self.conditions, index))
-        task = asyncio.ensure_future(self.service.serve(server_side))
+        task = asyncio.ensure_future(
+            self._service_for(index).serve(server_side))
         self._serve_tasks.append((task, server_side))
         return ProverEndpoint(
             bench.config.device_id, bench.device, bench.protocol.device_key,
@@ -208,6 +220,12 @@ class Fleet:
 
     async def run_async(self, exchanges_per_device: int = 4, mix=DEFAULT_MIX,
                         max_steps: int = 20000) -> FleetReport:
+        mix = tuple(mix)
+        if not mix:
+            raise ValueError("mix must name at least one exchange kind")
+        for kind in mix:
+            if kind not in EXCHANGE_KINDS:
+                raise ValueError("unknown exchange kind %r in mix" % (kind,))
         self._build_benches()
         self._serve_tasks = []
         provers = [self._connect(bench, index)
@@ -232,8 +250,9 @@ class Fleet:
                     return_exceptions=True,
                 )
 
-        report = FleetReport(fleet_size=self.size, elapsed_seconds=elapsed,
-                             retransmits=retransmits)
+        report = FleetReport(fleet_size=self.size,
+                             shard_count=len(self.services),
+                             elapsed_seconds=elapsed, retransmits=retransmits)
         for result in (result for per_prover in outcomes for result in per_prover):
             report.results.append(result)
             report.exchanges += 1
@@ -244,21 +263,21 @@ class Fleet:
                 report.accepted += 1
             else:
                 report.rejected += 1
-        report.pending_challenges_after = self.service.pending_challenges
-        report.service_counters = dict(self.service.counters)
+        for service in self.services:
+            report.pending_challenges_after += service.pending_challenges
+            for key, value in service.counters.items():
+                report.service_counters[key] = \
+                    report.service_counters.get(key, 0) + value
         report.publish()
         return report
 
     async def _drive(self, prover: ProverEndpoint, count, mix, max_steps):
         results = []
         for n in range(count):
-            kind = mix[n % len(mix)]
-            if kind == "ra":
+            if mix[n % len(mix)] == "ra":
                 result = await prover.run_attestation(deadline=self.deadline)
-            elif kind == "pox":
+            else:
                 result = await prover.run_pox(deadline=self.deadline,
                                               max_steps=max_steps)
-            else:
-                raise ValueError("unknown exchange kind %r in mix" % (kind,))
             results.append(result)
         return results

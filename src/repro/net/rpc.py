@@ -1,7 +1,7 @@
 """Seq-correlated RPC over a message transport, with optional retries.
 
-:class:`RpcChannel` is the request/reply discipline both the prover
-endpoint and the cluster control plane speak over a
+:class:`RpcChannel` is the request/reply discipline the prover
+endpoint speaks over a
 :class:`~repro.net.transport.MessageTransport`: every request carries a
 fresh ``seq``, the reply echoes it, and replies bearing other sequence
 numbers (stragglers from earlier, timed-out calls on the same

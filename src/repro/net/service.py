@@ -6,7 +6,7 @@ ASAP PoX verifier layered over it, and serves attestation traffic over
 any number of :class:`~repro.net.transport.MessageTransport`
 connections concurrently: every incoming message is handled in its own
 task, so thousands of provers can have exchanges in flight against one
-verifier at once.  The wire protocol is four message kinds:
+verifier at once.  The wire protocol is three message kinds:
 
 ``attest``   ``{"kind": "attest", "seq": n, "device_id": id}``
              -> ``{"kind": "challenge", "seq": n, "challenge": ...,
@@ -17,13 +17,11 @@ verifier at once.  The wire protocol is four message kinds:
              "verdict", "seq": n, "accepted": bool, "reason": str}``.
 ``stats``    -> ``{"kind": "stats", ...}`` with the service counters
              and the current issued-challenge table size.
-``ping``     -> ``{"kind": "pong", "seq": n}`` -- the liveness probe the
-             cluster control plane's heartbeat monitor sends.
 
 Any other kind gets an ``error`` reply.  Enrollment is not a message:
-it hands out device keys, so the cluster applies a
-:class:`DeviceEnrollment` to a shard's service in-process
-(:meth:`VerifierService.apply_enrollment`).
+it hands out device keys, so a device is provisioned into the service
+in-process, through its ``asap`` or ``apex`` verifier and
+``verifier.set_reference`` (see :class:`~repro.net.fleet.Fleet`).
 
 ``seq`` is an opaque correlation id echoed verbatim, so a client may
 pipeline several requests over one connection (the bundled
@@ -53,8 +51,7 @@ from __future__ import annotations
 import asyncio
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.apex.pox import PoxVerifier
 from repro.core.pox import AsapPoxVerifier
@@ -70,60 +67,6 @@ REPORT_PROTOCOLS = ("ra", "apex", "asap")
 REPLY_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class DeviceEnrollment:
-    """Everything a verifier shard needs to serve one device.
-
-    Key derivation is per-device (``KeyStore.provision`` accepts an
-    explicit master key), so shards share **no** state: the cluster
-    keeps a directory of these records and (re-)enrolls a device on
-    whichever shard the hash ring assigns it to -- at startup, after a
-    rebalance, or when an eviction moves its devices to survivors.
-    """
-
-    device_id: str
-    master_key: bytes
-    #: "asap" or "apex"; decides which PoX verifier learns the deployment.
-    architecture: str
-    #: ``(region, expected bytes)`` pairs plain RA measures.
-    ra_reference: Tuple = ()
-    #: PoX deployment geometry (``None`` for an RA-only device).
-    pox_config: Optional[object] = None
-    er_bytes: bytes = b""
-    #: ASAP only: ``(index, address)`` pairs of authorized ISR entries.
-    expected_isr_entries: Tuple = ()
-    ivt_region: Optional[object] = None
-
-
-def provision_enrollment(bench) -> DeviceEnrollment:
-    """Extract a shippable :class:`DeviceEnrollment` from a testbench.
-
-    The bench was provisioned against a *local* throwaway verifier;
-    this lifts out exactly the verifier-side state (master key, RA
-    reference image, PoX deployment) so any shard can re-create it.
-    """
-    device = bench.device
-    protocol = bench.protocol
-    config = protocol.config
-    architecture = protocol.architecture
-    isr_entries = ()
-    if architecture == "asap":
-        isr_entries = tuple(sorted(config.executable.isr_entries.items()))
-    return DeviceEnrollment(
-        device_id=bench.config.device_id,
-        master_key=protocol.device_key.master_key,
-        architecture=architecture,
-        ra_reference=(
-            (device.layout.program,
-             device.memory.dump_region(device.layout.program)),
-        ),
-        pox_config=config,
-        er_bytes=device.memory.dump_region(config.executable.region),
-        expected_isr_entries=isr_entries,
-        ivt_region=getattr(protocol, "ivt_region", None),
-    )
-
-
 class VerifierService:
     """Serves RA and PoX exchanges for a fleet of provers."""
 
@@ -132,20 +75,18 @@ class VerifierService:
     #: over the live services materialise at registry snapshot time.
     _live = weakref.WeakSet()
 
-    def __init__(self, verifier: Optional[Verifier] = None,
-                 reply_cache_size: int = REPLY_CACHE_SIZE):
+    def __init__(self, verifier: Optional[Verifier] = None):
         self.verifier = verifier or Verifier()
         #: Both PoX verifiers share ``self.verifier`` -- one key store,
         #: one challenge table -- so RA and PoX traffic interleave
         #: against the same bounded state.
         self.apex = PoxVerifier(self.verifier)
         self.asap = AsapPoxVerifier(self.verifier)
-        self.reply_cache_size = reply_cache_size
-        #: Service counters: challenges issued, verdicts by outcome,
-        #: enrollments applied, and retransmitted requests deduplicated.
+        #: Service counters: challenges issued, verdicts by outcome and
+        #: retransmitted requests deduplicated.
         self.counters: Dict[str, int] = {
             "challenges": 0, "accepted": 0, "rejected": 0, "errors": 0,
-            "enrollments": 0, "duplicates": 0,
+            "duplicates": 0,
         }
         VerifierService._live.add(self)
 
@@ -155,35 +96,6 @@ class VerifierService:
     def pending_challenges(self) -> int:
         """Size of the issued-challenge table right now."""
         return self.verifier.issued_count()
-
-    # ------------------------------------------------------------ enrollment
-
-    def apply_enrollment(self, enrollment: DeviceEnrollment):
-        """Provision one device into this service's verifier state.
-
-        Called by the cluster for the shard that owns the device.
-        Idempotent: re-enrolling (after a rebalance moves a device
-        back) just overwrites the same deterministic per-device state.
-        """
-        self.verifier.key_store.provision(enrollment.device_id,
-                                          enrollment.master_key)
-        if enrollment.ra_reference:
-            self.verifier.set_reference(enrollment.device_id,
-                                        enrollment.ra_reference)
-        if enrollment.pox_config is not None:
-            if enrollment.architecture == "asap":
-                self.asap.register_asap_deployment(
-                    enrollment.device_id, enrollment.pox_config,
-                    enrollment.er_bytes,
-                    dict(enrollment.expected_isr_entries),
-                    ivt_region=enrollment.ivt_region,
-                )
-            else:
-                self.apex.register_deployment(
-                    enrollment.device_id, enrollment.pox_config,
-                    enrollment.er_bytes,
-                )
-        self.counters["enrollments"] += 1
 
     # ------------------------------------------------------------ handlers
 
@@ -228,8 +140,6 @@ class VerifierService:
                     "pending_challenges": self.pending_challenges,
                     **self.counters,
                 }
-            if kind == "ping":
-                return {"kind": "pong", "seq": seq}
             raise ValueError("unknown message kind %r" % kind)
         except Exception as error:  # noqa: BLE001 - folded into the reply
             # One malformed request must not take down the service (or
@@ -288,7 +198,7 @@ class VerifierService:
         if seq is not None:
             if replies is not None:
                 replies[seq] = reply
-                while len(replies) > self.reply_cache_size:
+                while len(replies) > REPLY_CACHE_SIZE:
                     replies.popitem(last=False)
             if inflight is not None:
                 inflight.discard(seq)
@@ -309,8 +219,7 @@ def _collect_service_metrics(registry):
 
     ``service.challenges``, ``service.accepted``, ... mirror the
     ``counters`` dict; ``service.pending_challenges`` is the combined
-    issued-challenge table occupancy, the signal the backpressure /
-    future autoscaling hooks watch.
+    issued-challenge table occupancy.
     """
     totals: Dict[str, int] = {}
     instances = 0

@@ -8,7 +8,7 @@ in-memory sink, ``export_telemetry``).
 Every layer of the stack publishes here under consistent dotted names:
 ``engine.*`` and ``cache.*`` via snapshot-time collectors (their
 per-step hot paths never touch the registry), ``service.*``,
-``campaign.*``, ``fleet.*`` and ``cluster.*`` directly.
+``campaign.*`` and ``fleet.*`` directly.
 """
 
 from repro._lazy import lazy_exports

@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` holds every instrument the process reports
 through -- :class:`Counter` (monotonic), :class:`Gauge` (point-in-time)
 and :class:`Histogram` (fixed buckets plus a bounded sample window for
 p50/p95/p99) -- under consistent dotted names (``cache.hits``,
-``campaign.scenarios``, ``cluster.shard-0.shed``).  Instruments are created
+``campaign.scenarios``, ``fleet.shard_count``).  Instruments are created
 get-or-create by name+labels, are thread-safe, and cost one lock-guarded
 integer add when touched, so they are cheap enough for per-scenario and
 per-exchange paths.  They are deliberately **not** cheap enough for the
@@ -18,7 +18,7 @@ the hot path pays no per-step telemetry cost).
 ``snapshot()`` exports everything as one plain JSON-representable dict.
 
 Dependency-free by design: this module imports only the stdlib, so every
-layer of the stack -- from the CPU engine to the cluster control plane --
+layer of the stack -- from the CPU engine to the fleet service --
 can publish into it without import cycles.
 """
 
@@ -97,9 +97,7 @@ class Histogram:
     ``record()`` lands each sample in a cumulative-style bucket (first
     upper bound >= value; the final implicit bucket is +inf) and in a
     rolling window of the most recent ``window`` samples, so long soak
-    runs get rolling p50/p95/p99 instead of unbounded memory growth --
-    this is the spine's replacement for the old cluster
-    ``LatencyRecorder``, same percentile semantics, plus buckets.
+    runs get rolling p50/p95/p99 instead of unbounded memory growth.
     """
 
     kind = "histogram"

@@ -69,6 +69,15 @@ class TestIndividualRunners:
         assert states["pox-er-immutable"] == 64
         assert states["asap-ltl4-ivt-immutability"] == 24
 
+    def test_fleet_runner_sizes_both_rows(self):
+        result = runners.run_fleet_control(shards=3, size=7,
+                                           exchanges_per_device=1)
+        assert result.succeeded and not result.notes
+        assert [(row["topology"], row["devices"], row["shards"],
+                 row["exchanges"], row["accepted"], row["evictions"])
+                for row in result.rows] == [
+            ("single-service", 7, 1, 7, 7, 0), ("cluster", 7, 3, 7, 7, 0)]
+
     def test_render_produces_table_text(self):
         result = run_fig6_overhead()
         text = result.render()
@@ -114,10 +123,13 @@ class TestCommandLine:
         ("no-reuse", None),
         ("store-prune-entries", "5"),
         ("store-prune-age", "60"),
+        ("heartbeat", "0.2"),
     ])
     def test_removed_flag_exits_2(self, capsys, option, value):
-        # Campaigns run serially and keep no result store: the backend,
-        # worker-pool and store flags are gone, not silently ignored.
+        # Campaigns run serially and keep no result store, and no fleet
+        # service leaves a run to be watched for: the backend,
+        # worker-pool, store and heartbeat flags are gone, not silently
+        # ignored.
         flag = "--" + option
         argv = ["E7", flag] + ([value] if value is not None else [])
         assert main(argv) == 2
@@ -150,19 +162,42 @@ class TestCommandLine:
         assert main(["E7"]) == 1
         assert "FAILED experiments: E7" in capsys.readouterr().out
 
-    def test_fleet_experiment_runs_with_cluster_flags(self, capsys):
-        assert main(["FLEET", "--shards", "2", "--heartbeat", "0.2"]) == 0
-        out = capsys.readouterr().out
-        assert "cluster" in out
-        assert "All 1 experiments" in out
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_fleet_experiment_runs_with_shards_flag(self, capsys, tmp_path,
+                                                    shards):
+        path = tmp_path / "fleet.json"
+        assert main(["FLEET", "--shards", str(shards), "--json", str(path)]) == 0
+        assert "All 1 experiments" in capsys.readouterr().out
+        rows = json.loads(path.read_text())[0]["rows"]
+        assert [(row["topology"], row["shards"]) for row in rows] == \
+            [("single-service", 1), ("cluster", shards)]
+        assert all(row["accepted"] == row["exchanges"] == 12 for row in rows)
 
-    def test_bad_shards_value_rejected(self, capsys):
-        assert main(["FLEET", "--shards", "0"]) == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
+    def test_shards_flag_runs_no_unselected_fleet(self, capsys, tmp_path):
+        path = tmp_path / "e7.json"
+        assert main(["E7", "--shards", "3", "--json", str(path)]) == 0
+        assert "All 1 experiments" in capsys.readouterr().out
+        exported = json.loads(path.read_text())
+        assert [entry["experiment_id"] for entry in exported] == ["E7"]
 
-    def test_bad_heartbeat_value_rejected(self, capsys):
-        assert main(["FLEET", "--heartbeat", "0"]) == 2
-        assert "--heartbeat must be > 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("value, message", [
+        ("0", "--shards must be >= 1"),
+        ("two", "invalid int value: 'two'"),
+    ], ids=["zero", "not-an-int"])
+    def test_bad_shards_value_rejected(self, capsys, value, message):
+        assert main(["FLEET", "--shards", value]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_fleet_experiment_fails_when_a_row_loses_a_verdict(
+            self, capsys, monkeypatch):
+        from repro.net.fleet import FleetReport
+
+        monkeypatch.setattr(FleetReport, "all_accepted", lambda self: False)
+        assert main(["FLEET"]) == 1
+        output = capsys.readouterr().out
+        assert "single-service fleet: 12/12 accepted" in output
+        assert "cluster fleet: 12/12 accepted" in output
+        assert "FAILED experiments: FLEET" in output
 
     def test_fail_fast_flag_accepted(self, capsys):
         assert main(["E7", "--fail-fast"]) == 0

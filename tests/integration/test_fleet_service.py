@@ -21,7 +21,6 @@ from repro.net import (
     VerifierService,
     build_prover_bench,
     loopback_pair,
-    provision_enrollment,
 )
 from repro.vrased.swatt import AttestationReport
 
@@ -115,21 +114,51 @@ class TestVerifierService:
         assert stats["pending_challenges"] == 0
 
 
+    def test_a_reply_to_a_closed_connection_is_dropped(self):
+        async def body():
+            service = VerifierService()
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            await client.send({"kind": "stats", "seq": 0})
+            await client.close()  # gone before the reply is sent
+            await serve  # ends cleanly: the reply is dropped, not raised
+            return service
+
+        service = run(body())
+        assert service.counters["errors"] == 0
+
+
 class TestMessageKinds:
     """``handle`` is pure: each wire kind checked without a transport."""
 
-    def test_ping_answers_pong_and_counts_nothing(self):
+    def test_stats_reply_carries_the_service_counters(self):
         service = VerifierService()
-        before = dict(service.counters)
-        assert service.handle({"kind": "ping", "seq": 9}) == \
-            {"kind": "pong", "seq": 9}
-        assert service.counters == before
+        reply = service.handle({"kind": "stats", "seq": 3})
+        assert reply == {"kind": "stats", "seq": 3, "pending_challenges": 0,
+                         "challenges": 0, "accepted": 0, "rejected": 0,
+                         "errors": 0, "duplicates": 0}
 
-    def test_unknown_kind_gets_error_reply(self):
+    @pytest.mark.parametrize("message, missing", [
+        ({"kind": "attest", "seq": 1}, "device_id"),
+        ({"kind": "report", "seq": 1, "protocol": "ra"}, "report"),
+    ], ids=["attest", "report"])
+    def test_a_request_missing_its_field_gets_error_reply(self, message,
+                                                          missing):
         service = VerifierService()
-        reply = service.handle({"kind": "frobnicate", "seq": 4})
+        reply = service.handle(message)
+        assert reply["kind"] == "error" and reply["seq"] == 1
+        assert missing in reply["reason"]
+        assert service.counters["errors"] == 1
+        assert service.counters["challenges"] == 0
+        assert service.pending_challenges == 0
+
+    @pytest.mark.parametrize("kind", ["frobnicate", "ping"])
+    def test_unknown_kind_gets_error_reply(self, kind):
+        # No kind answers a liveness probe: ``ping`` is unknown too.
+        service = VerifierService()
+        reply = service.handle({"kind": kind, "seq": 4})
         assert reply["kind"] == "error" and reply["seq"] == 4
-        assert "frobnicate" in reply["reason"]
+        assert kind in reply["reason"]
         assert service.counters["errors"] == 1
 
     def test_unknown_report_protocol_gets_error_reply(self):
@@ -148,45 +177,13 @@ class TestMessageKinds:
         bench = build_prover_bench(blinker_firmware(authorized=True),
                                    "asap", "prover-0001")
         service = VerifierService()
-        reply = service.handle({"kind": "enroll", "seq": 0,
-                                "enrollment": provision_enrollment(bench)})
+        reply = service.handle({
+            "kind": "enroll", "seq": 0, "device_id": "prover-0001",
+            "master_key": bench.protocol.device_key.master_key})
         assert reply["kind"] == "error"
-        assert service.counters["enrollments"] == 0
         attest = service.handle({"kind": "attest", "seq": 1,
                                  "device_id": "prover-0001"})
         assert attest["kind"] == "error"
-        assert service.pending_challenges == 0
-
-
-class TestInProcessEnrollment:
-    @pytest.mark.parametrize("architecture", ["asap", "apex"])
-    def test_applied_enrollment_serves_ra_and_pox(self, architecture):
-        # The cluster's path: a bench provisioned against its own local
-        # verifier, lifted into a DeviceEnrollment and applied -- twice,
-        # as a rebalance would -- to a service that never saw it.
-        bench = build_prover_bench(blinker_firmware(authorized=True),
-                                   architecture, "prover-0001")
-        enrollment = provision_enrollment(bench)
-        service = VerifierService()
-        service.apply_enrollment(enrollment)
-        service.apply_enrollment(enrollment)
-
-        async def body():
-            client, server_side = loopback_pair()
-            serve = asyncio.ensure_future(service.serve(server_side))
-            prover = ProverEndpoint(
-                "prover-0001", bench.device, bench.protocol.device_key,
-                client, protocol=bench.protocol)
-            results = [await prover.run_attestation(), await prover.run_pox()]
-            await prover.close()
-            await serve
-            return results
-
-        ra, pox = run(body())
-        assert ra.accepted, ra.reason
-        assert pox.accepted, pox.reason
-        assert pox.kind == architecture
-        assert service.counters["enrollments"] == 2
         assert service.pending_challenges == 0
 
 
@@ -362,6 +359,8 @@ class TestConcurrentExchanges:
     def test_invalid_fleet_parameters_rejected(self):
         with pytest.raises(ValueError, match="size"):
             Fleet(0)
+        with pytest.raises(ValueError, match="shards"):
+            Fleet(2, shards=0)
 
     def test_lossy_conditions_without_deadline_rejected(self):
         # With neither a per-exchange deadline nor a bounded retry

@@ -7,10 +7,10 @@ The satellites pinned here:
   traces one campaign of exactly its own scenarios;
 * turning ``--telemetry`` on changes nothing about the science: the
   exported campaign rows are byte-identical with and without it;
-* the acceptance snapshot: after campaign traffic and a 2-shard cluster
-  run, **one** registry snapshot carries the engine, decode-cache,
-  service, campaign and cluster families under their consistent dotted
-  names.
+* the acceptance snapshot: after campaign traffic and a fleet run split
+  between two services, **one** registry snapshot carries the engine,
+  decode-cache, service, campaign and fleet families under their
+  consistent dotted names.
 """
 
 import dataclasses
@@ -18,9 +18,9 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterFleet
 from repro.experiments import runners
 from repro.experiments.__main__ import main
+from repro.net import Fleet
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -120,13 +120,28 @@ class TestTelemetryDifferential:
         assert (tmp_path / "telem" / "telemetry.jsonl").exists()
 
 
+class TestFleetExport:
+    def test_fleet_export_carries_the_sharded_row(self, tmp_path, capsys):
+        assert main(["FLEET", "--shards", "3",
+                     "--telemetry", str(tmp_path)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   (tmp_path / "telemetry.jsonl").read_text().splitlines()]
+        gauges = next(record for record in records
+                      if record["record"] == "metrics")["gauges"]
+        # The last report published is the sharded row's.
+        assert gauges["fleet.shard_count"] == 3
+        assert gauges["fleet.exchanges"] == gauges["fleet.accepted"] == 12
+        assert gauges["fleet.pending_challenges_after"] == 0
+
+
 class TestAcceptanceSnapshot:
     def test_one_snapshot_spans_every_layer(self):
         with use_registry(MetricsRegistry()):
             CampaignRunner().run(ltl_scenarios(4))
-            # A 2-shard cluster run: engine, cache and service gauges
-            # all publish through their collectors.
-            fleet = ClusterFleet(2, shards=2)
+            # A fleet split between two services: engine, cache and
+            # service gauges all publish through their collectors.
+            fleet = Fleet(2, shards=2)
             report = fleet.run(exchanges_per_device=2)
             assert report.all_accepted()
             snapshot = get_registry().snapshot()
@@ -143,11 +158,11 @@ class TestAcceptanceSnapshot:
         # cache.*: process-wide decode-cache stats.
         assert gauges["cache.entries"] >= 0
         assert "cache.hits" in gauges
-        # service.*: the shard verifier services.
+        # service.*: the fleet's two verifier services.
         assert gauges["service.instances"] >= 2
         assert gauges["service.challenges"] > 0
-        # cluster.*: the folded report and its per-shard slices.
-        assert gauges["cluster.exchanges"] == report.exchanges
-        assert gauges["cluster.shard-0.shed"] == 0
-        assert gauges["cluster.shard-0.alive"] == 1
-        assert gauges["cluster.shard_count"] == 2
+        # fleet.*: the folded report.
+        assert gauges["fleet.exchanges"] == report.exchanges == 4
+        assert gauges["fleet.accepted"] == 4
+        assert gauges["fleet.shard_count"] == 2
+        assert gauges["fleet.pending_challenges_after"] == 0

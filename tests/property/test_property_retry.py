@@ -24,15 +24,10 @@ from repro.net import (
     RetryPolicy,
     VerifierService,
     loopback_pair,
-    provision_enrollment,
 )
 from repro.net.fleet import build_prover_bench
 
-#: One shared prover bench: device state is read-only for RA, so every
-#: example can re-enroll it into a fresh service.
-_BENCH = build_prover_bench(blinker_firmware(authorized=True), "asap",
-                            "prover-prop")
-_ENROLLMENT = provision_enrollment(_BENCH)
+_FIRMWARE = blinker_firmware(authorized=True)
 
 #: Generous per-exchange bound: orders of magnitude above the expected
 #: completion time at the worst generated loss rate, so a failure means
@@ -45,14 +40,20 @@ def _attestation_under_loss(loss, seed):
     retries; returns (result, service, prover)."""
 
     async def body():
+        # Each example provisions its own prover into a fresh service.
         service = VerifierService()
-        service.apply_enrollment(_ENROLLMENT)
+        bench = build_prover_bench(_FIRMWARE, "asap", "prover-prop",
+                                   pox_verifier=service.asap)
+        program = bench.device.layout.program
+        service.verifier.set_reference("prover-prop", [
+            (program, bench.device.memory.dump_region(program)),
+        ])
         conditions = LinkConditions(loss=loss, seed=seed)
         client, server_side = loopback_pair(conditions)
         serve = asyncio.ensure_future(service.serve(server_side))
         prover = ProverEndpoint(
-            _BENCH.config.device_id, _BENCH.device,
-            _BENCH.protocol.device_key, client, protocol=_BENCH.protocol,
+            "prover-prop", bench.device, bench.protocol.device_key,
+            client, protocol=bench.protocol,
             retry=RetryPolicy(max_attempts=None, base_timeout=0.005,
                               max_timeout=0.05),
         )

@@ -66,8 +66,12 @@ assert bench.device.run_until_pc(bench.firmware.symbol("idle"), max_steps=64)
 """
 
 #: What the E6 model checks leave unloaded.
-_E6_ABSENT = ("repro.device", "repro.firmware", "repro.hwcost", "repro.net", "repro.cluster",
-              "asyncio", "multiprocessing")
+_E6_ABSENT = ("repro.device", "repro.firmware", "repro.hwcost", "repro.net", "asyncio",
+              "multiprocessing")
+
+#: What importing and running a fleet leave unloaded.
+_FLEET_ABSENT = ("repro.ltl", "repro.hwcost", "repro.sim", "repro.experiments",
+                 "multiprocessing", "pickle")
 
 #: Entry point -> (code run in a fresh interpreter, modules it must leave
 #: out of ``sys.modules``).
@@ -79,25 +83,31 @@ FOOTPRINTS = {
     # for it, while its re-export still resolves.
     "import-repro-without-net-stack": ("import repro", ("repro.net", "asyncio")),
     "from-repro-import-Fleet": (
-        "from repro import Fleet\nassert Fleet.__name__ == 'Fleet'", ("repro.cluster",)),
+        "from repro import Fleet\nassert Fleet.__name__ == 'Fleet'", _FLEET_ABSENT),
+    # Running a fleet over several services loads only the fleet's own
+    # stack, even once the traffic has run.
+    "sharded-fleet-run": (
+        "from repro import Fleet\n"
+        "assert Fleet(2, shards=2).run(exchanges_per_device=2).all_accepted()",
+        _FLEET_ABSENT),
     "cli-module": (
         "import repro.experiments.__main__",
         ("multiprocessing", "asyncio", "socket", "ssl", "repro.device", "repro.firmware",
-         "repro.ltl", "repro.hwcost", "repro.net", "repro.cluster")),
+         "repro.ltl", "repro.hwcost", "repro.net")),
     "cli-E6": (_CLI % "E6", _E6_ABSENT),
     # E4-E5 is the hardware-cost comparison: it runs repro.hwcost, and
     # leaves the model checker out as well.
     "cli-E4-E5": (_CLI % "E4-E5",
                   tuple(name for name in _E6_ABSENT if name != "repro.hwcost") + ("repro.ltl",)),
-    # FLEET runs its single service and its sharded cluster in this
-    # process over loopback: nothing is pickled, no process spawned.
+    # FLEET runs its one-service and its sharded fleet in this process
+    # over loopback: nothing is pickled, no process spawned.
     # (asyncio itself imports socket.)
     "cli-FLEET": (_CLI % "FLEET",
                   ("pickle", "multiprocessing", "repro.ltl", "repro.hwcost")),
     "sensor-logger-prover": (
         _PROVER,
         ("repro.ltl", "repro.sim", "repro.hwcost", "repro.experiments", "repro.net",
-         "repro.cluster", "multiprocessing")),
+         "multiprocessing")),
 }
 
 
@@ -120,15 +130,15 @@ if loaded:
 PUBLIC_NAMES = {
     "repro": """
         ApexMonitor AsapMonitor AsapPoxProtocol AsapPoxVerifier AssembledImage Assembler
-        AttestationProtocol CampaignResult CampaignRunner ClusterFleet ClusterReport
+        AttestationProtocol CampaignResult CampaignRunner
         Device DeviceConfig DeviceKey ErLinker ExecutableRegion
-        Fleet FleetReport HashRing Hmac HmacKey InterruptVectorTable IvtGuard KeyStore
+        Fleet FleetReport Hmac HmacKey InterruptVectorTable IvtGuard KeyStore
         KripkeStructure LinkConditions LinkedFirmware Memory MemoryLayout MemoryRegion
         MetadataRegion MetricsRegistry ModelChecker OutputRegion PoxConfig
         PoxProtocol PoxResult PoxTestbench PoxVerifier ProverEndpoint
-        RetryPolicy Scenario ScenarioResult ShardedVerifierCluster SwAtt
+        RetryPolicy Scenario ScenarioResult SwAtt
         TestbenchConfig TraceRecorder Tracer Verifier VerifierService VrasedConfig
-        VrasedMonitor Waveform WorkerRegistry __version__ apex_property_suite
+        VrasedMonitor Waveform __version__ apex_property_suite
         asap_property_suite attack_suite blinker_firmware busy_wait_pump_firmware
         check_trace compare_costs export_telemetry figure6_comparison get_registry
         get_tracer hmac_sha256 parse_ltl run_scenario sensor_logger_firmware
@@ -137,10 +147,6 @@ PUBLIC_NAMES = {
     "repro.apex": """
         ApexMonitor ExecViolation ExecutableRegion MetadataRegion OutputRegion PoxConfig
         PoxProtocol PoxResult PoxVerifier""",
-    "repro.cluster": """
-        BackpressureGate ClusterFleet ClusterReport HashRing RetryPolicy RpcChannel
-        RpcTimeout ShardStats ShardedVerifierCluster VerifierShard WorkerRecord
-        WorkerRegistry""",
     "repro.core": """
         AsapMonitor AsapPoxProtocol AsapPoxVerifier ErLinker IVT_SNAPSHOT IsrDescriptor
         IvtGuard IvtGuardState LinkError LinkedFirmware""",
@@ -184,10 +190,9 @@ PUBLIC_NAMES = {
         IVT_BASE IVT_END IVT_ENTRIES InterruptVectorTable Memory MemoryAccess
         MemoryError MemoryLayout MemoryRegion""",
     "repro.net": """
-        ClosedTransportError DeviceEnrollment ExchangeResult Fleet FleetReport
-        LinkConditions LoopbackTransport MessageTransport ProverEndpoint RetryPolicy
-        RpcChannel RpcTimeout VerifierService build_prover_bench loopback_pair
-        provision_enrollment""",
+        ClosedTransportError ExchangeResult Fleet FleetReport LinkConditions
+        LoopbackTransport MessageTransport ProverEndpoint RetryPolicy RpcChannel
+        RpcTimeout VerifierService build_prover_bench loopback_pair""",
     "repro.obs": """
         Counter DEFAULT_BUCKETS DEFAULT_WINDOW Gauge Histogram InMemorySink JsonlSink
         MetricsRegistry Span TELEMETRY_FILENAME Tracer export_telemetry get_registry

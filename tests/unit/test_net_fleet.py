@@ -1,17 +1,18 @@
-"""Unit tests for the link rules both fleet harnesses share.
+"""Unit tests for the fleet's link rules, its mix check and its report.
 
 :func:`repro.net.fleet.check_loss_bounded` refuses a lossy or
 reordering link that neither a per-exchange deadline nor a bounded
 retry schedule covers, and :func:`repro.net.fleet.link_conditions`
-gives every prover its own seeded draws.  The single-service
-:class:`~repro.net.fleet.Fleet` and the sharded
-:class:`~repro.cluster.fleet.ClusterFleet` both call them.
+gives every prover its own seeded draws; :class:`~repro.net.fleet.Fleet`
+calls both.  A fleet refuses an empty or unknown exchange mix before
+any exchange runs, and :class:`~repro.net.fleet.FleetReport` counts a
+run with no exchanges as not accepted.
 """
 
 import pytest
 
-from repro.cluster import ClusterFleet
-from repro.net.fleet import check_loss_bounded, link_conditions
+from repro.net.fleet import Fleet, FleetReport, check_loss_bounded, link_conditions
+from repro.obs.metrics import MetricsRegistry
 from repro.net.rpc import RetryPolicy
 from repro.net.transport import LinkConditions
 
@@ -43,12 +44,6 @@ class TestCheckLossBounded:
             message = str(refused.value)
             assert "deadline" in message and "retry" in message
 
-    def test_cluster_fleet_applies_the_same_rule(self):
-        with pytest.raises(ValueError, match="deadline"):
-            ClusterFleet(2, conditions=REORDERING)
-        fleet = ClusterFleet(2, conditions=REORDERING, deadline=0.5)
-        assert fleet.conditions is REORDERING
-
 
 class TestLinkConditions:
     def test_no_conditions_stay_none(self):
@@ -64,3 +59,74 @@ class TestLinkConditions:
             (base.loss, base.delay, base.jitter, base.reorder)
         seeds = {link_conditions(base, index).seed for index in range(64)}
         assert len(seeds) == 64
+
+
+class TestMixCheck:
+    def test_an_empty_mix_is_refused(self):
+        with pytest.raises(ValueError, match="mix"):
+            Fleet(2).run(mix=())
+
+    @pytest.mark.parametrize("mix, exchanges_per_device, unknown", [
+        (("ra", "bogus"), 1, "bogus"),
+        (("ra", "bogus"), 2, "bogus"),
+        (("pox", "RA"), 1, "RA"),
+        ("ra", 1, "r"),
+    ], ids=["unreached", "after-an-exchange", "case-matters", "a-string"])
+    def test_an_unknown_kind_is_refused_before_any_exchange(
+            self, mix, exchanges_per_device, unknown):
+        fleet = Fleet(1)
+        with pytest.raises(ValueError, match="'%s'" % unknown):
+            fleet.run(exchanges_per_device=exchanges_per_device, mix=mix)
+        # Refused up front: no device built, no challenge issued.
+        assert fleet.benches == []
+        assert fleet.services[0].counters["challenges"] == 0
+
+
+    @pytest.mark.parametrize("mix, per_device, per_kind", [
+        (("ra", "pox"), 3, {"ra": 4, "asap": 2}),
+        (("pox", "ra", "ra"), 3, {"asap": 2, "ra": 4}),
+        (("pox",), 2, {"asap": 4}),
+    ], ids=["default", "pox-first", "pox-only"])
+    def test_each_prover_cycles_through_the_mix(self, mix, per_device,
+                                                 per_kind):
+        report = Fleet(2).run(exchanges_per_device=per_device, mix=mix)
+        assert report.all_accepted()
+        assert report.per_kind == per_kind
+
+
+class TestFleetReport:
+    def test_exchange_rate(self):
+        report = FleetReport(fleet_size=1, exchanges=10, elapsed_seconds=2.0)
+        assert report.exchanges_per_second == 5.0
+        report.elapsed_seconds = 0.0
+        assert report.exchanges_per_second == 0.0
+
+    def test_all_accepted_requires_traffic(self):
+        report = FleetReport(fleet_size=4, shard_count=2)
+        assert not report.all_accepted()  # zero exchanges is not success
+        report.exchanges = report.accepted = 8
+        assert report.all_accepted()
+        report.rejected = 1
+        report.exchanges = 9
+        assert not report.all_accepted()
+
+    def test_publish_projects_the_report_into_fleet_gauges(self):
+        report = FleetReport(
+            fleet_size=4, shard_count=2, exchanges=16, accepted=14,
+            rejected=1, timed_out=1, retransmits=3, elapsed_seconds=0.5,
+            per_kind={"ra": 8, "asap": 8}, pending_challenges_after=1)
+        registry = MetricsRegistry(collect=False)
+        report.publish(registry)
+        gauges = registry.snapshot()["gauges"]
+        assert gauges == {
+            "fleet.size": 4, "fleet.shard_count": 2, "fleet.exchanges": 16,
+            "fleet.accepted": 14, "fleet.rejected": 1, "fleet.timed_out": 1,
+            "fleet.retransmits": 3, "fleet.elapsed_seconds": 0.5,
+            "fleet.pending_challenges_after": 1,
+            "fleet.per_kind.ra": 8, "fleet.per_kind.asap": 8,
+        }
+
+    def test_a_run_with_no_exchanges_is_not_all_accepted(self):
+        report = Fleet(2).run(exchanges_per_device=0)
+        assert report.exchanges == 0
+        assert not report.all_accepted()

@@ -71,6 +71,24 @@ class TestInstruments:
         with pytest.raises(ValueError, match="window"):
             Histogram(window=0)
 
+    def test_histogram_percentiles_over_known_samples(self):
+        histogram = Histogram()
+        for value in range(1, 101):  # 1..100
+            histogram.record(float(value))
+        assert histogram.p50 == pytest.approx(50.0, abs=1.0)
+        assert histogram.p99 == pytest.approx(99.0, abs=1.0)
+        assert histogram.count == 100
+
+    def test_empty_histogram_answers_zero(self):
+        assert Histogram().p50 == 0.0
+        assert Histogram().p99 == 0.0
+
+    def test_histogram_bad_fraction_rejected(self):
+        histogram = Histogram()
+        histogram.record(1.0)
+        with pytest.raises(ValueError, match="fraction"):
+            histogram.percentile(1.5)
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):

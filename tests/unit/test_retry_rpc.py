@@ -12,6 +12,7 @@ import asyncio
 import pytest
 
 from repro.net import VerifierService, loopback_pair
+from repro.net.service import REPLY_CACHE_SIZE
 from repro.net.rpc import RetryPolicy, RpcChannel, RpcTimeout
 
 
@@ -181,17 +182,20 @@ class TestServiceDedup:
             service = VerifierService()
             client, server_side = loopback_pair()
             serve = asyncio.ensure_future(service.serve(server_side))
-            await client.send({"kind": "ping", "seq": 41})
+            await client.send({"kind": "stats", "seq": 41})
             first = await client.recv()
-            await client.send({"kind": "ping", "seq": 41})  # retransmit
+            await client.send({"kind": "stats", "seq": 41})  # retransmit
             second = await client.recv()
             await client.close()
             await serve
             return service, first, second
 
         service, first, second = run(body())
-        assert first["kind"] == second["kind"] == "pong"
+        assert first["kind"] == second["kind"] == "stats"
         assert first["seq"] == second["seq"] == 41
+        # The original reply, replayed: a second execution would have
+        # reported the duplicate counted just before it.
+        assert second == first and first["duplicates"] == 0
         assert service.counters["duplicates"] == 1
 
     def test_distinct_seqs_are_distinct_requests(self):
@@ -199,9 +203,9 @@ class TestServiceDedup:
             service = VerifierService()
             client, server_side = loopback_pair()
             serve = asyncio.ensure_future(service.serve(server_side))
-            await client.send({"kind": "ping", "seq": 1})
+            await client.send({"kind": "stats", "seq": 1})
             await client.recv()
-            await client.send({"kind": "ping", "seq": 2})
+            await client.send({"kind": "stats", "seq": 2})
             await client.recv()
             await client.close()
             await serve
@@ -209,3 +213,63 @@ class TestServiceDedup:
 
         service = run(body())
         assert service.counters["duplicates"] == 0
+
+    def test_requests_without_a_seq_are_never_deduplicated(self):
+        async def body():
+            service = VerifierService()
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            replies = []
+            for _ in range(2):
+                await client.send({"kind": "stats"})
+                replies.append(await client.recv())
+            await client.close()
+            await serve
+            return service, replies
+
+        service, replies = run(body())
+        assert [reply["seq"] for reply in replies] == [None, None]
+        assert service.counters["duplicates"] == 0
+
+    def test_duplicate_of_an_executing_request_is_dropped(self):
+        async def body():
+            service = VerifierService()
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            # All three are queued before the service runs, so the
+            # retransmit of seq 5 arrives while seq 5 is executing.
+            await client.send({"kind": "stats", "seq": 5})
+            await client.send({"kind": "stats", "seq": 5})
+            await client.send({"kind": "stats", "seq": 6})
+            seqs = [(await client.recv())["seq"] for _ in range(2)]
+            await client.send({"kind": "stats", "seq": 7})
+            seqs.append((await client.recv())["seq"])
+            await client.close()
+            await serve
+            return service, seqs
+
+        service, seqs = run(body())
+        # One reply covers both copies: no second reply to seq 5.
+        assert seqs == [5, 6, 7]
+        assert service.counters["duplicates"] == 1
+
+    def test_reply_cache_forgets_the_oldest_seq_past_its_bound(self):
+        async def body():
+            service = VerifierService()
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            for seq in range(REPLY_CACHE_SIZE + 1):
+                await client.send({"kind": "stats", "seq": seq})
+                await client.recv()
+            # seq 0 fell out of the cache: executed again, no duplicate.
+            await client.send({"kind": "stats", "seq": 0})
+            await client.recv()
+            forgotten = service.counters["duplicates"]
+            # The newest seq is still cached: replayed, one duplicate.
+            await client.send({"kind": "stats", "seq": REPLY_CACHE_SIZE})
+            await client.recv()
+            await client.close()
+            await serve
+            return forgotten, service.counters["duplicates"]
+
+        assert run(body()) == (0, 1)
