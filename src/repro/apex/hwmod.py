@@ -27,12 +27,13 @@ the monitor declares that test as data, :attr:`PoxMonitorBase.quiet_test`
 (ER's bounds and ``ER_min`` as ints, read once from the frozen
 :class:`~repro.apex.regions.PoxConfig`).  With tracing off and this
 monitor alone attached, the device hands the test to
-:meth:`~repro.cpu.core.CPU.step`, which settles such a step without
-building a bundle, and calls :meth:`PoxMonitorBase.observe_quiet` where
-a stretch of them ends: the monitor's ``observe`` sees 17 of a ``pox``
-exchange's 2,525 steps.  (A step at ``ER_max`` that stays in ER changes
-nothing either, and one that leaves ER is not same-side, so no
-``ER_max`` test is needed.)
+:meth:`~repro.cpu.core.CPU.run_quiet`, which settles a whole stretch of
+such steps in one call without building a bundle, and calls
+:meth:`PoxMonitorBase.observe_quiet` where a stretch ends without one:
+a ``pox`` exchange is 12 such calls that settle 2,508 of its 2,525
+steps, and the monitor's ``observe`` sees the other 17.  (A step at
+``ER_max`` that stays in ER changes nothing either, and one that leaves
+ER is not same-side, so no ``ER_max`` test is needed.)
 
 ``observe`` keeps the same test for the bundles it is shown: right
 after its two PC tests it settles a quiet step by storing its PC-in-ER
@@ -78,7 +79,8 @@ class PoxMonitorBase:
         #: ``(er_start, er_end, er_min)``: a step on the quiet branch of
         #: the device's loop (no DMA, no irq) that writes no memory, keeps
         #: its PC and next PC on one side of ``[er_start, er_end]`` and has
-        #: its PC off ``er_min`` is one this monitor settles as quiet.
+        #: its PC off ``er_min`` is one this monitor settles as quiet
+        #: (:meth:`~repro.cpu.core.CPU.run_quiet` applies it).
         self.quiet_test = (self._er_start, self._er_end, self._er_min)
         self.exec_flag = False
         self.violations: List[ExecViolation] = []

@@ -265,6 +265,11 @@ class PoxProtocol:
         return self.config.measured_regions()
 
     def _measured_scalars(self):
+        # SW-Att is reached only by leaving ER, which clears EXEC unless
+        # ER completes through ER_max: a run cut off with the PC still
+        # inside ER measures EXEC = 0.
+        if self.config.executable.region.contains(self.device.cpu.pc):
+            return {EXEC_CLAIM: 0}
         return {EXEC_CLAIM: self.monitor.exec_value()}
 
     def _snapshot_regions(self):

@@ -11,9 +11,11 @@ registers, byte mode, masks, flag update and bus reporting are fixed at
 decode time.  A fetch yields ``(execute, size, text, cycles)`` -- the
 decode-cache entry -- and :meth:`CPU.step` calls ``execute()`` and
 builds the bundle from what it returns.  Without a decode cache every
-fetch decodes and compiles afresh.  Given a monitor's quiet test, a
-step that monitor would settle without reading its bundle returns its
-cycle count instead, and no bundle is built.
+fetch decodes and compiles afresh.  :meth:`CPU.run_quiet` runs a
+stretch of such steps back to back, given a monitor's quiet test: the
+steps that monitor would settle without reading their bundle only count
+their cycles, and the first step it must see ends the stretch with its
+bundle.
 
 Fidelity notes
 --------------
@@ -81,6 +83,8 @@ class CPU:
         self.registers = [0] * REGISTER_COUNT
         self.cycle_count = 0
         self.step_count = 0
+        #: ``(settled, cycles, last)`` of the latest :meth:`run_quiet` call.
+        self.stretch = (0, 0, 0)
 
     # ------------------------------------------------------------ state
 
@@ -146,7 +150,7 @@ class CPU:
 
     # ------------------------------------------------------------ stepping
 
-    def step(self, pending_interrupt=None, quiet=None):
+    def step(self, pending_interrupt=None):
         """Execute one step and return its :class:`SignalBundle`.
 
         *pending_interrupt* is the IVT index of the highest-priority
@@ -156,14 +160,6 @@ class CPU:
         ``GIE`` clear stays asleep (as on the real device, where such a
         configuration would hang -- firmware is expected to sleep with
         interrupts enabled).
-
-        *quiet* is a monitor's quiet test ``(er_start, er_end, er_min)``
-        (:attr:`~repro.apex.hwmod.PoxMonitorBase.quiet_test`), given only
-        for a step with no DMA activity and no pending interrupt.  An
-        instruction step that then writes no memory, keeps its PC and
-        next PC on the same side of ``[er_start, er_end]`` and has its
-        PC off ``er_min`` returns its cycle count (an ``int``) instead of
-        a bundle.
         """
         registers = self.registers
         start_pc = registers[PC]
@@ -193,15 +189,80 @@ class CPU:
         reads, writes = execute()
         self.cycle_count += cycles
         count = self.step_count = self.step_count + 1
-        if quiet is not None and not writes:
-            er_start, er_end, er_min = quiet
-            if ((er_start <= start_pc <= er_end) is (er_start <= registers[PC] <= er_end)
-                    and start_pc != er_min):
-                return cycles
         # Every field, in declaration order: a keyword call costs about
         # three times as much as a positional one.
         return SignalBundle(count, start_pc, registers[PC], False, None, gie_before,
                             False, False, text, writes, reads, False, (), (), cycles)
+
+    def run_quiet(self, limit, quiet):
+        """Run a stretch of steps a monitor settles as quiet, in one call.
+
+        *quiet* is the monitor's quiet test ``(er_start, er_end,
+        er_min)`` (:attr:`~repro.apex.hwmod.PoxMonitorBase.quiet_test`);
+        the caller guarantees no DMA activity and no pending interrupt
+        for up to *limit* (at least 1) steps.  An instruction step that
+        writes no memory, keeps its PC and next PC on the same side of
+        ``[er_start, er_end]`` and has its PC off ``er_min`` is settled:
+        it counts its step and cycles, and no bundle is built for it.
+
+        Returns ``None`` once *limit* steps are settled.  The first step
+        that is not -- one that writes memory, crosses ER's boundary, runs
+        at ``er_min`` or finds ``CPUOFF`` set -- ends the stretch, and its
+        bundle is returned exactly as :meth:`step` builds it.  A decode
+        miss is fetched and cached inside the stretch.
+
+        The registers, the counters and ER's bounds are held in locals:
+        ``step_count``, ``cycle_count`` and the decode cache's hits are
+        brought up to date on the way out, also when a step raises
+        :class:`CPUError`.  :attr:`stretch` is then ``(settled, cycles,
+        last)``: the steps this call settled, their cycles, and the last
+        one's cycles (0 when none settled).
+        """
+        er_start, er_end, er_min = quiet
+        registers = self.registers
+        cache = self.decode_cache
+        entries = cache._entries if cache is not None else {}
+        fetch = self._fetch
+        cpuoff, pc_index, sr_index = _CPUOFF, PC, SR
+        # The side of ER every settled step starts and ends on.
+        inside = er_start <= registers[pc_index] <= er_end
+        settled = total = cycles = hits = 0
+        try:
+            for settled in range(limit):
+                sr = registers[sr_index]
+                if sr & cpuoff:
+                    break
+                start_pc = registers[pc_index]
+                entry = entries.get(start_pc)
+                if entry is None:
+                    entry = fetch(start_pc)
+                else:
+                    hits += 1
+                reads, writes = entry[0]()
+                next_pc = registers[pc_index]
+                if (writes or start_pc == er_min
+                        or (er_start <= next_pc <= er_end) is not inside):
+                    step_cycles = entry[3]
+                    self.cycle_count += step_cycles
+                    self.step_count += 1
+                    return SignalBundle(self.step_count + settled, start_pc, next_pc,
+                                        False, None, (sr & _GIE) != 0, False, False,
+                                        entry[2], writes, reads, False, (), (), step_cycles)
+                # Read only once the step has run: a step that raises
+                # leaves the last settled step's cycles here.
+                cycles = entry[3]
+                total += cycles
+            else:
+                settled = limit
+                return None
+        finally:
+            self.step_count += settled
+            self.cycle_count += total
+            if cache is not None:
+                cache.hits += hits
+            self.stretch = (settled, total, cycles)
+        # CPUOFF is set: this step idles, as step() builds it.
+        return self.step()
 
     def _enter_interrupt(self, source, start_pc, cpu_off_before):
         """Perform interrupt entry for IVT index *source*."""

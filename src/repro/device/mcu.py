@@ -18,11 +18,13 @@ only a tick moves DMA data or hands the CPU an interrupt.  Either way
 the bundle goes to the attached monitors and into the trace (with
 tracing off the step only counts its cycles).  With tracing off and one
 attached monitor that declares a quiet test (the APEX and ASAP
-monitors), the quiet branch hands that test to the CPU, and a step the
-monitor would settle as quiet builds no bundle at all: the monitor is
-shown the other steps only.  The monitors' ``observe`` is looked up
-once per run call: one monitor's is called directly, several are
-called in attach order, and with none attached nothing is called.
+monitors), the quiet branch hands that test to the CPU, which runs each
+stretch of steps the monitor would settle as quiet in one
+:meth:`~repro.cpu.core.CPU.run_quiet` call, up to the next due event or
+the first step the monitor must see, and builds no bundle for them: the
+monitor is shown the other steps only.  The monitors' ``observe`` is
+looked up once per run call: one monitor's is called directly, several
+are called in attach order, and with none attached nothing is called.
 :meth:`Device.step` is one iteration of the loop;
 :meth:`Device.run`, :meth:`Device.run_until_pc` and
 :meth:`Device.run_steps` call it.  Bundles the loop does not produce --
@@ -298,23 +300,33 @@ class Device:
         an interrupt.
 
         With tracing off and one monitor attached that declares a
-        ``quiet_test`` (:meth:`_quiet_monitor`), the quiet branch hands
-        that test to the CPU from the call's second step on, so a step
-        the monitor would settle returns its cycle count and builds no
-        bundle: the monitor is not called, nor the stop condition, which
-        is then the monitor's own ``finished``.  No quiet step crosses
-        ER's boundary, so every step of a stretch of them ran on the
-        side of the last bundle's next PC; where a stretch ends -- at a
-        due event, a crash or the call's end -- the monitor's
-        ``observe_quiet`` gets that PC.  A step after a due event takes
-        the dirty branch, which always builds the bundle.
+        ``quiet_test`` (:meth:`_quiet_monitor`), the quiet branch runs
+        from the call's second step on as one :meth:`CPU.run_quiet
+        <repro.cpu.core.CPU.run_quiet>` call per stretch: the CPU settles
+        every step the monitor would settle, up to the call's last step
+        or the step before the next due event, and builds no bundle for
+        them; the monitor is not called, nor the stop condition, which is
+        then the monitor's own ``finished``.  A settled step writes no
+        memory and no event fires inside a stretch, so nothing can set
+        ``_periph_dirty`` there.  The loop adds the settled steps to the
+        step number, the trace's cycles and ``_last_step_cycles`` in one
+        go (:attr:`CPU.stretch <repro.cpu.core.CPU.stretch>`).  The
+        stretch's first step the monitor must see comes back as a bundle
+        and goes on like any other.  No settled step crosses ER's
+        boundary, so every one ran on the side of the last bundle's next
+        PC; where a stretch ends without a bundle -- at a due event, a
+        crash or the call's end -- the monitor's ``observe_quiet`` gets
+        that PC.  A step after a due event takes the dirty branch, which
+        always builds the bundle.
         """
         if self.crashed:
             if max_steps < 1:
                 return 0, None
             self.step_number += 1
             return 1, self._crash_bundle()
-        cpu_step = self.cpu.step
+        cpu = self.cpu
+        cpu_step = cpu.step
+        run_quiet = cpu.run_quiet
         dma = self.dma
         acknowledge = self.interrupt_controller.acknowledge
         observe = self._observer()
@@ -326,20 +338,23 @@ class Device:
         # The quiet test the CPU gets: none on the call's first step.
         settle = None
         executed = 0
-        # The last bundle built, and the last step's outcome: its bundle,
-        # or its cycle count when the CPU settled it as quiet.
-        bundle = outcome = None
-        for executed in range(1, max_steps + 1):
+        # The last bundle built.
+        bundle = None
+        # Set while the steps since that bundle were settled by the CPU
+        # and the monitor has not been given their side of ER.
+        open_stretch = False
+        while executed < max_steps:
+            executed += 1
             step_number = self.step_number = self.step_number + 1
             if step_number >= self._next_event_step:
-                if outcome.__class__ is int:
+                if open_stretch:
                     quiet_monitor.observe_quiet(bundle.next_pc)
-                    outcome = bundle
+                    open_stretch = False
                 self._fire_events()
             if self._periph_dirty:
                 pending = self._tick_peripherals()
                 try:
-                    outcome = bundle = cpu_step(pending)
+                    bundle = cpu_step(pending)
                 except CPUError as error:
                     self._latch_crash(error)
                     return executed, self._crash_bundle()
@@ -350,21 +365,44 @@ class Device:
                 if bundle.irq:
                     acknowledge(bundle.irq_source)
                     self._periph_dirty = True
-            else:
+            elif settle is None:
                 try:
-                    outcome = cpu_step(None, settle)
+                    bundle = cpu_step(None)
                 except CPUError as error:
-                    if outcome.__class__ is int:
-                        quiet_monitor.observe_quiet(bundle.next_pc)
                     self._latch_crash(error)
                     return executed, self._crash_bundle()
-                if outcome.__class__ is int:
-                    # Settled as quiet: nothing to observe, record or
-                    # stop on; only its cycles are counted.
-                    self._last_step_cycles = outcome
-                    trace._total_cycles += outcome
-                    continue
-                bundle = outcome
+            else:
+                # One stretch: this step and the ones after it, up to the
+                # call's last step or the step before the next due event.
+                try:
+                    ended = run_quiet(min(max_steps - executed,
+                                          self._next_event_step - 1 - step_number) + 1,
+                                      settle)
+                except CPUError as error:
+                    ended = error
+                settled, settled_cycles, last = cpu.stretch
+                if settled:
+                    # Settled: nothing to observe, record or stop on;
+                    # only their cycles are counted.
+                    trace._total_cycles += settled_cycles
+                    self._last_step_cycles = last
+                    open_stretch = True
+                    if ended is None:
+                        # The limit: this iteration counted the first of
+                        # them, and the stretch stays open until the next
+                        # due event or the call's end.
+                        executed += settled - 1
+                        self.step_number = step_number + settled - 1
+                        continue
+                    executed += settled
+                    self.step_number = step_number + settled
+                if isinstance(ended, CPUError):
+                    if open_stretch:
+                        quiet_monitor.observe_quiet(bundle.next_pc)
+                    self._latch_crash(ended)
+                    return executed, self._crash_bundle()
+                bundle = ended
+                open_stretch = False
             cycles = self._last_step_cycles = bundle.cycles_consumed
             if observe is not None:
                 observe(bundle)
@@ -381,7 +419,7 @@ class Device:
             if stop_condition is not None and stop_condition(bundle, self):
                 break
             settle = quiet
-        if outcome.__class__ is int:
+        if open_stretch:
             quiet_monitor.observe_quiet(bundle.next_pc)
         return executed, bundle
 

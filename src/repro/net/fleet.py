@@ -113,7 +113,9 @@ class FleetReport:
     #: Issued-challenge table sizes once the traffic drained, summed
     #: over the services.
     pending_challenges_after: int = 0
-    #: The services' own counters, summed, for cross-checking.
+    #: How much each of the services' own counters grew over this run,
+    #: summed, for cross-checking: ``service_counters["challenges"]``
+    #: equals ``exchanges`` on a lossless run, also for a reused fleet.
     service_counters: Dict[str, int] = field(default_factory=dict)
     results: List[ExchangeResult] = field(default_factory=list)
 
@@ -227,6 +229,7 @@ class Fleet:
             if kind not in EXCHANGE_KINDS:
                 raise ValueError("unknown exchange kind %r in mix" % (kind,))
         self._build_benches()
+        counters_before = [dict(service.counters) for service in self.services]
         self._serve_tasks = []
         provers = [self._connect(bench, index)
                    for index, bench in enumerate(self.benches)]
@@ -263,11 +266,11 @@ class Fleet:
                 report.accepted += 1
             else:
                 report.rejected += 1
-        for service in self.services:
+        for service, before in zip(self.services, counters_before):
             report.pending_challenges_after += service.pending_challenges
             for key, value in service.counters.items():
                 report.service_counters[key] = \
-                    report.service_counters.get(key, 0) + value
+                    report.service_counters.get(key, 0) + value - before.get(key, 0)
         report.publish()
         return report
 

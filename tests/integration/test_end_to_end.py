@@ -124,6 +124,29 @@ class TestApexEndToEnd:
         assert bench.monitor.violations_for("ltl3-interrupt")
 
 
+class TestCutOffRun:
+    """A run cut off by ``max_steps`` while the PC is still inside ER has
+    not completed: the prover reaches SW-Att only by leaving ER, so its
+    report measures EXEC = 0.  The blinker's ER run takes 128 steps."""
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    @pytest.mark.parametrize("architecture", ["apex", "asap"])
+    def test_every_cut_inside_er_is_rejected(self, architecture, trace):
+        firmware = blinker_firmware(authorized=True)
+        config = TestbenchConfig(architecture=architecture, trace_enabled=trace)
+        for max_steps in range(1, 128):
+            bench = PoxTestbench(firmware, config)
+            result = bench.run_pox(max_steps=max_steps)
+            assert not result.accepted, max_steps
+            assert result.reason.startswith("EXEC = 0: "), (max_steps, result.reason)
+            assert bench.pox_config.executable.region.contains(bench.device.cpu.pc)
+        bench = PoxTestbench(firmware, config)
+        result = bench.run_pox(max_steps=128)
+        assert result.accepted, result.reason
+        assert bench.device.step_number == 128
+        assert not bench.pox_config.executable.region.contains(bench.device.cpu.pc)
+
+
 class TestAsapVsApexComparison:
     def test_same_firmware_same_event_diverging_outcomes(self):
         """The core claim: identical firmware and identical asynchronous

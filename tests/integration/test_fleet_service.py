@@ -350,6 +350,13 @@ class TestConcurrentExchanges:
             assert len(bench.device.trace) == 0
             assert bench.device.trace.total_cycles == bench.device.total_cycles > 0
 
+    def test_a_pox_run_cut_off_inside_er_is_rejected(self):
+        # Five of the blinker's 128 ER steps: the report measures EXEC = 0.
+        report = Fleet(1).run(exchanges_per_device=2, max_steps=5)
+        verdicts = [(result.kind, result.accepted) for result in report.results]
+        assert verdicts == [("ra", True), ("asap", False)]
+        assert report.results[1].reason.startswith("EXEC = 0: ")
+
     def test_fleet_ra_only_mix(self):
         fleet = Fleet(2)
         report = fleet.run(exchanges_per_device=3, mix=("ra",))

@@ -141,9 +141,11 @@ class TestShardedFleet:
         second = fleet.run(exchanges_per_device=2)
         assert first.all_accepted() and second.all_accepted()
         assert fleet.benches == benches
-        # The services live as long as the fleet: their counters span
-        # both runs, and their tables drained after each.
-        assert second.service_counters["challenges"] == 16
+        # The services live as long as the fleet; each report counts
+        # its own run's challenges, and the tables drained after each.
+        assert first.service_counters["challenges"] == first.exchanges == 8
+        assert second.service_counters["challenges"] == second.exchanges == 8
+        assert sum(service.counters["challenges"] for service in fleet.services) == 16
         assert second.pending_challenges_after == 0
 
     @pytest.mark.parametrize("shards", [2, 3])

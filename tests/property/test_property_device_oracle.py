@@ -22,7 +22,9 @@ call they must agree on:
   exported signals, and the ASAP monitor's IVT-guard state and events
   (when attached);
 * the step, CPU-step and cycle counters (the trace's included), the
-  registers, the crash latch and the watchdog resets;
+  last step's cycles (what the next peripheral tick is given), the
+  decode cache's hits, misses and invalidations, the registers, the
+  crash latch and the watchdog resets;
 * the serviced (acknowledged) interrupts, the ``fired`` latch of every
   scheduled event and the pending event schedule;
 * all 64 KiB of memory.
@@ -32,10 +34,12 @@ Programs: the random and memory-heavy generators of
 outside ER), optionally opened by a quiet stretch and a CPU write to
 ``DMA0CTL`` that starts a DMA transfer; register-only stretches inside
 ER or after its legal exit, each ended by a CPU store into ER, the
-IVT, metadata, OR or plain data or by a crashing instruction; and the
-sensor logger under ASAP with its trusted UART ISR and an untrusted
-PORT5 ISR.  Events: UART bytes, GPIO presses on both ports, a DMA
-transfer into plain data, OR, metadata, ER or the IVT, a watchdog
+IVT, metadata, OR or plain data, by a crashing instruction or by
+sleep (woken by a UART byte), some looping through a countdown so that
+a stretch hits the decode cache and then misses it on first-time code;
+and the sensor logger under ASAP with its trusted UART ISR and an
+untrusted PORT5 ISR.  Events: UART bytes, GPIO presses on both ports,
+a DMA transfer into plain data, OR, metadata, ER or the IVT, a watchdog
 armed to expire, a crash (an illegal word stored at the PC), a device
 reset, an event that schedules another one, due on the current step or
 later, and one that samples the PoX monitor's exported signals into
@@ -47,12 +51,17 @@ they observe to one log per device -- so the loop's three ways of
 calling ``observe`` (none, one, a fan-out in attach order) are all
 compared.  The first recorder may schedule an event from ``observe``.
 With one PoX monitor alone and tracing off, the fused loop lets the CPU
-settle the steps the monitor would settle as quiet, builds no bundle
-for them and brings the monitor's PC-in-ER bit up to date where a
-stretch of them ends.  The stretch programs (under the ASAP or the APEX
-monitor), the ``"finished"`` stop (the monitor's own stop condition,
-which the loop tests only after the steps it builds a bundle for) and
-the signal samples draw that path.
+settle the steps the monitor would settle as quiet, one
+``CPU.run_quiet`` call per stretch up to the call's last step or the
+step before the next due event, builds no bundle for them and brings
+the monitor's PC-in-ER bit up to date where a stretch of them ends.
+The stretch programs (under the ASAP or the APEX monitor), the
+``"finished"`` stop (the monitor's own stop condition, which the loop
+tests only after the steps it builds a bundle for) and the signal
+samples draw that path; explicit examples put an event on the first,
+the second and the last step of a stretch and on the step that ends
+it, end run calls one step into a stretch, and crash a stretch after
+hits and misses.
 """
 
 from unittest import mock
@@ -214,6 +223,7 @@ class Side:
             "trace": list(device.trace),
             "trace_cycles": device.trace.total_cycles,
             "step_number": device.step_number,
+            "last_step_cycles": device._last_step_cycles,
             "step_count": cpu.step_count,
             "cycle_count": cpu.cycle_count,
             "registers": list(cpu.registers),
@@ -224,6 +234,9 @@ class Side:
             "pending": [(event.step, event.label) for event in device._events],
             "memory": device.memory.dump(0, 0x10000),
         }
+        cache = device.decode_cache
+        if cache is not None:
+            state["cache"] = (cache.hits, cache.misses, cache.invalidations)
         monitor = self.monitor
         if monitor is not None:
             state.update({
@@ -479,39 +492,54 @@ class TestRandomProgramsMatchTheReferenceLoop:
 #: programs' prologue, 3 words) to ER's last word: the last of them
 #: leaves ER through its legal exit.
 TO_ER_EXIT = [QUIET] * ((RANDOM_POX.executable.er_max - (BASE + 6)) // 2 + 1)
-#: What ends a quiet stretch: a CPU store of R4 into one of the places
-#: (``MOV R4, &place``), a jump into unprogrammed memory (the next step
-#: crashes), or a write-back to an immediate operand, which crashes after
-#: the PC has moved on.
-ACTIONS = PLACES + ("jump-away", "write-back")
+#: What follows a run of quiet steps.  Each ends the stretch but the
+#: countdown: a CPU store of R4 into one of the places (``MOV R4,
+#: &place``), a jump into unprogrammed memory (the next step crashes), a
+#: write-back to an immediate operand, which crashes after the PC has
+#: moved on, or ``BIS #CPUOFF|GIE, SR`` (the next step sleeps, until an
+#: interrupt).  The countdown (``DEC R4; JNE`` back to the ``DEC``) loops
+#: R4 times inside the stretch: its second pass hits the decode cache,
+#: and the code after it misses mid-stretch.
+ACTIONS = PLACES + ("jump-away", "write-back", "sleep", "countdown")
 JUMP_AWAY = Instruction(Opcode.JMP, jump_offset=0x100)
 WRITE_BACK = Instruction(Opcode.RRA, src=Operand.imm(0x1234))
+SLEEP = Instruction(Opcode.BIS, src=Operand.imm(int(StatusFlag.CPUOFF | StatusFlag.GIE)),
+                    dst=Operand.reg(SR))
+COUNTDOWN = [Instruction(Opcode.SUB, src=Operand.imm(1), dst=Operand.reg(4)),
+             Instruction(Opcode.JNE, jump_offset=-4)]
 
 
 def _action(action):
     if action == "jump-away":
-        return JUMP_AWAY
+        return [JUMP_AWAY]
     if action == "write-back":
-        return WRITE_BACK
-    return Instruction(Opcode.MOV, src=Operand.reg(4),
-                       dst=Operand.absolute(RANDOM_PLACES[action]))
+        return [WRITE_BACK]
+    if action == "sleep":
+        return [SLEEP]
+    if action == "countdown":
+        return list(COUNTDOWN)
+    return [Instruction(Opcode.MOV, src=Operand.reg(4),
+                        dst=Operand.absolute(RANDOM_PLACES[action]))]
 
 
 def _stretch_body(outside, segments):
-    """Quiet stretches, each ended by an action: *segments* lists
+    """Quiet stretches, each followed by an action: *segments* lists
     ``(quiet steps, action)``.  They run inside ER, or, with *outside*,
     after the body has left ER through its legal exit."""
     body = list(TO_ER_EXIT) if outside else []
     for quiet, action in segments:
-        body += [QUIET] * quiet + [_action(action)]
+        body += [QUIET] * quiet + _action(action)
     return body
 
 
-#: Any number of resets, crashes and signal samples, in schedule order
-#: (which is their firing order on a shared step).
-STRETCH_EVENTS = st.lists(st.tuples(st.sampled_from(("reset", "crash", "sample")),
-                                    st.integers(min_value=1, max_value=60)),
-                          max_size=3)
+#: Any number of resets, crashes, signal samples and UART bytes (which
+#: wake a sleeping CPU), in schedule order (which is their firing order
+#: on a shared step).
+STRETCH_STEPS = st.integers(min_value=1, max_value=60)
+STRETCH_EVENTS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("reset", "crash", "sample")), STRETCH_STEPS),
+    st.tuples(st.just("uart"), STRETCH_STEPS, st.just(b"\x41")),
+), max_size=3)
 #: Stores into every place, from inside ER (OR excepted: ER may write
 #: it) and after the exit.
 STORES_INSIDE = [(2, "er"), (0, "ivt"), (1, "meta"), (1, "data")]
@@ -523,6 +551,11 @@ AFTER_EXIT = [("run_steps", 32), ("run", 2, None)]
 #: A store, one quiet step and a write-back to an immediate that starts
 #: at ``ER_max - 2``, so its crash leaves the PC outside ER.
 CRASH_AT_ER_END = [(24, "data"), (1, "write-back")]
+#: After the exit (step 30), a stretch from step 31: six quiet steps,
+#: then a store into OR at step 37, which the monitor must see.
+OR_AFTER_EXIT = [(6, "or")]
+#: Three passes of the countdown loop, then first-time code.
+COUNT_THREE = [3] + [0] * 11
 
 
 class TestQuietStretchesMatchTheReferenceLoop:
@@ -559,6 +592,42 @@ class TestQuietStretchesMatchTheReferenceLoop:
     @example(outside=True, segments=STORES_OUTSIDE, register_values=[0x5A5A] * 12,
              events=[("sample", 40)], calls=[("run", 60, "finished"), ("run", 60, None)],
              monitor_class=ApexMonitor)
+    # An event due on the first, the second and the last settled step of
+    # the stretch after the exit, and on the store that ends it.
+    @example(outside=True, segments=OR_AFTER_EXIT, register_values=[0] * 12,
+             events=[("sample", 31)], calls=[("run_steps", 40)], monitor_class=AsapMonitor)
+    @example(outside=True, segments=OR_AFTER_EXIT, register_values=[0] * 12,
+             events=[("sample", 32)], calls=[("run_steps", 40)], monitor_class=AsapMonitor)
+    @example(outside=True, segments=OR_AFTER_EXIT, register_values=[0] * 12,
+             events=[("sample", 36)], calls=[("run_steps", 40)], monitor_class=AsapMonitor)
+    @example(outside=True, segments=OR_AFTER_EXIT, register_values=[0] * 12,
+             events=[("sample", 37)], calls=[("run_steps", 40)], monitor_class=AsapMonitor)
+    # Run calls that end one step into a stretch, and one that starts it.
+    @example(outside=True, segments=OR_AFTER_EXIT, register_values=[0] * 12,
+             events=[("sample", 32)],
+             calls=[("run_steps", 31), ("run", 1, None), ("run", 2, None), ("run_steps", 8)],
+             monitor_class=AsapMonitor)
+    # Sleep after three quiet steps, inside ER and after the exit; a UART
+    # byte wakes the CPU into the RETI outside ER (and back to sleep).
+    @example(outside=True, segments=[(3, "sleep")], register_values=[0] * 12,
+             events=[("uart", 40, b"\x41"), ("sample", 44)],
+             calls=[("run_steps", 38), ("run", 30, None)], monitor_class=AsapMonitor)
+    @example(outside=False, segments=[(3, "sleep")], register_values=[0] * 12,
+             events=[("uart", 12, b"\x41")], calls=[("run", 20, None)],
+             monitor_class=ApexMonitor)
+    # A decode miss mid-stretch: the countdown's later passes hit, the
+    # code after it runs for the first time, in the same stretch.
+    @example(outside=True, segments=[(2, "countdown"), (3, "or")],
+             register_values=COUNT_THREE, events=[], calls=[("run_steps", 50)],
+             monitor_class=AsapMonitor)
+    @example(outside=False, segments=[(2, "countdown"), (3, "data")],
+             register_values=COUNT_THREE, events=[("sample", 9)],
+             calls=[("run", 20, None)], monitor_class=AsapMonitor)
+    # A crash after hits and misses in one stretch: the CPU's counters
+    # and the cache's must still be brought up to date.
+    @example(outside=True, segments=[(2, "countdown"), (1, "jump-away")],
+             register_values=COUNT_THREE, events=[], calls=[("run", 60, None)],
+             monitor_class=AsapMonitor)
     @settings(max_examples=60, deadline=None, phases=PHASES)
     def test_stretches_under_one_pox_monitor(self, outside, segments, register_values,
                                              events, calls, monitor_class):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu.core import CPU, CPUError
+from repro.cpu.decode_cache import DecodeCache
 from repro.cpu.signals import SignalBundle
 from repro.isa.assembler import Assembler
 from repro.isa.registers import SP, SR, StatusFlag
@@ -247,6 +248,81 @@ class TestStatusRegisterAndSleep:
         cpu.reset(stack_top=0x1200)
         with pytest.raises(CPUError):
             cpu.step()
+
+
+#: A quiet test ``(er_start, er_end, er_min)`` for ER = [0xE100, 0xE1FF].
+QUIET = (0xE100, 0xE1FF, 0xE100)
+
+
+def make_cached_cpu(source, base, pc=None):
+    """:func:`make_cpu` with a decode cache, starting at *pc* (or *base*)."""
+    cpu, memory = make_cpu(source, base)
+    cpu.decode_cache = DecodeCache()
+    memory.add_write_listener(cpu.decode_cache.invalidate_range)
+    if pc is not None:
+        cpu.pc = pc
+    return cpu
+
+
+def step_by_step(cpu, limit):
+    """What ``run_quiet(limit, QUIET)`` does, one ``CPU.step`` at a time:
+    the settled steps' bundles, and the bundle of the step that ended
+    the stretch (``None`` at the limit)."""
+    er_start, er_end, er_min = QUIET
+    settled = []
+    while len(settled) < limit:
+        bundle = cpu.step()
+        if (bundle.writes or bundle.cpu_off or bundle.pc == er_min
+                or (er_start <= bundle.pc <= er_end)
+                != (er_start <= bundle.next_pc <= er_end)):
+            return settled, bundle
+        settled.append(bundle)
+    return settled, None
+
+
+def counters(cpu):
+    cache = cpu.decode_cache
+    return (list(cpu.registers), cpu.step_count, cpu.cycle_count, cache.hits, cache.misses)
+
+
+class TestRunQuiet:
+    """``CPU.run_quiet`` against the same steps run through ``CPU.step``."""
+
+    @pytest.mark.parametrize("source, base, pc, limit", [
+        # Outside ER, a loop: two decode misses, then hits, to the limit.
+        ("loop: INC R5\nJMP loop\n", 0xE000, None, 9),
+        # A store ends the stretch.
+        ("MOV #1, R5\nADD R5, R6\nMOV R6, &0x0200\nNOP\n", 0xE000, None, 50),
+        # Walking into ER crosses its boundary.
+        ("NOP\nNOP\nNOP\nNOP\nNOP\n", 0xE0F8, None, 50),
+        # Inside ER, a jump back to ER_min.
+        ("start: NOP\nNOP\nJMP start\n", 0xE100, 0xE102, 50),
+        # Sleep: the step after BIS #CPUOFF idles.
+        ("MOV #1, R5\nBIS #0x10, SR\nMOV #1, R6\n", 0xE000, None, 50),
+        # A limit of one.
+        ("MOV #1, R5\nMOV #2, R6\n", 0xE000, None, 1),
+    ], ids=["limit", "store", "crossing", "er-min", "sleep", "one-step"])
+    def test_a_stretch_matches_its_steps(self, source, base, pc, limit):
+        fast = make_cached_cpu(source, base, pc)
+        slow = make_cached_cpu(source, base, pc)
+        ended = fast.run_quiet(limit, QUIET)
+        settled, expected = step_by_step(slow, limit)
+        assert ended == expected
+        assert fast.stretch == (len(settled),
+                                sum(bundle.cycles_consumed for bundle in settled),
+                                settled[-1].cycles_consumed if settled else 0)
+        assert counters(fast) == counters(slow)
+
+    def test_a_crash_mid_stretch_still_counts_the_settled_steps(self):
+        # Unprogrammed memory follows the two moves: the third fetch fails.
+        fast = make_cached_cpu("MOV #1, R5\nMOV #2, R6\n", 0xE000)
+        slow = make_cached_cpu("MOV #1, R5\nMOV #2, R6\n", 0xE000)
+        with pytest.raises(CPUError):
+            fast.run_quiet(50, QUIET)
+        with pytest.raises(CPUError):
+            step_by_step(slow, 50)
+        assert fast.stretch[0] == 2
+        assert counters(fast) == counters(slow)
 
 
 class TestInterruptHandling:

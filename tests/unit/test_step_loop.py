@@ -10,15 +10,17 @@ its PC tests; a step that differs from a quiet one in any single one of
 those signals must still run the rules.
 
 With tracing off and the ASAP monitor alone, the CPU settles those steps
-itself on the loop's quiet branch and no bundle is built for them, so
-``observe`` is shown the others only; ``device.step()`` and a generic
-stop condition still get a bundle for every step.
+itself on the loop's quiet branch, one ``CPU.run_quiet`` call per
+stretch, and no bundle is built for them, so ``observe`` is shown the
+others only; ``device.step()`` and a generic stop condition still get a
+bundle for every step.
 """
 
 import pytest
 
 from repro.apex.hwmod import ApexMonitor
 from repro.core.hwmod import AsapMonitor
+from repro.cpu.core import CPU
 from repro.cpu.signals import MemoryWrite, SignalBundle
 from repro.firmware.sensor_logger import SensorParameters, sensor_logger_firmware
 from repro.firmware.testbench import PoxTestbench, TestbenchConfig
@@ -46,10 +48,10 @@ class TestObserveStaysWrappable:
         assert len(calls) == steps
 
 
-def _sensor_bench(trace):
+def _sensor_bench(trace, samples=10):
     """A sensor-logger prover booted to its idle loop, as ``pox`` runs it."""
     bench = PoxTestbench(
-        sensor_logger_firmware(SensorParameters(samples=10)),
+        sensor_logger_firmware(SensorParameters(samples=samples)),
         TestbenchConfig(trace_enabled=trace, enable_port1_interrupts=False,
                         enable_uart_rx_interrupts=True),
     )
@@ -143,6 +145,56 @@ class TestTracingOff:
         assert [bundle.cycle for bundle in shown] == list(range(first, first + 50))
         assert [bundle for _, bundle in seen] == shown
         assert all(_settled(bench.monitor, bundle) for bundle in shown[1:])
+
+
+#: ``(steps after ER entry, byte)`` of the four UART commands an exchange
+#: of the ``pox`` benchmark's shape (500 samples) serves inside ER.
+COMMANDS = ((120, 0x11), (700, 0x22), (1300, 0x33), (1900, 0x44))
+
+
+class TestStretches:
+    def test_an_exchange_settles_its_quiet_steps_in_twelve_calls(self, monkeypatch):
+        bench = _sensor_bench(False, samples=500)
+        device = bench.device
+        # (steps settled, the bundle that ended the stretch or None, the
+        # CPU's step count when the call returned)
+        stretches = []
+        run_quiet = CPU.run_quiet
+
+        def logging_run_quiet(cpu, limit, quiet):
+            ended = run_quiet(cpu, limit, quiet)
+            stretches.append((cpu.stretch[0], ended, cpu.step_count))
+            return ended
+
+        monkeypatch.setattr(CPU, "run_quiet", logging_run_quiet)
+        seen = _observing(monkeypatch)
+        due = []
+
+        def commands(target):
+            for offset, command in COMMANDS:
+                due.append(target.step_number + offset)
+                target.schedule_uart_rx(due[-1], bytes([command]))
+
+        bench.protocol.deliver_challenge()
+        # The CPU counts the same steps as the device in this run.
+        offset = device.step_number - device.cpu.step_count
+        steps = bench.protocol.call_executable(setup=commands)
+        assert steps == 2525
+        assert device.interrupt_controller.serviced == {InterruptVectors.UART_RX: 4}
+        # 12 calls settle 2,508 steps; the monitor is shown the other 17.
+        assert len(stretches) == 12
+        assert sum(settled for settled, _, _ in stretches) == 2508
+        assert len(seen) == 17 == steps - 2508
+        # 8 end at a step the monitor must see, and it is shown that step.
+        ended = [bundle for _, bundle, _ in stretches if bundle is not None]
+        assert len(ended) == 8
+        assert all(not _settled(bench.monitor, bundle) for bundle in ended)
+        shown = [bundle for _, bundle in seen]
+        assert all(any(bundle is other for other in shown) for bundle in ended)
+        # The other 4 end on the step before each command arrives.
+        assert [count + offset + 1 for _, bundle, count in stretches
+                if bundle is None] == due
+        assert bench.protocol.verify(bench.protocol.attest()).accepted
 
 
 def _bundle(pc, next_pc, **signals):
