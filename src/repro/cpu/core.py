@@ -203,13 +203,18 @@ class CPU:
         for up to *limit* (at least 1) steps.  An instruction step that
         writes no memory, keeps its PC and next PC on the same side of
         ``[er_start, er_end]`` and has its PC off ``er_min`` is settled:
-        it counts its step and cycles, and no bundle is built for it.
+        it counts its step and cycles, and no bundle is built for it.  So
+        is an idle step (``CPUOFF`` set) off ``er_min``: it writes
+        nothing, keeps its PC, counts :data:`IDLE_CYCLES` and touches no
+        decode-cache entry.  Nothing inside a stretch wakes the CPU, so
+        once asleep it idles to the stretch's end.
 
         Returns ``None`` once *limit* steps are settled.  The first step
-        that is not -- one that writes memory, crosses ER's boundary, runs
-        at ``er_min`` or finds ``CPUOFF`` set -- ends the stretch, and its
-        bundle is returned exactly as :meth:`step` builds it.  A decode
-        miss is fetched and cached inside the stretch.
+        that is not -- one that writes memory, crosses ER's boundary or
+        runs (or idles) at ``er_min``, where the monitor sets EXEC --
+        ends the stretch, and its bundle is returned exactly as
+        :meth:`step` builds it.  A decode miss is fetched and cached
+        inside the stretch.
 
         The registers, the counters and ER's bounds are held in locals:
         ``step_count``, ``cycle_count`` and the decode cache's hits are
@@ -229,10 +234,14 @@ class CPU:
         settled = total = cycles = hits = 0
         try:
             for settled in range(limit):
+                start_pc = registers[pc_index]
                 sr = registers[sr_index]
                 if sr & cpuoff:
-                    break
-                start_pc = registers[pc_index]
+                    if start_pc == er_min:
+                        break
+                    cycles = IDLE_CYCLES
+                    total += IDLE_CYCLES
+                    continue
                 entry = entries.get(start_pc)
                 if entry is None:
                     entry = fetch(start_pc)
@@ -261,7 +270,7 @@ class CPU:
             if cache is not None:
                 cache.hits += hits
             self.stretch = (settled, total, cycles)
-        # CPUOFF is set: this step idles, as step() builds it.
+        # Asleep at ER_min: this step idles, as step() builds it.
         return self.step()
 
     def _enter_interrupt(self, source, start_pc, cpu_off_before):

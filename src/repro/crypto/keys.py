@@ -5,7 +5,11 @@ manufacture time; the key lives in a ROM region that the hardware
 monitor makes readable only while the program counter is inside the
 attestation code (SW-Att).  :class:`KeyStore` models the verifier-side
 database of device keys, and :func:`derive_key` is the HKDF-like
-expansion both sides use to derive per-purpose sub-keys.
+expansion both sides use to derive per-purpose sub-keys.  A device has
+two: the attestation sub-key that keys SW-Att's measurement, and the
+request-authentication sub-key that keys the verifier's challenge
+token.  Both are used as HMAC keys through :func:`_sub_key_mac`, the one
+cache of precomputed HMAC state per device key, sub-key and backend.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional
 
+from repro.crypto.backend import backend_name
 # Re-exported here for the protocol layer; the single implementation
 # lives in repro.crypto.compare (shared with verify_hmac).
 from repro.crypto.compare import constant_time_compare
-from repro.crypto.hmac import hmac_sha256
+from repro.crypto.hmac import HmacKey, hmac_sha256
 
 
 #: Length of a device master key in bytes.
@@ -50,6 +55,25 @@ def derive_key(master_key, label, length=KEY_LENGTH):
     return _expand(bytes(master_key), bytes(label), length)
 
 
+#: Derivation labels of a device's two sub-keys.
+ATTESTATION_LABEL = "attestation"
+REQUEST_AUTH_LABEL = "request-auth"
+
+
+@lru_cache(maxsize=256)
+def _sub_key_mac(device_key: "DeviceKey", label: str, backend: str) -> HmacKey:
+    """Precomputed HMAC state for the *label* sub-key of *device_key*.
+
+    Keying an HMAC costs two hasher objects, two pad translations and
+    two compressions; a verifier keys the same two sub-keys of each
+    device for every challenge and every report, so each is keyed once
+    here.  Keyed by the crypto backend as well, so a backend switch
+    (differential tests, benchmarks) never hands back state built by
+    the other implementation.
+    """
+    return HmacKey(derive_key(device_key.master_key, label), backend=backend)
+
+
 @dataclass(frozen=True)
 class DeviceKey:
     """A provisioned device identity: ID plus master key."""
@@ -59,11 +83,21 @@ class DeviceKey:
 
     def attestation_key(self):
         """The sub-key used for RA / PoX reports."""
-        return derive_key(self.master_key, "attestation")
+        return derive_key(self.master_key, ATTESTATION_LABEL)
 
     def authentication_key(self):
         """The sub-key used to authenticate verifier requests."""
-        return derive_key(self.master_key, "request-auth")
+        return derive_key(self.master_key, REQUEST_AUTH_LABEL)
+
+    def attestation_mac(self) -> HmacKey:
+        """The attestation sub-key as precomputed HMAC state (active
+        backend): SW-Att's measurement key."""
+        return _sub_key_mac(self, ATTESTATION_LABEL, backend_name())
+
+    def authentication_mac(self) -> HmacKey:
+        """The request-authentication sub-key as precomputed HMAC state
+        (active backend): the key of a challenge's ``auth_token``."""
+        return _sub_key_mac(self, REQUEST_AUTH_LABEL, backend_name())
 
 
 @dataclass

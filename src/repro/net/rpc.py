@@ -22,8 +22,14 @@ The growing attempt timeout *is* the exponential backoff (TCP-RTO
 style): waiting longer before each retransmit is both the politeness
 and the pacing, with no idle sleep on top.  The whole schedule runs
 inside the caller's per-exchange deadline -- ``asyncio.wait_for``
-around the exchange cancels the channel mid-attempt, and a cancelled
-loopback ``recv`` leaves its message queued for the next one.
+around the exchange cancels the channel mid-attempt.  A loopback
+``recv`` cancelled by either timeout, even after a reply has woken it,
+leaves that reply queued: the call's next attempt takes it, and a later
+call sheds it by ``seq``.
+
+A channel is its transport's one receiver on the prover side: its lock
+keeps one ``recv`` waiting at a time, which is all a
+:class:`~repro.net.transport.LoopbackTransport` endpoint admits.
 """
 
 from __future__ import annotations
@@ -105,9 +111,11 @@ class RpcChannel:
         """Send *message* and await the reply bearing its ``seq``.
 
         One round trip at a time per channel: without the lock, two
-        concurrent calls would each consume -- and drop -- the other's
-        reply and both would hang.  *retry* overrides the channel
-        policy for this call (``None`` falls back to it).
+        concurrent calls would both wait on the transport, which a
+        loopback endpoint refuses (its second ``recv`` raises), and
+        elsewhere each would consume -- and drop -- the other's reply.
+        *retry* overrides the channel policy for this call (``None``
+        falls back to it).
 
         :raises RpcTimeout: when a bounded retry schedule is exhausted.
         """

@@ -4,9 +4,12 @@
 (one key store, one bounded issued-challenge table) plus an APEX and an
 ASAP PoX verifier layered over it, and serves attestation traffic over
 any number of :class:`~repro.net.transport.MessageTransport`
-connections concurrently: every incoming message is handled in its own
-task, so thousands of provers can have exchanges in flight against one
-verifier at once.  The wire protocol is three message kinds:
+connections concurrently: each connection has one :meth:`serve` loop,
+and the loops of thousands of provers interleave on one event loop.
+Within a connection, requests are served in arrival order, each one
+handled and answered before the next is read: :meth:`handle` is
+synchronous, so a task per message would buy no concurrency.  The wire
+protocol is three message kinds:
 
 ``attest``   ``{"kind": "attest", "seq": n, "device_id": id}``
              -> ``{"kind": "challenge", "seq": n, "challenge": ...,
@@ -48,7 +51,6 @@ growing (``benchmarks/test_bench_fleet.py`` pins exactly that).
 
 from __future__ import annotations
 
-import asyncio
 import weakref
 from collections import OrderedDict
 from typing import Dict, Optional
@@ -102,9 +104,9 @@ class VerifierService:
     def handle(self, message) -> dict:
         """Process one request message; return the reply.
 
-        Pure verifier-side computation (no awaits): the concurrency
-        lives in :meth:`serve`, which runs one ``handle`` per incoming
-        message in its own task.
+        Pure verifier-side computation (no awaits): :meth:`serve` calls
+        it inline for each request it reads, and sends what it returns.
+        A malformed request gets an ``error`` reply, never an exception.
         """
         seq = message.get("seq")
         kind = message.get("kind")
@@ -152,65 +154,46 @@ class VerifierService:
     async def serve(self, transport: MessageTransport):
         """Serve one prover connection until it closes.
 
-        Each message is dispatched to its own task, so a connection
-        that pipelines requests gets concurrent verification, and slow
-        exchanges on one connection never stall another.
+        One loop: read a request, :meth:`handle` it, send the reply,
+        read the next.  Slow exchanges on one connection never stall
+        another, since each connection has its own loop and the loops
+        interleave at their ``await`` points; the requests of one
+        connection are answered in the order they arrived.
 
-        Retransmits are served at most once per ``seq``: a duplicate of
-        a request still executing is dropped (its eventual reply covers
-        both copies), and a duplicate of a completed request gets the
-        cached original reply re-sent -- never a second execution, so a
-        retried ``report`` cannot burn two challenges or flip a verdict.
+        Every reply to a request with a ``seq`` goes into a bounded
+        per-connection reply cache, and a request whose ``seq`` is
+        cached is a retransmit: it is answered with the cached original
+        reply and counted in ``duplicates``, never executed again.  A
+        request is answered before the next one is read, so every
+        retransmit finds its original's reply there (unless
+        :data:`REPLY_CACHE_SIZE` newer ones pushed it out): a retried
+        ``report`` cannot burn two challenges or flip a verdict.
         """
-        pending = set()
-        inflight = set()
+        counters = self.counters
         replies = OrderedDict()
-        try:
-            while True:
-                try:
-                    message = await transport.recv()
-                except ClosedTransportError:
-                    break
-                seq = message.get("seq")
-                if seq is not None:
-                    if seq in replies:
-                        self.counters["duplicates"] += 1
-                        task = asyncio.ensure_future(
-                            self._send_reply(transport, replies[seq]))
-                        pending.add(task)
-                        task.add_done_callback(pending.discard)
-                        continue
-                    if seq in inflight:
-                        self.counters["duplicates"] += 1
-                        continue
-                    inflight.add(seq)
-                task = asyncio.ensure_future(
-                    self._respond(transport, message, inflight, replies))
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-        finally:
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-
-    async def _respond(self, transport, message, inflight=None, replies=None):
-        reply = self.handle(message)
-        seq = message.get("seq")
-        if seq is not None:
-            if replies is not None:
-                replies[seq] = reply
-                while len(replies) > REPLY_CACHE_SIZE:
+        # handle, recv and send are looked up per message, so a wrapper
+        # put on their class while the loop runs sees every call.
+        while True:
+            try:
+                message = await transport.recv()
+            except ClosedTransportError:
+                return
+            seq = message.get("seq")
+            if seq is None:
+                reply = self.handle(message)
+            elif seq in replies:
+                counters["duplicates"] += 1
+                reply = replies[seq]
+            else:
+                reply = replies[seq] = self.handle(message)
+                if len(replies) > REPLY_CACHE_SIZE:
                     replies.popitem(last=False)
-            if inflight is not None:
-                inflight.discard(seq)
-        await self._send_reply(transport, reply)
-
-    async def _send_reply(self, transport, reply):
-        try:
-            await transport.send(reply)
-        except ClosedTransportError:
-            # The prover went away mid-exchange; its challenge (if any)
-            # ages out of the bounded table via the TTL.
-            pass
+            try:
+                await transport.send(reply)
+            except ClosedTransportError:
+                # The prover went away mid-exchange; its challenge (if
+                # any) ages out of the bounded table via the TTL.
+                pass
 
 
 @register_global_collector

@@ -3,8 +3,9 @@
 The service layer (:mod:`repro.net.service`) is written against one
 tiny abstraction: a bidirectional, message-oriented, asyncio
 :class:`MessageTransport`.  One implementation ships:
-:func:`loopback_pair`, an in-process queue pair, so a fleet of
-simulated provers and its verifier services share one event loop.
+:func:`loopback_pair`, two in-process endpoints that append to each
+other's inbox, so a fleet of simulated provers and its verifier
+services share one event loop.
 
 It accepts :class:`LinkConditions` -- injectable loss, latency and
 reordering -- so scenarios can exercise the protocol's failure paths
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -73,7 +75,8 @@ class MessageTransport:
     async def recv(self):
         """Await the next message from the peer.
 
-        :raises ClosedTransportError: when the peer has closed.
+        :raises ClosedTransportError: when the peer has closed (on this
+            call and every later one), or this endpoint has.
         """
         raise NotImplementedError
 
@@ -81,11 +84,22 @@ class MessageTransport:
         """Close this endpoint; the peer's pending ``recv`` fails."""
 
 
+#: The peer's close, as it sits in an inbox: behind every message sent
+#: before it, and never taken out, so every later ``recv`` meets it too.
 _CLOSED = object()
 
 
 class LoopbackTransport(MessageTransport):
-    """In-process endpoint: sends into the peer's inbox queue.
+    """In-process endpoint: sends append to the peer's inbox.
+
+    The inbox is a deque with room for one waiting ``recv``: an endpoint
+    has one receiver at a time (the service's ``serve`` loop on one
+    side, the prover's :class:`~repro.net.rpc.RpcChannel` under its lock
+    on the other), and a second concurrent ``recv`` raises
+    :class:`RuntimeError`.  A delivery appends the message and wakes
+    that receiver; a ``recv`` cancelled after the wake-up leaves the
+    message queued for the next one, which the retry layer's reply
+    windows rely on.
 
     Both endpoints must live on the same event loop; the fleet harness
     multiplexes every prover and the verifier service on one loop, so
@@ -94,7 +108,10 @@ class LoopbackTransport(MessageTransport):
 
     def __init__(self, conditions: Optional[LinkConditions] = None,
                  seed_offset=0):
-        self._inbox: "asyncio.Queue" = asyncio.Queue()
+        #: Delivered messages not yet received, in arrival order.
+        self._inbox = deque()
+        #: The future the waiting ``recv`` sleeps on, or ``None``.
+        self._waiter = None
         self._peer: Optional["LoopbackTransport"] = None
         self.conditions = conditions or LinkConditions()
         self._rng = random.Random(self.conditions.seed + seed_offset)
@@ -134,20 +151,35 @@ class LoopbackTransport(MessageTransport):
                 self._deliveries.add(task)
                 task.add_done_callback(self._deliveries.discard)
             else:
-                peer._inbox.put_nowait(item)
+                peer._deliver(item)
 
     async def _deliver_later(self, peer, item, latency):
         await asyncio.sleep(latency)
         if not peer._closed:
-            peer._inbox.put_nowait(item)
+            peer._deliver(item)
+
+    def _deliver(self, item):
+        """Queue *item* in this endpoint's inbox and wake its receiver."""
+        self._inbox.append(item)
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     async def recv(self):
         if self._closed:
             raise ClosedTransportError("transport is closed")
-        message = await self._inbox.get()
-        if message is _CLOSED:
+        if self._waiter is not None:
+            raise RuntimeError("another recv is already waiting on this endpoint")
+        inbox = self._inbox
+        while not inbox:
+            waiter = self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await waiter
+            finally:
+                self._waiter = None
+        if inbox[0] is _CLOSED:
             raise ClosedTransportError("loopback peer closed")
-        return message
+        return inbox.popleft()
 
     async def close(self):
         if self._closed:
@@ -158,7 +190,7 @@ class LoopbackTransport(MessageTransport):
         if self._peer is not None and not self._peer._closed:
             # A held-back (reordered) message never flushes after close:
             # the link dropped it, exactly like in-flight loss.
-            self._peer._inbox.put_nowait(_CLOSED)
+            self._peer._deliver(_CLOSED)
 
 
 def loopback_pair(conditions: Optional[LinkConditions] = None,

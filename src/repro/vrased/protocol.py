@@ -24,7 +24,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.crypto.hmac import hmac_sha256
 from repro.crypto.keys import DeviceKey, KeyStore, constant_time_compare
 from repro.memory.layout import MemoryRegion
 from repro.vrased.config import VrasedConfig
@@ -57,7 +56,7 @@ class AttestationRequest:
 
     def verify_token(self, device_key: DeviceKey):
         """Prover-side check that the request came from the verifier."""
-        expected = hmac_sha256(device_key.authentication_key(), self.challenge)
+        expected = device_key.authentication_mac().tag(self.challenge)
         return constant_time_compare(expected, self.auth_token)
 
 
@@ -185,7 +184,7 @@ class Verifier:
         while per_device and len(per_device) >= self.max_issued_per_device:
             self._consume(next(iter(per_device)))
         challenge = self._rng(CHALLENGE_LENGTH)
-        token = hmac_sha256(device_key.authentication_key(), challenge)
+        token = device_key.authentication_mac().tag(challenge)
         self._issued[challenge] = IssuedChallenge(
             device_id=device_id, issued_at=self._clock()
         )

@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
-from repro.crypto.backend import backend_name
-from repro.crypto.hmac import HmacKey
 from repro.crypto.keys import DeviceKey
 from repro.memory.layout import MemoryRegion
 
@@ -64,17 +61,6 @@ def encode_scalar(name, value):
     )
 
 
-@lru_cache(maxsize=128)
-def _attestation_mac_key(device_key: DeviceKey, backend: str) -> HmacKey:
-    """Precomputed HMAC state for a device's attestation sub-key.
-
-    Keyed by the active crypto backend as well so a backend switch
-    (differential tests, benchmarks) never hands back state built by
-    the other implementation.
-    """
-    return HmacKey(device_key.attestation_key(), backend=backend)
-
-
 def _region_bytes(memory, region):
     """Bulk-read *region* from *memory*: a zero-copy view when the
     memory supports it, a plain copy otherwise."""
@@ -107,9 +93,7 @@ class SwAtt:
         ``message += ...`` accumulation was quadratic in region count
         and copied every attested byte at least twice).
         """
-        mac = _attestation_mac_key(self.device_key, backend_name()).mac(
-            bytes(challenge)
-        )
+        mac = self.device_key.attestation_mac().mac(bytes(challenge))
         for region in regions:
             mac.update(encode_region_descriptor(region))
             mac.update(_region_bytes(memory, region))
@@ -140,9 +124,7 @@ class SwAtt:
         giving the contents the verifier expects each measured region to
         hold.
         """
-        mac = _attestation_mac_key(device_key, backend_name()).mac(
-            bytes(challenge)
-        )
+        mac = device_key.attestation_mac().mac(bytes(challenge))
         for region, content in region_contents:
             mac.update(encode_region_descriptor(region))
             expected = bytes(content)

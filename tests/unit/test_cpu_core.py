@@ -267,12 +267,13 @@ def make_cached_cpu(source, base, pc=None):
 def step_by_step(cpu, limit):
     """What ``run_quiet(limit, QUIET)`` does, one ``CPU.step`` at a time:
     the settled steps' bundles, and the bundle of the step that ended
-    the stretch (``None`` at the limit)."""
+    the stretch (``None`` at the limit).  An idle step is settled like
+    an instruction step: it writes nothing and keeps its PC."""
     er_start, er_end, er_min = QUIET
     settled = []
     while len(settled) < limit:
         bundle = cpu.step()
-        if (bundle.writes or bundle.cpu_off or bundle.pc == er_min
+        if (bundle.writes or bundle.pc == er_min
                 or (er_start <= bundle.pc <= er_end)
                 != (er_start <= bundle.next_pc <= er_end)):
             return settled, bundle
@@ -297,7 +298,7 @@ class TestRunQuiet:
         ("NOP\nNOP\nNOP\nNOP\nNOP\n", 0xE0F8, None, 50),
         # Inside ER, a jump back to ER_min.
         ("start: NOP\nNOP\nJMP start\n", 0xE100, 0xE102, 50),
-        # Sleep: the step after BIS #CPUOFF idles.
+        # Sleep: the steps after BIS #CPUOFF idle, settled, to the limit.
         ("MOV #1, R5\nBIS #0x10, SR\nMOV #1, R6\n", 0xE000, None, 50),
         # A limit of one.
         ("MOV #1, R5\nMOV #2, R6\n", 0xE000, None, 1),
@@ -311,6 +312,19 @@ class TestRunQuiet:
         assert fast.stretch == (len(settled),
                                 sum(bundle.cycles_consumed for bundle in settled),
                                 settled[-1].cycles_consumed if settled else 0)
+        assert counters(fast) == counters(slow)
+
+    def test_an_idle_step_at_er_min_ends_the_stretch(self):
+        # The monitor sets EXEC at ER_min, asleep or not, so that step
+        # comes back as the bundle step() builds.
+        fast = make_cached_cpu("NOP\n", 0xE100)
+        slow = make_cached_cpu("NOP\n", 0xE100)
+        for cpu in (fast, slow):
+            cpu.set_flag(StatusFlag.CPUOFF, True)
+        ended = fast.run_quiet(50, QUIET)
+        assert ended.cpu_off and ended.pc == ended.next_pc == 0xE100
+        assert ended == step_by_step(slow, 50)[1]
+        assert fast.stretch == (0, 0, 0)
         assert counters(fast) == counters(slow)
 
     def test_a_crash_mid_stretch_still_counts_the_settled_steps(self):

@@ -30,6 +30,7 @@ from repro.crypto.keys import DeviceKey
 from repro.crypto.sha256 import Sha256
 from repro.memory.layout import MemoryRegion
 from repro.memory.memory import Memory
+from repro.vrased.protocol import AttestationRequest, Verifier
 from repro.vrased.swatt import SwAtt
 
 
@@ -265,6 +266,30 @@ class TestBackendDifferential:
                                                       contents)
             assert report.measurement == expected, (prover_backend,
                                                     verifier_backend)
+
+    def test_request_token_identical_across_backends(self):
+        """The verifier's request token is the standard HMAC of the
+        challenge under the request-authentication sub-key on either
+        backend, and a prover on the other backend accepts it."""
+        device_key = DeviceKey("diff-device", b"\x77" * 32)
+        challenge = b"\x5A" * 32
+        expected = std_hmac.new(device_key.authentication_key(), challenge,
+                                hashlib.sha256).digest()
+
+        for verifier_backend, prover_backend in (("pure", "fast"),
+                                                 ("fast", "pure")):
+            verifier = Verifier(rng=lambda _length: challenge)
+            verifier.enroll(device_key.device_id, device_key.master_key)
+            with use_backend(verifier_backend):
+                request = verifier.create_request(device_key.device_id)
+                # The cached key state is the selected backend's own.
+                assert isinstance(device_key.authentication_mac()._inner0,
+                                  BACKENDS[verifier_backend])
+            assert request.auth_token == expected, verifier_backend
+            with use_backend(prover_backend):
+                assert request.verify_token(device_key), prover_backend
+                forged = AttestationRequest(challenge, bytes(32))
+                assert not forged.verify_token(device_key), prover_backend
 
     def test_full_pox_exchange_cross_checked_by_other_backend(self):
         """Run the whole PoX exchange under each backend, then recompute

@@ -210,6 +210,46 @@ class TestLoopbackEndpoints:
 
         run(body())
 
+    def test_a_closed_peer_fails_every_later_recv(self):
+        async def body():
+            left, right = loopback_pair()
+            await left.send("sent before the close")
+            await left.close()
+            assert await right.recv() == "sent before the close"
+            for _ in range(2):
+                with pytest.raises(ClosedTransportError):
+                    await asyncio.wait_for(right.recv(), timeout=0.5)
+
+        run(body())
+
+    def test_a_recv_cancelled_after_its_wake_up_leaves_the_message_queued(self):
+        async def body():
+            left, right = loopback_pair()
+            waiting = asyncio.ensure_future(right.recv())
+            await asyncio.sleep(0)
+            # The send wakes the waiting recv; it is cancelled before it
+            # resumes, so it never takes the message.
+            await left.send("kept")
+            waiting.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiting
+            return await asyncio.wait_for(right.recv(), timeout=0.5)
+
+        assert run(body()) == "kept"
+
+    def test_a_second_concurrent_recv_raises(self):
+        async def body():
+            left, right = loopback_pair()
+            first = asyncio.ensure_future(right.recv())
+            await asyncio.sleep(0)
+            with pytest.raises(RuntimeError):
+                await asyncio.wait_for(right.recv(), timeout=0.5)
+            # The first receiver still gets the next message.
+            await left.send("for the first")
+            return await asyncio.wait_for(first, timeout=0.5)
+
+        assert run(body()) == "for the first"
+
     def test_second_close_is_harmless(self):
         async def body():
             left, right = loopback_pair()
@@ -237,9 +277,11 @@ class TestLoopbackEndpoints:
             left, right = loopback_pair(LinkConditions(delay=0.02))
             await left.send("in flight")
             await left.close()
+            await asyncio.sleep(0)
+            # The delivery's task is gone, not merely hidden behind the
+            # close: nothing is left to land in the peer's inbox.
+            assert asyncio.all_tasks() == {asyncio.current_task()}
             with pytest.raises(ClosedTransportError):
                 await right.recv()
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(right.recv(), timeout=0.1)
 
         run(body())

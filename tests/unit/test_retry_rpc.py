@@ -231,27 +231,33 @@ class TestServiceDedup:
         assert [reply["seq"] for reply in replies] == [None, None]
         assert service.counters["duplicates"] == 0
 
-    def test_duplicate_of_an_executing_request_is_dropped(self):
+    def test_a_retransmit_queued_behind_its_original_runs_once(self):
         async def body():
             service = VerifierService()
+            service.verifier.enroll("prover")
             client, server_side = loopback_pair()
             serve = asyncio.ensure_future(service.serve(server_side))
-            # All three are queued before the service runs, so the
-            # retransmit of seq 5 arrives while seq 5 is executing.
-            await client.send({"kind": "stats", "seq": 5})
-            await client.send({"kind": "stats", "seq": 5})
+            # All three are queued before the service runs: the service
+            # answers seq 5 before it reads the retransmit.
+            attest = {"kind": "attest", "seq": 5, "device_id": "prover"}
+            await client.send(attest)
+            await client.send(attest)
             await client.send({"kind": "stats", "seq": 6})
-            seqs = [(await client.recv())["seq"] for _ in range(2)]
-            await client.send({"kind": "stats", "seq": 7})
-            seqs.append((await client.recv())["seq"])
+            replies = [await asyncio.wait_for(client.recv(), timeout=1.0)
+                       for _ in range(3)]
             await client.close()
             await serve
-            return service, seqs
+            return service, replies
 
-        service, seqs = run(body())
-        # One reply covers both copies: no second reply to seq 5.
-        assert seqs == [5, 6, 7]
+        service, (first, second, stats) = run(body())
+        # One challenge issued, and the retransmit answered from the
+        # cache with the same one.
+        assert first["kind"] == "challenge" and first["seq"] == 5
+        assert second == first
+        assert stats["seq"] == 6 and stats["challenges"] == 1
+        assert service.counters["challenges"] == 1
         assert service.counters["duplicates"] == 1
+        assert service.pending_challenges == 1
 
     def test_reply_cache_forgets_the_oldest_seq_past_its_bound(self):
         async def body():
@@ -273,3 +279,28 @@ class TestServiceDedup:
             return forgotten, service.counters["duplicates"]
 
         assert run(body()) == (0, 1)
+
+    def test_serve_creates_no_task_per_message(self):
+        async def body():
+            loop = asyncio.get_running_loop()
+            service = VerifierService()
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            created = []
+
+            def counting_factory(loop, coroutine, **kwargs):
+                created.append(coroutine)
+                return asyncio.Task(coroutine, loop=loop, **kwargs)
+
+            loop.set_task_factory(counting_factory)
+            try:
+                for seq in range(10):
+                    await client.send({"kind": "stats", "seq": seq})
+                    assert (await client.recv())["seq"] == seq
+            finally:
+                loop.set_task_factory(None)
+            await client.close()
+            await asyncio.wait_for(serve, timeout=1.0)
+            return len(created)
+
+        assert run(body()) == 0

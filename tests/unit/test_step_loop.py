@@ -22,9 +22,11 @@ from repro.apex.hwmod import ApexMonitor
 from repro.core.hwmod import AsapMonitor
 from repro.cpu.core import CPU
 from repro.cpu.signals import MemoryWrite, SignalBundle
+from repro.device.mcu import Device, DeviceConfig
 from repro.firmware.sensor_logger import SensorParameters, sensor_logger_firmware
 from repro.firmware.testbench import PoxTestbench, TestbenchConfig
-from repro.peripherals.registers import InterruptVectors
+from repro.isa.assembler import Assembler
+from repro.peripherals.registers import InterruptVectors, PeripheralRegisters
 
 ER_MIN = 0xE000
 ER_INSIDE = 0xE010
@@ -147,6 +149,27 @@ class TestTracingOff:
         assert all(_settled(bench.monitor, bundle) for bundle in shown[1:])
 
 
+#: ER of the ``pox_config`` fixture (0xE000-0xE07F) run from ``ER_min``:
+#: stop the watchdog, NOPs up to the exit at 0xE07E, then sleep outside.
+SLEEP_AFTER_EXIT = ("MOV #0x5A80, &0x%04X\n" % PeripheralRegisters.WDTCTL
+                    + "NOP\n" * 60 + "exit: NOP\nBIS #0x10, SR\nNOP\n")
+
+
+def _logging_run_quiet(monkeypatch):
+    """Wrap ``CPU.run_quiet``; return its log of ``(steps settled, the
+    bundle that ended the stretch or None, the CPU's step count)``."""
+    stretches = []
+    run_quiet = CPU.run_quiet
+
+    def logging_run_quiet(cpu, limit, quiet):
+        ended = run_quiet(cpu, limit, quiet)
+        stretches.append((cpu.stretch[0], ended, cpu.step_count))
+        return ended
+
+    monkeypatch.setattr(CPU, "run_quiet", logging_run_quiet)
+    return stretches
+
+
 #: ``(steps after ER entry, byte)`` of the four UART commands an exchange
 #: of the ``pox`` benchmark's shape (500 samples) serves inside ER.
 COMMANDS = ((120, 0x11), (700, 0x22), (1300, 0x33), (1900, 0x44))
@@ -156,17 +179,7 @@ class TestStretches:
     def test_an_exchange_settles_its_quiet_steps_in_twelve_calls(self, monkeypatch):
         bench = _sensor_bench(False, samples=500)
         device = bench.device
-        # (steps settled, the bundle that ended the stretch or None, the
-        # CPU's step count when the call returned)
-        stretches = []
-        run_quiet = CPU.run_quiet
-
-        def logging_run_quiet(cpu, limit, quiet):
-            ended = run_quiet(cpu, limit, quiet)
-            stretches.append((cpu.stretch[0], ended, cpu.step_count))
-            return ended
-
-        monkeypatch.setattr(CPU, "run_quiet", logging_run_quiet)
+        stretches = _logging_run_quiet(monkeypatch)
         seen = _observing(monkeypatch)
         due = []
 
@@ -195,6 +208,30 @@ class TestStretches:
         assert [count + offset + 1 for _, bundle, count in stretches
                 if bundle is None] == due
         assert bench.protocol.verify(bench.protocol.attest()).accepted
+
+    def test_the_sleep_after_the_exit_is_settled_in_one_call(self, monkeypatch,
+                                                            pox_config):
+        device = Device(DeviceConfig(trace_enabled=False))
+        image = Assembler().assemble(".section .text\n" + SLEEP_AFTER_EXIT,
+                                     section_addresses={".text": ER_MIN})
+        image.write_to(device.memory)
+        device.ivt.set_reset_vector(ER_MIN)
+        device.reset()
+        monitor = device.attach_monitor(AsapMonitor(pox_config))
+        assert image.symbol("exit") == pox_config.executable.er_max
+        stretches = _logging_run_quiet(monkeypatch)
+        seen = _observing(monkeypatch)
+        assert device.run(200) == 200
+        assert device.cpu.sleeping
+        # The monitor sees ER_min, the dirty-branch step after the
+        # watchdog stop and the exit (step 62).  One stretch ends at the
+        # exit; the next settles the BIS and every idle step after it,
+        # up to the call's end: 138 steps, not one call per idle step.
+        assert [bundle.cycle for _, bundle in seen] == [1, 2, 62]
+        assert [(settled, ended) for settled, ended, _ in stretches] == [
+            (59, seen[-1][1]), (138, None)]
+        assert monitor.exec_flag and monitor.execution_completed
+        assert not monitor.violations
 
 
 def _bundle(pc, next_pc, **signals):
