@@ -70,9 +70,8 @@ def cluster_demo():
     print("\n--- sharded fleet (2 services, 8 devices) ---")
     fleet = Fleet(8, shards=2, architecture="asap")
     report = fleet.run(exchanges_per_device=4, mix=("ra",))
-    print("exchanges: %d  accepted: %d  rejected: %d  timed out: %d"
-          % (report.exchanges, report.accepted, report.rejected,
-             report.timed_out))
+    print("exchanges: %d  accepted: %d  rejected: %d"
+          % (report.exchanges, report.accepted, report.rejected))
     for number, service in enumerate(fleet.services):
         print("  service-%d devices=%d challenges=%d accepted=%d pending=%d"
               % (number, len(service.verifier.key_store.device_ids()),

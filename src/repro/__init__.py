@@ -85,9 +85,7 @@ _EXPORTS = {
     "use_registry": "repro.obs.metrics",
     "Fleet": "repro.net.fleet",
     "FleetReport": "repro.net.fleet",
-    "LinkConditions": "repro.net.transport",
     "ProverEndpoint": "repro.net.prover",
-    "RetryPolicy": "repro.net.rpc",
     "VerifierService": "repro.net.service",
 }
 

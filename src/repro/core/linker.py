@@ -82,9 +82,9 @@ class LinkedFirmware:
         """Flash the image and program the IVT on *device*."""
         self.image.write_to(device.memory)
         for index, address in self.ivt_vectors.items():
-            device.ivt.set_vector(index, address, load_time=True)
+            device.ivt.set_vector(index, address)
         if self.reset_vector is not None:
-            device.ivt.set_reset_vector(self.reset_vector, load_time=True)
+            device.ivt.set_reset_vector(self.reset_vector)
         return self
 
     def er_bytes(self, memory):

@@ -165,7 +165,7 @@ def _ivt_spoof_unused_vector_into_er() -> AttackOutcome:
     # write happens outside the protected window (load time), so EXEC can
     # still be 1 -- this is exactly the case the verifier-side IVT policy
     # check must catch.
-    bench.device.ivt.set_vector(4, bench.executable.er_min + 6, load_time=True)
+    bench.device.ivt.set_vector(4, bench.executable.er_min + 6)
     result = bench.run_pox()
     return _outcome("ivt-vector-spoofed-into-er", result, bench.monitor)
 

@@ -13,7 +13,6 @@ _EXPORTS = {
     "MemoryRegion": "repro.memory.layout",
     "MemoryLayout": "repro.memory.layout",
     "Memory": "repro.memory.memory",
-    "MemoryAccess": "repro.memory.memory",
     "MemoryError": "repro.memory.memory",
     "InterruptVectorTable": "repro.memory.ivt",
     "IVT_BASE": "repro.memory.ivt",

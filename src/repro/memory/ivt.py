@@ -66,23 +66,19 @@ class InterruptVectorTable:
         """Return the handler address programmed for vector *index*."""
         return self._memory.peek_word(self.entry_address(index))
 
-    def set_vector(self, index, handler_address, load_time=True):
+    def set_vector(self, index, handler_address):
         """Program vector *index* to point at *handler_address*.
 
-        ``load_time=True`` uses the load-time store (no bus traffic and
-        therefore invisible to the monitors), modelling firmware flashing;
-        ``load_time=False`` performs a run-time CPU write, which the ASAP
-        IVT guard will flag during a proof of execution.
+        A load-time store, modelling firmware flashing: no bus traffic,
+        so no monitor sees it.  A run-time software write that the ASAP
+        IVT guard must flag goes through
+        :meth:`~repro.device.mcu.Device.write_word_as_cpu` instead.
         """
-        address = self.entry_address(index)
-        if load_time:
-            self._memory.load_word(address, handler_address & 0xFFFF)
-        else:
-            self._memory.write_word(address, handler_address & 0xFFFF)
+        self._memory.load_word(self.entry_address(index), handler_address & 0xFFFF)
 
-    def set_reset_vector(self, handler_address, load_time=True):
+    def set_reset_vector(self, handler_address):
         """Program the reset vector (index 15)."""
-        self.set_vector(RESET_VECTOR_INDEX, handler_address, load_time)
+        self.set_vector(RESET_VECTOR_INDEX, handler_address)
 
     def get_reset_vector(self):
         """Return the reset vector value."""

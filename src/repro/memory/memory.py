@@ -1,18 +1,18 @@
-"""Byte-addressable 64 KiB memory with access recording.
+"""Byte-addressable 64 KiB memory.
 
 The memory itself is policy-free: it performs every read and write it is
 asked to.  Security policies (VRASED key access control, APEX/ASAP ER-,
 OR- and IVT-protection) are enforced by the hardware-monitor modules,
 which observe the per-cycle signal bundle produced by the CPU and DMA
-engine rather than by intercepting memory traffic.  The optional watcher
-hooks here exist for debugging and for tests that want to assert on raw
-traffic.
+engine rather than by intercepting memory traffic.  So a store made by
+calling this class directly, outside an instruction, is invisible to
+them; a software write the monitors must see goes through
+:meth:`~repro.device.mcu.Device.write_word_as_cpu`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.memory.layout import ADDRESS_MASK, ADDRESS_SPACE_SIZE
 
@@ -21,29 +21,16 @@ class MemoryError(Exception):
     """Raised on malformed memory operations (bad address/width)."""
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
-    """A single observed memory access (for watchers and tests)."""
-
-    address: int
-    value: int
-    size: int
-    is_write: bool
-    initiator: str = "cpu"
-
-
 class Memory:
     """A flat 64 KiB little-endian memory.
 
-    ``load_bytes``/``load_words`` model load-time programming (flashing)
-    and bypass the watcher hooks; ``read_*``/``write_*`` model run-time
-    bus traffic.
+    ``load_bytes``/``load_word``/``fill`` model load-time programming
+    (flashing); ``read_*``/``write_*`` model run-time bus traffic, the
+    loads and stores of compiled instructions.
 
-    Besides the (heavyweight, debug-oriented) watcher hooks, the memory
-    offers a *write-listener* path: a listener is called as
-    ``listener(address, length)`` for **every** mutation, including
-    load-time programming and DMA stores, with no per-access object
-    allocation.  The decoded-instruction cache uses it to invalidate
+    A *write listener* is called as ``listener(address, length)`` for
+    **every** mutation, including load-time programming and DMA
+    stores.  The decoded-instruction cache uses it to invalidate
     entries covering rewritten code.
     """
 
@@ -52,30 +39,15 @@ class Memory:
             raise MemoryError("invalid memory size %r" % (size,))
         self._data = bytearray([fill & 0xFF]) * size
         self._size = size
-        self._watchers: List[Callable[[MemoryAccess], None]] = []
         self._write_listeners: List[Callable[[int, int], None]] = []
-
-    # ------------------------------------------------------------ watchers
-
-    def add_watcher(self, callback):
-        """Register *callback* to be invoked with every :class:`MemoryAccess`."""
-        self._watchers.append(callback)
-
-    def remove_watcher(self, callback):
-        """Remove a previously registered watcher."""
-        self._watchers.remove(callback)
-
-    def _notify(self, access):
-        for watcher in self._watchers:
-            watcher(access)
 
     # ------------------------------------------------------- write listeners
 
     def add_write_listener(self, callback):
         """Register ``callback(address, length)`` for every mutation.
 
-        Unlike watchers, write listeners also fire for load-time
-        programming (``load_bytes``/``load_word``/``fill``) so caches of
+        Write listeners fire for load-time programming
+        (``load_bytes``/``load_word``/``fill``) too, so caches of
         decoded memory contents can never go stale.
         """
         self._write_listeners.append(callback)
@@ -110,40 +82,31 @@ class Memory:
     # like ``peek_*``, they inline the in-range test and call _check
     # only to raise on an access past the end of a smaller memory.
 
-    def read_byte(self, address, initiator="cpu"):
+    def read_byte(self, address):
         """Read one byte."""
         address &= ADDRESS_MASK
         if address >= self._size:
             self._check(address, 1)
-        value = self._data[address]
-        if self._watchers:
-            self._notify(MemoryAccess(address, value, 1, False, initiator))
-        return value
+        return self._data[address]
 
-    def write_byte(self, address, value, initiator="cpu"):
+    def write_byte(self, address, value):
         """Write one byte."""
         address &= ADDRESS_MASK
         if address >= self._size:
             self._check(address, 1)
-        value &= 0xFF
-        self._data[address] = value
-        if self._watchers:
-            self._notify(MemoryAccess(address, value, 1, True, initiator))
+        self._data[address] = value & 0xFF
         if self._write_listeners:
             self._notify_write(address, 1)
 
-    def read_word(self, address, initiator="cpu"):
+    def read_word(self, address):
         """Read a 16-bit little-endian word (address is forced even)."""
         address &= 0xFFFE
         if address + 2 > self._size:
             self._check(address, 2)
         data = self._data
-        value = data[address] | (data[address + 1] << 8)
-        if self._watchers:
-            self._notify(MemoryAccess(address, value, 2, False, initiator))
-        return value
+        return data[address] | (data[address + 1] << 8)
 
-    def write_word(self, address, value, initiator="cpu"):
+    def write_word(self, address, value):
         """Write a 16-bit little-endian word (address is forced even)."""
         address &= 0xFFFE
         if address + 2 > self._size:
@@ -152,15 +115,13 @@ class Memory:
         data = self._data
         data[address] = value & 0xFF
         data[address + 1] = (value >> 8) & 0xFF
-        if self._watchers:
-            self._notify(MemoryAccess(address, value, 2, True, initiator))
         if self._write_listeners:
             self._notify_write(address, 2)
 
     # ------------------------------------------------------------ programming
 
     def load_bytes(self, address, data):
-        """Store *data* starting at *address* without watcher notification."""
+        """Store *data* starting at *address* at load time."""
         address = self._check(address, max(len(data), 1))
         self._data[address : address + len(data)] = bytes(data)
         if self._write_listeners:
@@ -175,7 +136,7 @@ class Memory:
             self._notify_write(address, 2)
 
     def peek_byte(self, address):
-        """Read one byte without watcher notification (debug/attestation)."""
+        """Read one byte (instruction fetch, peripherals, attestation)."""
         # Hot path (CPU fetch, peripheral register polls): inline the
         # bounds check instead of calling _check.
         address &= ADDRESS_MASK
@@ -184,7 +145,7 @@ class Memory:
         return self._data[self._check(address, 1)]
 
     def peek_word(self, address):
-        """Read one word without watcher notification (debug/attestation)."""
+        """Read one word (instruction fetch, peripherals, attestation)."""
         address &= 0xFFFE
         if address + 2 <= self._size:
             data = self._data
@@ -208,7 +169,7 @@ class Memory:
         the view was taken is visible through it (that is what makes it
         zero-copy).  Take ``bytes(view)`` -- or use :meth:`dump` -- for
         a stable snapshot.  The view is read-only, so callers cannot
-        mutate memory behind the watcher/write-listener machinery, and
+        mutate memory behind the write listeners' backs, and
         it must be released (dropped) before the backing store can be
         resized.  The attestation fast path streams these views into
         the HMAC instead of concatenating region copies.

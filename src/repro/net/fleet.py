@@ -5,11 +5,10 @@ instances (one by default), builds *size* simulated devices (each a full
 :class:`~repro.firmware.testbench.PoxTestbench` device with its own
 monitor), provisions device *i* into service ``i % shards``, connects a
 :class:`~repro.net.prover.ProverEndpoint` per device to that same
-service over an in-process loopback pair, optionally impaired with
-:class:`~repro.net.transport.LinkConditions`, and drives sustained
-mixed RA/PoX traffic with per-exchange deadlines, all on the caller's
-event loop.  ``Fleet(32).run()`` is the "thousands of provers, one
-verifier" shape of the paper's deployment story scaled to a unit test;
+service over an in-process loopback pair, and drives sustained mixed
+RA/PoX traffic, all on the caller's event loop.  ``Fleet(32).run()`` is
+the "thousands of provers, one verifier" shape of the paper's
+deployment story scaled to a unit test;
 ``Fleet(32, shards=2)`` splits the same devices between two services
 that share no state (each has its own key store and challenge table).
 ``benchmarks/test_bench_fleet.py`` sweeps the fleet size and records
@@ -19,17 +18,15 @@ exchanges/sec into ``BENCH_fleet.json``.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.firmware.blinker import blinker_firmware
 from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.net.prover import ExchangeResult, ProverEndpoint
-from repro.net.rpc import RetryPolicy
 from repro.net.service import VerifierService
-from repro.net.transport import LinkConditions, loopback_pair
+from repro.net.transport import loopback_pair
 from repro.obs.metrics import get_registry
 
 #: Default exchange mix: alternate plain RA with proofs of execution.
@@ -37,40 +34,6 @@ DEFAULT_MIX = ("ra", "pox")
 
 #: Exchange kinds a mix may name.
 EXCHANGE_KINDS = ("ra", "pox")
-
-
-def check_loss_bounded(conditions: Optional[LinkConditions],
-                       deadline: Optional[float],
-                       retry: Optional[RetryPolicy]):
-    """Refuse lossy or reordering links that no bound covers.
-
-    A dropped (or indefinitely held) message would leave its prover
-    awaiting a reply forever.  Either bound: a per-exchange deadline
-    turns loss into a clean timeout, a bounded retry schedule exhausts
-    into one -- but with neither (or an unlimited retry schedule and no
-    deadline) a run could hang, so the configuration is refused up
-    front when the :class:`Fleet` is built.
-    """
-    if (conditions is not None and (conditions.loss or conditions.reorder)
-            and deadline is None
-            and (retry is None or not retry.bounded)):
-        raise ValueError(
-            "lossy/reordering link conditions require a per-exchange "
-            "deadline or a bounded retry policy (got conditions=%r "
-            "with deadline=None, retry=%r)" % (conditions, retry))
-
-
-def link_conditions(conditions: Optional[LinkConditions],
-                    index: int) -> Optional[LinkConditions]:
-    """Prover *index*'s impairments: same parameters, own draws.
-
-    Every link gets its own seed (``seed + 1000 * index``); correlated
-    randomness would make one unlucky loss pattern strike the whole
-    fleet in lockstep.
-    """
-    if conditions is None:
-        return None
-    return dataclasses.replace(conditions, seed=conditions.seed + 1000 * index)
 
 
 def build_prover_bench(firmware, architecture, device_id,
@@ -104,9 +67,6 @@ class FleetReport:
     exchanges: int = 0
     accepted: int = 0
     rejected: int = 0
-    timed_out: int = 0
-    #: Requests retransmitted by the retry layer across all provers.
-    retransmits: int = 0
     elapsed_seconds: float = 0.0
     #: Exchange counts per kind ("ra", "apex", "asap").
     per_kind: Dict[str, int] = field(default_factory=dict)
@@ -115,7 +75,8 @@ class FleetReport:
     pending_challenges_after: int = 0
     #: How much each of the services' own counters grew over this run,
     #: summed, for cross-checking: ``service_counters["challenges"]``
-    #: equals ``exchanges`` on a lossless run, also for a reused fleet.
+    #: equals ``exchanges`` when every exchange got its challenge, also
+    #: for a reused fleet.
     service_counters: Dict[str, int] = field(default_factory=dict)
     results: List[ExchangeResult] = field(default_factory=list)
 
@@ -138,8 +99,6 @@ class FleetReport:
         registry.gauge("fleet.exchanges").set(self.exchanges)
         registry.gauge("fleet.accepted").set(self.accepted)
         registry.gauge("fleet.rejected").set(self.rejected)
-        registry.gauge("fleet.timed_out").set(self.timed_out)
-        registry.gauge("fleet.retransmits").set(self.retransmits)
         registry.gauge("fleet.elapsed_seconds").set(self.elapsed_seconds)
         registry.gauge("fleet.pending_challenges_after").set(
             self.pending_challenges_after)
@@ -151,21 +110,14 @@ class Fleet:
     """Builds and drives a fleet of provers against ``shards`` services."""
 
     def __init__(self, size: int, shards: int = 1, architecture: str = "asap",
-                 firmware=None,
-                 conditions: Optional[LinkConditions] = None,
-                 deadline: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None):
+                 firmware=None):
         if size < 1:
             raise ValueError("fleet size must be >= 1, got %r" % size)
         if shards < 1:
             raise ValueError("shards must be >= 1, got %r" % shards)
-        check_loss_bounded(conditions, deadline, retry)
         self.size = size
         self.architecture = architecture
         self.firmware = firmware
-        self.conditions = conditions
-        self.deadline = deadline
-        self.retry = retry
         self.services = [VerifierService() for _ in range(shards)]
         self.benches: List[PoxTestbench] = []
 
@@ -198,14 +150,13 @@ class Fleet:
             self.benches.append(bench)
 
     def _connect(self, bench, index) -> ProverEndpoint:
-        client, server_side = loopback_pair(
-            link_conditions(self.conditions, index))
+        client, server_side = loopback_pair()
         task = asyncio.ensure_future(
             self._service_for(index).serve(server_side))
         self._serve_tasks.append((task, server_side))
         return ProverEndpoint(
             bench.config.device_id, bench.device, bench.protocol.device_key,
-            client, protocol=bench.protocol, retry=self.retry,
+            client, protocol=bench.protocol,
         )
 
     # ------------------------------------------------------------ traffic
@@ -240,29 +191,23 @@ class Fleet:
                 for prover in provers
             ])
             elapsed = time.perf_counter() - started
-            retransmits = sum(prover.retransmits for prover in provers)
         finally:
             for prover in provers:
                 await prover.close()
-            for task, server_side in self._serve_tasks:
+            # A closed endpoint fails its own serve loop's waiting recv,
+            # so every loop returns by itself.
+            for _, server_side in self._serve_tasks:
                 await server_side.close()
-                task.cancel()
-            if self._serve_tasks:
-                await asyncio.gather(
-                    *(task for task, _ in self._serve_tasks),
-                    return_exceptions=True,
-                )
+            await asyncio.gather(*(task for task, _ in self._serve_tasks))
 
         report = FleetReport(fleet_size=self.size,
                              shard_count=len(self.services),
-                             elapsed_seconds=elapsed, retransmits=retransmits)
+                             elapsed_seconds=elapsed)
         for result in (result for per_prover in outcomes for result in per_prover):
             report.results.append(result)
             report.exchanges += 1
             report.per_kind[result.kind] = report.per_kind.get(result.kind, 0) + 1
-            if result.timed_out:
-                report.timed_out += 1
-            elif result.accepted:
+            if result.accepted:
                 report.accepted += 1
             else:
                 report.rejected += 1
@@ -278,9 +223,8 @@ class Fleet:
         results = []
         for n in range(count):
             if mix[n % len(mix)] == "ra":
-                result = await prover.run_attestation(deadline=self.deadline)
+                result = await prover.run_attestation()
             else:
-                result = await prover.run_pox(deadline=self.deadline,
-                                              max_steps=max_steps)
+                result = await prover.run_pox(max_steps=max_steps)
             results.append(result)
         return results

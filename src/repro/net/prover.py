@@ -3,7 +3,7 @@
 :class:`ProverEndpoint` wraps one simulated device (plus, for PoX, its
 monitor and protocol object) and drives complete exchanges against a
 :class:`~repro.net.service.VerifierService` over a
-:class:`~repro.net.transport.MessageTransport`:
+:class:`~repro.net.transport.LoopbackTransport`:
 
 * plain RA: request a challenge, authenticate the request token with
   the device key, run SW-Att over the attested regions, send the
@@ -12,28 +12,19 @@ monitor and protocol object) and drives complete exchanges against a
   executable region on the simulated device, attest META/ER/OR (and
   the IVT for ASAP), send the report, await the verdict.
 
-Every exchange can carry a **deadline**: the whole request-to-verdict
-round trip runs under ``asyncio.wait_for``, and a timeout yields an
-:class:`ExchangeResult` with ``timed_out=True`` instead of an
-exception -- on a lossy or slow link that is an expected outcome, and
-the verifier's TTL'd challenge table absorbs the abandoned challenge.
-
-Exchanges can additionally carry a :class:`~repro.net.rpc.RetryPolicy`:
-each request is then retransmitted with exponentially growing reply
-windows *inside* the deadline, so one dropped message costs one attempt
-timeout instead of the whole exchange.  The service deduplicates
-retransmits by ``seq``, so retried requests are executed at most once.
+The loopback link loses nothing, so every exchange ends in the
+service's verdict or an error reply, returned as an
+:class:`ExchangeResult`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.net.rpc import RetryPolicy, RpcChannel
-from repro.net.transport import MessageTransport
+from repro.net.rpc import RpcChannel
+from repro.net.transport import LoopbackTransport
 from repro.vrased.protocol import AttestationRequest
 from repro.vrased.swatt import SwAtt
 
@@ -45,7 +36,6 @@ class ExchangeResult:
     kind: str
     accepted: bool = False
     reason: str = ""
-    timed_out: bool = False
     elapsed_seconds: float = 0.0
 
     def __bool__(self):
@@ -55,16 +45,19 @@ class ExchangeResult:
 class ProverEndpoint:
     """One device's client to the verifier service."""
 
+    #: Requests retransmitted: always 0, since the loopback link loses
+    #: no message; ``perfbench``'s ``net.retransmits`` sums it.
+    retransmits = 0
+
     def __init__(self, device_id, device, device_key,
-                 transport: MessageTransport,
+                 transport: LoopbackTransport,
                  attested_regions: Optional[Sequence] = None,
-                 protocol=None, retry: Optional[RetryPolicy] = None):
+                 protocol=None):
         """``attested_regions`` are what plain RA measures (default: the
         device's program memory); ``protocol`` is the device's
         :class:`~repro.apex.pox.PoxProtocol` (or the ASAP subclass) for
         PoX exchanges -- only its prover-side half is used, the
-        verifier side lives behind the transport.  ``retry`` enables
-        bounded retransmission of every request on this endpoint.
+        verifier side lives behind the transport.
         """
         self.device_id = device_id
         self.device = device
@@ -78,64 +71,40 @@ class ProverEndpoint:
         self.protocol = protocol
         #: One round trip at a time per endpoint (a device attests
         #: serially; fleet concurrency lives across endpoints).
-        self.rpc = RpcChannel(transport, retry=retry)
-
-    # ------------------------------------------------------------ rpc
-
-    @property
-    def retransmits(self) -> int:
-        """Requests this endpoint has retransmitted so far."""
-        return self.rpc.retransmits
-
-    async def _rpc(self, message) -> dict:
-        return await self.rpc.call(message)
+        self.rpc = RpcChannel(transport)
 
     # ------------------------------------------------------------ exchanges
 
-    async def run_attestation(self, deadline: Optional[float] = None) -> ExchangeResult:
-        """One complete RA exchange; never raises on timeout."""
-        return await self._with_deadline("ra", self._attestation_flow(), deadline)
+    async def run_attestation(self) -> ExchangeResult:
+        """One complete RA exchange."""
+        return await self._timed("ra", self._attestation_flow())
 
-    async def run_pox(self, deadline: Optional[float] = None,
-                      max_steps: int = 20000) -> ExchangeResult:
+    async def run_pox(self, max_steps: int = 20000) -> ExchangeResult:
         """One complete PoX exchange (APEX or ASAP per the protocol)."""
         if self.protocol is None:
             raise RuntimeError("this endpoint has no PoX protocol attached")
         kind = self.protocol.architecture
-        return await self._with_deadline(kind, self._pox_flow(max_steps), deadline)
+        return await self._timed(kind, self._pox_flow(max_steps))
 
     async def stats(self) -> dict:
         """Fetch the service-side counters."""
-        return await self._rpc({"kind": "stats"})
+        return await self.rpc.call({"kind": "stats"})
 
     async def close(self):
         await self.transport.close()
 
     # ------------------------------------------------------------ flows
 
-    async def _with_deadline(self, kind, flow, deadline) -> ExchangeResult:
+    async def _timed(self, kind, flow) -> ExchangeResult:
         started = time.perf_counter()
-        try:
-            if deadline is not None:
-                result = await asyncio.wait_for(flow, timeout=deadline)
-            else:
-                result = await flow
-        except asyncio.TimeoutError as error:
-            # Either the outer deadline fired, or (with no deadline set)
-            # a bounded retry schedule was exhausted and RpcTimeout --
-            # an asyncio.TimeoutError subclass -- surfaced here.
-            reason = ("deadline of %.3fs exceeded" % deadline
-                      if deadline is not None
-                      else (str(error) or "retry attempts exhausted"))
-            result = ExchangeResult(kind=kind, timed_out=True, reason=reason)
-        else:
-            result.kind = kind
+        result = await flow
+        result.kind = kind
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
     async def _request_challenge(self):
         """Shared step 1: obtain and authenticate a challenge."""
-        reply = await self._rpc({"kind": "attest", "device_id": self.device_id})
+        reply = await self.rpc.call({"kind": "attest", "device_id": self.device_id})
         if reply["kind"] != "challenge":
             return None, ExchangeResult(kind="", reason=reply.get("reason", "service error"))
         request = AttestationRequest(challenge=reply["challenge"],
@@ -147,7 +116,7 @@ class ProverEndpoint:
 
     async def _submit(self, protocol_name, report) -> ExchangeResult:
         """Shared step 3/4: send the report, await the verdict."""
-        reply = await self._rpc({"kind": "report", "protocol": protocol_name,
+        reply = await self.rpc.call({"kind": "report", "protocol": protocol_name,
                                  "report": report})
         if reply["kind"] != "verdict":
             return ExchangeResult(kind="", reason=reply.get("reason", "service error"))

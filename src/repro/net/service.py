@@ -3,7 +3,7 @@
 :class:`VerifierService` owns a single :class:`~repro.vrased.protocol.Verifier`
 (one key store, one bounded issued-challenge table) plus an APEX and an
 ASAP PoX verifier layered over it, and serves attestation traffic over
-any number of :class:`~repro.net.transport.MessageTransport`
+any number of :class:`~repro.net.transport.LoopbackTransport`
 connections concurrently: each connection has one :meth:`serve` loop,
 and the loops of thousands of provers interleave on one event loop.
 Within a connection, requests are served in arrival order, each one
@@ -29,18 +29,18 @@ in-process, through its ``asap`` or ``apex`` verifier and
 ``seq`` is an opaque correlation id echoed verbatim, so a client may
 pipeline several requests over one connection (the bundled
 :class:`~repro.net.prover.ProverEndpoint` keeps one round trip in
-flight at a time and uses ``seq`` to shed stale replies from timed-out
-exchanges).
+flight at a time and uses ``seq`` to shed the stale reply of a call it
+cancelled).
 
 Requests are served **at most once per ``seq``**: :meth:`serve` keeps a
-bounded per-connection reply cache, so a retransmitted request (the
-retry layer in :mod:`repro.net.rpc` re-sends the same message when a
-reply window closes) gets the *original* reply re-sent instead of being
-executed again.  Without this, a retransmitted ``attest`` would issue a
-second challenge and a retransmitted ``report`` would hit "unknown or
-stale challenge" -- the challenge having been consumed by the verdict
-whose reply was lost -- so the dedup cache is what makes "challenge
-consumed exactly once" hold on lossy links.
+bounded per-connection reply cache, so a request that repeats a
+``seq`` already answered gets the *original* reply re-sent instead of
+being executed again.  A prover is outside the verifier's trust
+boundary, and nothing stops it from sending a request twice: without
+the cache, a repeated ``attest`` would issue a second challenge and a
+repeated ``report`` would hit "unknown or stale challenge" -- the
+challenge having been consumed by the first verdict -- so the cache is
+what makes "one execution per ``seq``" hold whatever the prover sends.
 
 The service is only viable on the *fixed* verifier semantics: because a
 challenge is consumed on every terminal verdict and expired entries are
@@ -57,7 +57,7 @@ from typing import Dict, Optional
 
 from repro.apex.pox import PoxVerifier
 from repro.core.pox import AsapPoxVerifier
-from repro.net.transport import ClosedTransportError, MessageTransport
+from repro.net.transport import ClosedTransportError, LoopbackTransport
 from repro.obs.metrics import register_global_collector
 from repro.vrased.protocol import Verifier
 
@@ -65,7 +65,8 @@ from repro.vrased.protocol import Verifier
 #: Protocol names a ``report`` message may carry.
 REPORT_PROTOCOLS = ("ra", "apex", "asap")
 
-#: Completed replies remembered per connection for retransmit dedup.
+#: Completed replies remembered per connection, to answer a repeated
+#: ``seq`` without executing it again.
 REPLY_CACHE_SIZE = 256
 
 
@@ -85,7 +86,7 @@ class VerifierService:
         self.apex = PoxVerifier(self.verifier)
         self.asap = AsapPoxVerifier(self.verifier)
         #: Service counters: challenges issued, verdicts by outcome and
-        #: retransmitted requests deduplicated.
+        #: repeated requests answered from the reply cache.
         self.counters: Dict[str, int] = {
             "challenges": 0, "accepted": 0, "rejected": 0, "errors": 0,
             "duplicates": 0,
@@ -151,8 +152,8 @@ class VerifierService:
 
     # ------------------------------------------------------------ serving
 
-    async def serve(self, transport: MessageTransport):
-        """Serve one prover connection until it closes.
+    async def serve(self, transport: LoopbackTransport):
+        """Serve one prover connection until either end closes it.
 
         One loop: read a request, :meth:`handle` it, send the reply,
         read the next.  Slow exchanges on one connection never stall
@@ -162,11 +163,11 @@ class VerifierService:
 
         Every reply to a request with a ``seq`` goes into a bounded
         per-connection reply cache, and a request whose ``seq`` is
-        cached is a retransmit: it is answered with the cached original
+        cached is a duplicate: it is answered with the cached original
         reply and counted in ``duplicates``, never executed again.  A
         request is answered before the next one is read, so every
-        retransmit finds its original's reply there (unless
-        :data:`REPLY_CACHE_SIZE` newer ones pushed it out): a retried
+        duplicate finds its original's reply there (unless
+        :data:`REPLY_CACHE_SIZE` newer ones pushed it out): a repeated
         ``report`` cannot burn two challenges or flip a verdict.
         """
         counters = self.counters

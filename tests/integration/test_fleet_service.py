@@ -5,7 +5,7 @@ and PoX exchanges through one asyncio :class:`VerifierService` over a
 loopback transport, every failure path lands on the intended
 rejection reason, and the (fixed) issued-challenge table is empty once
 the traffic drains -- under load, after rejections, and after
-timeouts age out.
+abandoned challenges age out.
 """
 
 import asyncio
@@ -15,13 +15,14 @@ import pytest
 from repro.firmware.blinker import blinker_firmware
 from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.net import (
+    ClosedTransportError,
     Fleet,
-    LinkConditions,
     ProverEndpoint,
     VerifierService,
     build_prover_bench,
     loopback_pair,
 )
+from repro.vrased.protocol import Verifier
 from repro.vrased.swatt import AttestationReport
 
 
@@ -29,8 +30,7 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-def make_prover(service, device_id="prover-0001", architecture="asap",
-                conditions=None):
+def make_prover(service, device_id="prover-0001", architecture="asap"):
     """One provisioned testbench device connected over loopback."""
     shared = service.asap if architecture == "asap" else service.apex
     bench = PoxTestbench(
@@ -42,7 +42,7 @@ def make_prover(service, device_id="prover-0001", architecture="asap",
         (bench.device.layout.program,
          bench.device.memory.dump_region(bench.device.layout.program)),
     ])
-    client, server_side = loopback_pair(conditions)
+    client, server_side = loopback_pair()
     prover = ProverEndpoint(device_id, bench.device, bench.protocol.device_key,
                             client, protocol=bench.protocol)
     return bench, prover, server_side
@@ -126,6 +126,60 @@ class TestVerifierService:
 
         service = run(body())
         assert service.counters["errors"] == 0
+
+    def test_serve_returns_when_its_own_endpoint_closes(self):
+        # Closing the service's side ends its serve loop by itself: no
+        # cancel, and the prover's side still open.
+        async def body():
+            service = VerifierService()
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            await client.send({"kind": "stats", "seq": 0})
+            assert (await client.recv())["kind"] == "stats"
+            await server_side.close()
+            await asyncio.wait_for(serve, timeout=1.0)
+            return serve
+
+        serve = run(body())
+        assert not serve.cancelled() and serve.result() is None
+
+    @pytest.mark.parametrize("kind", ["ra", "pox"])
+    def test_an_exchange_with_a_closed_service_raises_instead_of_hanging(
+            self, kind):
+        # The link loses nothing, so an exchange has no deadline: one
+        # whose service side went away ends with the close.
+        async def body():
+            service = VerifierService()
+            bench, prover, server_side = make_prover(service)
+            await server_side.close()
+            exchange = (prover.run_attestation() if kind == "ra"
+                        else prover.run_pox())
+            with pytest.raises(ClosedTransportError):
+                await asyncio.wait_for(exchange, timeout=1.0)
+            await prover.close()
+            return service, bench
+
+        service, bench = run(body())
+        assert service.counters["challenges"] == 0
+        assert not bench.exec_flag  # the ER never ran
+
+    def test_a_prover_counts_no_retransmits(self):
+        # ``perfbench`` sums ``retransmits`` over its provers; a
+        # lossless link never resends a request.
+        async def body():
+            service = VerifierService()
+            _bench, prover, server_side = make_prover(service)
+            serve = asyncio.ensure_future(service.serve(server_side))
+            results = [await prover.run_attestation(), await prover.run_pox()]
+            await prover.close()
+            await serve
+            return service, prover, results
+
+        service, prover, results = run(body())
+        assert all(result.accepted for result in results)
+        assert prover.retransmits == 0
+        assert service.counters["challenges"] == 2
+        assert service.counters["duplicates"] == 0
 
 
 class TestMessageKinds:
@@ -309,6 +363,58 @@ class TestProtocolFailurePaths:
         assert "challenge" in retried.reason
 
 
+class TestReplyCache:
+    """A prover may send a report twice under one ``seq``: the service
+    verifies it once and replays the verdict."""
+
+    def send_twice(self, first_report, second_report):
+        async def body():
+            service = VerifierService()
+            bench, prover, server_side = make_prover(service)
+            serve = asyncio.ensure_future(service.serve(server_side))
+            challenge, failure = await prover._request_challenge()
+            assert failure is None
+            good = prover.swatt.measure(
+                bench.device.memory, challenge, prover.attested_regions)
+            verdicts = []
+            for report in (first_report(good), second_report(good)):
+                await prover.transport.send({
+                    "kind": "report", "seq": 7, "protocol": "ra",
+                    "report": report})
+                verdicts.append(await asyncio.wait_for(
+                    prover.transport.recv(), timeout=1.0))
+            await prover.close()
+            await serve
+            return service, verdicts
+
+        return run(body())
+
+    def test_a_repeated_report_is_verified_once(self):
+        service, (first, second) = self.send_twice(
+            lambda good: good, lambda good: good)
+        assert first["kind"] == "verdict" and first["accepted"]
+        # Executed again, it would be "unknown or stale challenge".
+        assert second == first
+        assert service.counters["accepted"] == 1
+        assert service.counters["rejected"] == 0
+        assert service.counters["duplicates"] == 1
+        assert service.pending_challenges == 0
+
+    def test_a_repeated_seq_cannot_flip_a_rejection(self):
+        def forged(good):
+            return AttestationReport(device_id=good.device_id,
+                                     challenge=good.challenge,
+                                     measurement=b"\x00" * 32)
+
+        service, (first, second) = self.send_twice(forged, lambda good: good)
+        assert not first["accepted"]
+        assert first["reason"] == "measurement mismatch"
+        assert second == first
+        assert service.counters["accepted"] == 0
+        assert service.counters["rejected"] == 1
+        assert service.counters["duplicates"] == 1
+
+
 class TestConcurrentExchanges:
     def test_many_provers_interleave_through_one_service(self):
         async def body():
@@ -369,16 +475,6 @@ class TestConcurrentExchanges:
         with pytest.raises(ValueError, match="shards"):
             Fleet(2, shards=0)
 
-    def test_lossy_conditions_without_deadline_rejected(self):
-        # With neither a per-exchange deadline nor a bounded retry
-        # policy, a lossy link would hang run() on the first dropped
-        # message.
-        with pytest.raises(ValueError, match="deadline"):
-            Fleet(2, conditions=LinkConditions(loss=0.5))
-        with pytest.raises(ValueError, match="deadline"):
-            Fleet(2, conditions=LinkConditions(reorder=0.5))
-        Fleet(2, conditions=LinkConditions(delay=0.001))  # delay-only is safe
-
     def test_concurrent_exchanges_on_one_endpoint_serialise(self):
         # Two exchanges launched concurrently on a single endpoint must
         # both complete: the RPC lock keeps one round trip in flight,
@@ -400,56 +496,105 @@ class TestConcurrentExchanges:
         assert all(result.accepted for result in results)
         assert service.pending_challenges == 0
 
+    def test_a_fleet_run_ends_its_serve_loops_without_cancelling(self):
+        fleet = Fleet(3, shards=2)
 
-class TestDeadlinesAndImpairedLinks:
-    def test_deadline_times_out_on_slow_link(self):
         async def body():
-            service = VerifierService()
-            _bench, prover, server_side = make_prover(
-                service, conditions=LinkConditions(delay=0.2))
-            serve = asyncio.ensure_future(service.serve(server_side))
-            result = await prover.run_attestation(deadline=0.02)
-            await prover.close()
-            await serve
-            return service, result
+            report = await fleet.run_async(exchanges_per_device=2)
+            # Nothing of the run is left on the loop.
+            return report, asyncio.all_tasks() - {asyncio.current_task()}
 
-        service, result = run(body())
-        assert result.timed_out and not result.accepted
-        assert "deadline" in result.reason
+        report, leftover = run(body())
+        assert report.all_accepted()
+        assert leftover == set()
+        tasks = [task for task, _ in fleet._serve_tasks]
+        assert len(tasks) == 3
+        assert all(task.done() and not task.cancelled() for task in tasks)
 
+    def test_report_results_list_each_provers_exchanges_in_turn(self):
+        report = Fleet(2).run(exchanges_per_device=3, mix=("ra", "pox"))
+        assert report.all_accepted()
+        # Prover 0's three exchanges, then prover 1's, each in mix order.
+        assert [result.kind for result in report.results] == \
+            ["ra", "asap", "ra"] * 2
+
+
+class TestAbandonedExchanges:
     def test_abandoned_challenge_ages_out_of_table(self):
-        # A timed-out exchange leaves its challenge behind; the TTL
-        # prunes it, so even all-loss traffic cannot grow the table.
-        import itertools
-
-        clock = itertools.count()
+        # A prover that gets its challenge and goes away before
+        # reporting leaves the challenge behind; the TTL prunes it, so
+        # abandoned exchanges cannot grow the table.
+        now = [0.0]
 
         async def body():
-            from repro.vrased.protocol import Verifier
-
-            verifier = Verifier(challenge_ttl=5.0, clock=lambda: next(clock))
+            verifier = Verifier(challenge_ttl=5.0, clock=lambda: now[0])
             service = VerifierService(verifier)
-            _bench, prover, server_side = make_prover(
-                service, conditions=LinkConditions(loss=1.0))
+            _bench, prover, server_side = make_prover(service)
             serve = asyncio.ensure_future(service.serve(server_side))
-            result = await prover.run_attestation(deadline=0.02)
-            pending_right_after = service.pending_challenges
+            challenge, failure = await prover._request_challenge()
+            assert failure is None and challenge
             await prover.close()
             await serve
-            return service, result, pending_right_after
+            return service
 
-        service, result, pending_right_after = run(body())
-        assert result.timed_out
-        # The request itself was lost on the wire, so no challenge was
-        # ever issued -- or it was issued and the reply was lost; either
-        # way the table drains to zero once the TTL clock advances.
+        service = run(body())
+        assert service.counters["challenges"] == 1
+        now[0] = 4.0
+        assert service.pending_challenges == 1
+        now[0] = 6.0
         assert service.pending_challenges == 0
-        assert pending_right_after <= 1
 
-    def test_lossy_fleet_converges_with_timeouts_not_hangs(self):
-        fleet = Fleet(3, conditions=LinkConditions(loss=0.4, seed=3),
-                      deadline=0.05)
-        report = fleet.run(exchanges_per_device=3, mix=("ra",))
-        assert report.exchanges == 9
-        assert report.timed_out > 0  # the loss actually bit
-        assert report.accepted + report.rejected + report.timed_out == 9
+    def test_a_report_after_the_ttl_is_rejected_as_stale(self):
+        now = [0.0]
+
+        async def body():
+            verifier = Verifier(challenge_ttl=5.0, clock=lambda: now[0])
+            service = VerifierService(verifier)
+            bench, prover, server_side = make_prover(service)
+            serve = asyncio.ensure_future(service.serve(server_side))
+            challenge, failure = await prover._request_challenge()
+            assert failure is None
+            report = prover.swatt.measure(
+                bench.device.memory, challenge, prover.attested_regions)
+            now[0] = 6.0
+            verdict = await prover._submit("ra", report)
+            await prover.close()
+            await serve
+            return service, verdict
+
+        service, verdict = run(body())
+        assert not verdict.accepted
+        assert verdict.reason == "unknown or stale challenge"
+        assert service.counters["rejected"] == 1
+        assert service.pending_challenges == 0
+
+    def test_abandoned_challenges_drain_while_other_provers_complete(self):
+        now = [0.0]
+
+        async def body():
+            verifier = Verifier(challenge_ttl=5.0, clock=lambda: now[0])
+            service = VerifierService(verifier)
+            serves, provers = [], []
+            for index in range(4):
+                _bench, prover, server_side = make_prover(
+                    service, device_id="prover-%04d" % index)
+                serves.append(asyncio.ensure_future(service.serve(server_side)))
+                provers.append(prover)
+            *leaving, staying = provers
+            for prover in leaving:
+                challenge, failure = await prover._request_challenge()
+                assert failure is None and challenge
+                await prover.close()
+            results = [await staying.run_attestation(),
+                       await staying.run_pox()]
+            await staying.close()
+            await asyncio.gather(*serves)
+            return service, results
+
+        service, results = run(body())
+        assert all(result.accepted for result in results)
+        assert service.counters["challenges"] == 5
+        # The three abandoned challenges stay until the TTL passes.
+        assert service.pending_challenges == 3
+        now[0] = 6.0
+        assert service.pending_challenges == 0

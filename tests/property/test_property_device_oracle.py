@@ -403,7 +403,7 @@ def _program_side(device_class, program, register_values, trace, gie, monitors,
     device.memory.load_word(HANDLER, RETI)
     device.ivt.set_reset_vector(BASE)
     for source in INTERRUPT_SOURCES:
-        device.ivt.set_vector(source, HANDLER, load_time=True)
+        device.ivt.set_vector(source, HANDLER)
     device.reset()
     for register in (PeripheralRegisters.P1IE, PeripheralRegisters.P5IE,
                      PeripheralRegisters.URCTL):

@@ -133,10 +133,10 @@ PUBLIC_NAMES = {
         AttestationProtocol CampaignResult CampaignRunner
         Device DeviceConfig DeviceKey ErLinker ExecutableRegion
         Fleet FleetReport Hmac HmacKey InterruptVectorTable IvtGuard KeyStore
-        KripkeStructure LinkConditions LinkedFirmware Memory MemoryLayout MemoryRegion
+        KripkeStructure LinkedFirmware Memory MemoryLayout MemoryRegion
         MetadataRegion MetricsRegistry ModelChecker OutputRegion PoxConfig
         PoxProtocol PoxResult PoxTestbench PoxVerifier ProverEndpoint
-        RetryPolicy Scenario ScenarioResult SwAtt
+        Scenario ScenarioResult SwAtt
         TestbenchConfig TraceRecorder Tracer Verifier VerifierService VrasedConfig
         VrasedMonitor Waveform __version__ apex_property_suite
         asap_property_suite attack_suite blinker_firmware busy_wait_pump_firmware
@@ -187,12 +187,12 @@ PUBLIC_NAMES = {
         build_vrased_model check_trace evaluate_at find_violation parse_ltl
         vrased_property_suite""",
     "repro.memory": """
-        IVT_BASE IVT_END IVT_ENTRIES InterruptVectorTable Memory MemoryAccess
-        MemoryError MemoryLayout MemoryRegion""",
+        IVT_BASE IVT_END IVT_ENTRIES InterruptVectorTable Memory MemoryError
+        MemoryLayout MemoryRegion""",
     "repro.net": """
-        ClosedTransportError ExchangeResult Fleet FleetReport LinkConditions
-        LoopbackTransport MessageTransport ProverEndpoint RetryPolicy RpcChannel
-        RpcTimeout VerifierService build_prover_bench loopback_pair""",
+        ClosedTransportError ExchangeResult Fleet FleetReport LoopbackTransport
+        ProverEndpoint RpcChannel VerifierService build_prover_bench
+        loopback_pair""",
     "repro.obs": """
         Counter DEFAULT_BUCKETS DEFAULT_WINDOW Gauge Histogram InMemorySink JsonlSink
         MetricsRegistry Span TELEMETRY_FILENAME Tracer export_telemetry get_registry

@@ -109,28 +109,6 @@ class TestMemory:
         memory.fill(0x0500, 4, 0x5A)
         assert memory.dump(0x0500, 4) == b"\x5A" * 4
 
-    def test_watchers_see_runtime_accesses(self, memory):
-        seen = []
-        memory.add_watcher(seen.append)
-        memory.write_word(0x0200, 1)
-        memory.read_byte(0x0200)
-        assert len(seen) == 2
-        assert seen[0].is_write and not seen[1].is_write
-
-    def test_watchers_do_not_see_load_time_stores(self, memory):
-        seen = []
-        memory.add_watcher(seen.append)
-        memory.load_bytes(0x0200, b"\x00\x01")
-        memory.peek_word(0x0200)
-        assert seen == []
-
-    def test_remove_watcher(self, memory):
-        seen = []
-        memory.add_watcher(seen.append)
-        memory.remove_watcher(seen.append)
-        memory.write_byte(0x0200, 1)
-        assert seen == []
-
     def test_invalid_size_rejected(self):
         with pytest.raises(MemoryError):
             Memory(size=0)
@@ -140,6 +118,73 @@ class TestMemory:
     def test_addresses_wrap_to_16_bits(self, memory):
         memory.write_byte(0x1_0200, 0x77)
         assert memory.peek_byte(0x0200) == 0x77
+
+
+class TestWriteListeners:
+    """Every mutation, run-time or load-time, reaches the write listeners
+    (the decode cache, the peripherals' register watches); no read does."""
+
+    @staticmethod
+    def listen(memory):
+        seen = []
+        memory.add_write_listener(
+            lambda address, length: seen.append((address, length)))
+        return seen
+
+    # Aligned in-range stores are covered by the decode cache's tests;
+    # these are the addresses a store masks or aligns before it lands.
+    @pytest.mark.parametrize("mutate, span", [
+        (lambda memory: memory.write_byte(0x1_0218, 0x01), (0x0218, 1)),
+        (lambda memory: memory.write_word(0x0231, 0xBEEF), (0x0230, 2)),
+        (lambda memory: memory.write_word(0x1_0221, 0xBEEF), (0x0220, 2)),
+        (lambda memory: memory.load_bytes(0x0241, b"\x01\x02"), (0x0241, 2)),
+        (lambda memory: memory.load_bytes(0x1_0248, b"\x01"), (0x0248, 1)),
+        (lambda memory: memory.load_word(0x0251, 0x1234), (0x0250, 2)),
+        (lambda memory: memory.fill(0x1_0260, 8, 0xFF), (0x0260, 8)),
+    ], ids=["write_byte-wrapped", "write_word-odd", "write_word-wrapped",
+            "load_bytes-odd", "load_bytes-wrapped", "load_word-odd",
+            "fill-wrapped"])
+    def test_each_mutation_reports_the_span_it_stored(self, memory, mutate,
+                                                      span):
+        seen = self.listen(memory)
+        mutate(memory)
+        assert seen == [span]
+
+    @pytest.mark.parametrize("read", [
+        lambda memory: memory.read_byte(0x0200),
+        lambda memory: memory.read_word(0x0200),
+        lambda memory: memory.peek_byte(0x0200),
+        lambda memory: memory.peek_word(0x0200),
+        lambda memory: memory.dump(0x0200, 8),
+        lambda memory: bytes(memory.peek_view(0x0200, 8)),
+    ], ids=["read_byte", "read_word", "peek_byte", "peek_word", "dump",
+            "peek_view"])
+    def test_reads_report_nothing(self, memory, read):
+        seen = self.listen(memory)
+        read(memory)
+        assert seen == []
+
+    def test_listeners_run_in_order_after_the_store(self, memory):
+        calls = []
+        for name in ("first", "second"):
+            memory.add_write_listener(
+                lambda address, length, name=name: calls.append(
+                    (name, memory.peek_word(address))))
+        memory.write_word(0x0300, 0xCAFE)
+        assert calls == [("first", 0xCAFE), ("second", 0xCAFE)]
+
+    def test_removing_one_listener_keeps_the_others(self, memory):
+        kept = self.listen(memory)
+        dropped = []
+
+        def drop(address, length):
+            dropped.append((address, length))
+
+        memory.add_write_listener(drop)
+        memory.remove_write_listener(drop)
+        memory.write_byte(0x0300, 1)
+        assert kept == [(0x0300, 1)]
+        assert dropped == []
 
 
 class TestPeekView:
@@ -166,12 +211,6 @@ class TestPeekView:
         assert view.readonly
         with pytest.raises(TypeError):
             view[0] = 1
-
-    def test_view_does_not_notify_watchers(self, memory):
-        seen = []
-        memory.add_watcher(seen.append)
-        bytes(memory.peek_view(0x0200, 8))
-        assert seen == []
 
     def test_out_of_range_view_rejected(self, memory):
         with pytest.raises(MemoryError):
@@ -214,14 +253,34 @@ class TestInterruptVectorTable:
         ivt.set_reset_vector(0xA400)
         assert ivt.get_reset_vector() == 0xA400
 
-    def test_load_time_writes_bypass_watchers(self, memory):
+    def test_set_vector_reaches_the_write_listeners(self, memory):
+        # A load-time store, but a store: decoded-instruction caches
+        # and peripheral watches covering the IVT must hear of it.
         seen = []
-        memory.add_watcher(seen.append)
+        memory.add_write_listener(
+            lambda address, length: seen.append((address, length)))
+        InterruptVectorTable(memory).set_vector(2, 0xE000)
+        assert seen == [(0xFFE4, 2)]
+
+    def test_set_vector_keeps_the_low_16_bits(self, memory):
         ivt = InterruptVectorTable(memory)
-        ivt.set_vector(2, 0xE000, load_time=True)
-        assert seen == []
-        ivt.set_vector(2, 0xE000, load_time=False)
-        assert len(seen) == 1
+        ivt.set_vector(4, 0x1_E008)
+        assert ivt.get_vector(4) == 0xE008
+
+    def test_set_vector_touches_only_its_entry(self, memory):
+        ivt = InterruptVectorTable(memory)
+        ivt.set_vector(7, 0xFFFF)
+        assert ivt.as_dict() == {7: 0xFFFF}
+        assert memory.dump(ivt.base, 2 * ivt.entries) == \
+            bytes(14) + b"\xFF\xFF" + bytes(16)
+
+    @pytest.mark.parametrize("index", [-1, 16])
+    def test_set_vector_out_of_range_is_rejected_unstored(self, memory,
+                                                         index):
+        ivt = InterruptVectorTable(memory)
+        with pytest.raises(IndexError):
+            ivt.set_vector(index, 0xE000)
+        assert ivt.snapshot() == [0] * 16
 
     def test_snapshot_and_as_dict(self, memory):
         ivt = InterruptVectorTable(memory)

@@ -1,69 +1,31 @@
-"""Unit tests for the retry/RPC layer (`repro.net.rpc`).
+"""Unit tests for the RPC channel (`repro.net.rpc`) and the reply cache.
 
-The contract under test: a :class:`RetryPolicy` is a bounded TCP-RTO
-style schedule (the growing per-attempt reply timeout *is* the
-backoff), :class:`RpcChannel` retransmits the *same* ``seq`` so the
-service's reply cache can dedup, and the service answers a retransmit
-of a completed request from the cache -- never by executing it twice.
+The contract under test: :class:`RpcChannel` gives every request a
+fresh ``seq`` and returns the reply bearing it, shedding the stale
+reply of a call its caller cancelled, and the service answers a request
+that repeats an answered ``seq`` from its per-connection reply cache --
+never by executing it twice.
 """
 
 import asyncio
 
 import pytest
 
-from repro.net import VerifierService, loopback_pair
+from repro.net import ClosedTransportError, VerifierService, loopback_pair
 from repro.net.service import REPLY_CACHE_SIZE
-from repro.net.rpc import RetryPolicy, RpcChannel, RpcTimeout
+from repro.net.rpc import RpcChannel
 
 
 def run(coroutine):
     return asyncio.run(coroutine)
 
 
-class TestRetryPolicy:
-    def test_defaults_are_bounded(self):
-        policy = RetryPolicy()
-        assert policy.bounded
-        assert policy.worst_case_seconds() > 0
-
-    def test_attempt_timeouts_grow_then_cap(self):
-        policy = RetryPolicy(max_attempts=5, base_timeout=0.1,
-                             multiplier=2.0, max_timeout=0.5)
-        assert list(policy.attempt_timeouts()) == \
-            pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
-        assert policy.worst_case_seconds() == pytest.approx(1.7)
-
-    def test_unlimited_schedule(self):
-        policy = RetryPolicy(max_attempts=None)
-        assert not policy.bounded
-        assert policy.worst_case_seconds() is None
-        timeouts = policy.attempt_timeouts()
-        # The generator keeps yielding (spot-check well past any bound).
-        for _ in range(100):
-            next(timeouts)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="base_timeout"):
-            RetryPolicy(base_timeout=0.0)
-        with pytest.raises(ValueError, match="multiplier"):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError, match="max_timeout"):
-            RetryPolicy(base_timeout=1.0, max_timeout=0.5)
-
-
-def echo_server(transport, drop=0):
-    """Reply ``pong`` to every ping, silently dropping the first *drop*
-    requests (the flaky-link stand-in)."""
+def echo_server(transport):
+    """Reply ``pong`` to every ping."""
 
     async def serve():
-        seen = 0
         while True:
             message = await transport.recv()
-            seen += 1
-            if seen <= drop:
-                continue
             await transport.send({"kind": "pong", "seq": message["seq"],
                                   "echo": message.get("payload")})
 
@@ -79,11 +41,10 @@ class TestRpcChannel:
             reply = await channel.call({"kind": "ping", "payload": 7})
             server.cancel()
             await channel.close()
-            return reply, channel
+            return reply
 
-        reply, channel = run(body())
+        reply = run(body())
         assert reply["kind"] == "pong" and reply["echo"] == 7
-        assert channel.retransmits == 0
 
     def test_sequence_numbers_increment(self):
         async def body():
@@ -99,83 +60,120 @@ class TestRpcChannel:
         first, second = run(body())
         assert second == first + 1
 
-    def test_retransmit_recovers_a_dropped_request(self):
+    def test_straggler_replies_are_dropped(self):
+        # A caller cancels a call after its request went out; the reply
+        # to it arrives while the next call waits, and is shed by seq.
         async def body():
             client, server_side = loopback_pair()
-            server = echo_server(server_side, drop=2)
-            channel = RpcChannel(client, retry=RetryPolicy(
-                max_attempts=5, base_timeout=0.02))
-            reply = await channel.call({"kind": "ping"})
-            server.cancel()
+            channel = RpcChannel(client)
+            cancelled = asyncio.ensure_future(channel.call({"kind": "ping"}))
+            stale = await server_side.recv()
+            cancelled.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await cancelled
+            await server_side.send({"kind": "pong", "seq": stale["seq"]})
+            answered = asyncio.ensure_future(channel.call({"kind": "ping"}))
+            request = await server_side.recv()
+            await server_side.send({"kind": "pong", "seq": request["seq"]})
+            reply = await asyncio.wait_for(answered, timeout=1.0)
             await channel.close()
-            return reply, channel
+            return stale["seq"], reply["seq"]
 
-        reply, channel = run(body())
-        assert reply["kind"] == "pong"
-        assert channel.retransmits == 2  # two drops, two retransmits
+        # The second call got the reply bearing *its* seq.
+        assert run(body()) == (0, 1)
 
-    def test_exhausted_schedule_raises_rpc_timeout(self):
+    def test_every_stale_reply_ahead_of_the_answer_is_shed(self):
+        # Two cancelled calls, and a reply with no seq at all, queue up
+        # ahead of the answer to the third call.
         async def body():
             client, server_side = loopback_pair()
-            server = echo_server(server_side, drop=10 ** 6)  # black hole
-            channel = RpcChannel(client, retry=RetryPolicy(
-                max_attempts=3, base_timeout=0.01))
-            with pytest.raises(RpcTimeout, match="3 attempts"):
-                await channel.call({"kind": "ping"})
-            server.cancel()
+            channel = RpcChannel(client)
+            stale = []
+            for _ in range(2):
+                cancelled = asyncio.ensure_future(channel.call({"kind": "ping"}))
+                stale.append((await server_side.recv())["seq"])
+                cancelled.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await cancelled
+            for seq in stale:
+                await server_side.send({"kind": "pong", "seq": seq})
+            await server_side.send({"kind": "pong"})
+            answered = asyncio.ensure_future(
+                channel.call({"kind": "ping", "payload": "mine"}))
+            request = await server_side.recv()
+            await server_side.send({"kind": "pong", "seq": request["seq"],
+                                    "echo": request["payload"]})
+            reply = await asyncio.wait_for(answered, timeout=1.0)
             await channel.close()
-            return channel
+            return stale, reply
 
-        channel = run(body())
-        assert channel.retransmits == 2  # 3 attempts = 2 retransmits
+        stale, reply = run(body())
+        assert stale == [0, 1]
+        assert reply == {"kind": "pong", "seq": 2, "echo": "mine"}
 
-    def test_per_call_policy_overrides_channel_policy(self):
+    def test_the_callers_message_is_left_unchanged(self):
         async def body():
             client, server_side = loopback_pair()
-            server = echo_server(server_side, drop=10 ** 6)
-            channel = RpcChannel(client)  # no channel-level retry
-            with pytest.raises(RpcTimeout):
-                await channel.call({"kind": "ping"},
-                                   retry=RetryPolicy(max_attempts=2,
-                                                     base_timeout=0.01))
+            server = echo_server(server_side)
+            channel = RpcChannel(client)
+            message = {"kind": "ping", "payload": 3}
+            replies = [await channel.call(message) for _ in range(2)]
             server.cancel()
             await channel.close()
+            return message, replies
+
+        message, replies = run(body())
+        # Each call sends a copy carrying its own seq.
+        assert message == {"kind": "ping", "payload": 3}
+        assert [reply["seq"] for reply in replies] == [0, 1]
+
+    def test_concurrent_calls_each_get_their_own_reply(self):
+        async def body():
+            client, server_side = loopback_pair()
+            server = echo_server(server_side)
+            channel = RpcChannel(client)
+            replies = await asyncio.wait_for(asyncio.gather(*[
+                channel.call({"kind": "ping", "payload": index})
+                for index in range(5)
+            ]), timeout=1.0)
+            server.cancel()
+            await channel.close()
+            return replies
+
+        replies = run(body())
+        # The lock serialises the calls in order: call i is seq i.
+        assert [(reply["seq"], reply["echo"]) for reply in replies] == \
+            [(index, index) for index in range(5)]
+
+    def test_a_call_on_a_closed_channel_raises(self):
+        async def body():
+            client, _server_side = loopback_pair()
+            channel = RpcChannel(client)
+            await channel.close()
+            with pytest.raises(ClosedTransportError):
+                await asyncio.wait_for(channel.call({"kind": "ping"}),
+                                       timeout=0.5)
 
         run(body())
 
-    def test_straggler_replies_are_dropped(self):
+    def test_a_call_fails_when_the_server_closes_before_replying(self):
+        # Nothing is lost on a loopback link, so an unanswered call
+        # ends when the other side closes, not after a timeout.
         async def body():
             client, server_side = loopback_pair()
+            channel = RpcChannel(client)
+            call = asyncio.ensure_future(channel.call({"kind": "ping"}))
+            request = await server_side.recv()
+            await server_side.close()
+            with pytest.raises(ClosedTransportError):
+                await asyncio.wait_for(call, timeout=0.5)
+            return request
 
-            async def lagging_server():
-                # Answer the *previous* request each time: the reply to
-                # call N arrives while call N+1 is waiting.
-                backlog = []
-                while True:
-                    message = await server_side.recv()
-                    backlog.append(message["seq"])
-                    if len(backlog) >= 2:
-                        stale = backlog.pop(0)
-                        await server_side.send({"kind": "pong", "seq": stale})
-                        await server_side.send(
-                            {"kind": "pong", "seq": backlog[0]})
-
-            server = asyncio.ensure_future(lagging_server())
-            channel = RpcChannel(client, retry=RetryPolicy(
-                max_attempts=4, base_timeout=0.05))
-            first = await channel.call({"kind": "ping"})
-            second = await channel.call({"kind": "ping"})
-            server.cancel()
-            await channel.close()
-            return first, second
-
-        first, second = run(body())
-        # Each call got the reply bearing *its* seq, stale ones dropped.
-        assert (first["seq"], second["seq"]) == (0, 1)
+        assert run(body())["seq"] == 0
 
 
 class TestServiceDedup:
-    """Retransmits against the real service: at-most-once execution."""
+    """Repeated requests against the real service: at-most-once execution."""
 
     def test_retransmit_of_completed_request_replays_cached_reply(self):
         async def body():
@@ -304,3 +302,73 @@ class TestServiceDedup:
             return len(created)
 
         assert run(body()) == 0
+
+    def test_reply_caches_are_per_connection(self):
+        # The same seq on two connections is two requests: each
+        # connection numbers its own calls.
+        async def body():
+            service = VerifierService()
+            service.verifier.enroll("prover")
+            connections = [loopback_pair() for _ in range(2)]
+            serves = [asyncio.ensure_future(service.serve(server_side))
+                      for _, server_side in connections]
+            replies = []
+            for client, _ in connections:
+                await client.send({"kind": "attest", "seq": 0,
+                                   "device_id": "prover"})
+                replies.append(await asyncio.wait_for(client.recv(),
+                                                      timeout=1.0))
+            for client, _ in connections:
+                await client.close()
+            await asyncio.gather(*serves)
+            return service, replies
+
+        service, (first, second) = run(body())
+        assert first["kind"] == second["kind"] == "challenge"
+        assert first["challenge"] != second["challenge"]
+        assert service.counters["challenges"] == 2
+        assert service.counters["duplicates"] == 0
+
+    def test_an_error_reply_is_replayed_not_recomputed(self):
+        async def body():
+            service = VerifierService()
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            replies = []
+            for _ in range(2):
+                await client.send({"kind": "attest", "seq": 9,
+                                   "device_id": "never-enrolled"})
+                replies.append(await asyncio.wait_for(client.recv(),
+                                                      timeout=1.0))
+            await client.close()
+            await serve
+            return service, replies
+
+        service, (first, second) = run(body())
+        assert first["kind"] == "error" and second == first
+        assert service.counters["errors"] == 1
+        assert service.counters["duplicates"] == 1
+
+    def test_a_repeated_seq_replays_the_original_whatever_the_request(self):
+        # The seq names the request: a second message under an answered
+        # seq is a duplicate even when its body differs, so it is never
+        # executed.
+        async def body():
+            service = VerifierService()
+            service.verifier.enroll("prover")
+            client, server_side = loopback_pair()
+            serve = asyncio.ensure_future(service.serve(server_side))
+            await client.send({"kind": "stats", "seq": 3})
+            first = await asyncio.wait_for(client.recv(), timeout=1.0)
+            await client.send({"kind": "attest", "seq": 3,
+                               "device_id": "prover"})
+            second = await asyncio.wait_for(client.recv(), timeout=1.0)
+            await client.close()
+            await serve
+            return service, first, second
+
+        service, first, second = run(body())
+        assert first["kind"] == "stats" and second == first
+        assert service.counters["challenges"] == 0
+        assert service.pending_challenges == 0
+        assert service.counters["duplicates"] == 1
